@@ -15,11 +15,15 @@ paper counts elements per vtree node (AND gates structured there).
 Two operational properties matter for long-running sessions:
 
 - **Stack safety.**  ``apply`` descends one vtree level per step, so on the
-  deep right-linear vtrees that query lineages use a recursive
-  implementation overflows Python's stack around 1000 variables.  Every
-  operation here (``apply``, ``negate``, ``condition``, ``to_nnf``,
-  ``evaluate``) is iterative: ``apply`` runs as a trampoline over generator
-  frames, the single-pass traversals as creation-order sweeps.
+  deep right-linear vtrees that query lineages use an unbounded recursion
+  overflows Python's stack around 1000 variables.  ``apply`` is recursive
+  up to a fixed budget, trampolined beyond: it recurses directly for at
+  most ``_APPLY_REC_BUDGET`` frames (the common, shallow case, without
+  generator overhead) and hands anything deeper to a trampoline over
+  generator frames, which issues the same sub-applies in the same order,
+  so the resulting node ids do not depend on where the handoff happens.
+  The other operations (``negate``, ``condition``, ``to_nnf``,
+  ``evaluate``) are iterative creation-order sweeps.
 - **Garbage collection.**  Hash-cons tables and apply caches only ever
   grow unless collected.  Roots are reference-count *pinned*
   (:meth:`pin`/:meth:`release`); :meth:`gc` mark-sweeps everything
@@ -142,6 +146,10 @@ class SddManager:
         self._and_cache: dict[int, int] = {}
         self._or_cache: dict[int, int] = {}
         self._neg_cache: dict[int, int] = {}
+        # Frames held by the direct apply recursion around a re-entry into
+        # apply (see _negate_nested/_handoff); 0 outside any apply.
+        self._apply_depth = 0
+        self._trampoline_handoffs = 0
         # --- garbage collection -------------------------------------------
         self.auto_gc_nodes = auto_gc_nodes
         self.auto_minimize_nodes = auto_minimize_nodes
@@ -290,10 +298,11 @@ class SddManager:
         self, vnode: int, elems: tuple[tuple[int, int], ...]
     ) -> int:
         """Trim + intern an already-compressed element tuple at ``vnode``."""
-        if not elems:
+        n = len(elems)
+        if not n:
             return _FALSE
         # Trimming rules.
-        if len(elems) == 1:
+        if n == 1:
             p, s = elems[0]
             if p == _TRUE:
                 return s
@@ -301,7 +310,7 @@ class SddManager:
                 return p
             if s == _FALSE:
                 return _FALSE
-        if len(elems) == 2:
+        elif n == 2:
             (p1, s1), (p2, s2) = elems
             if s1 == _FALSE and s2 == _TRUE:
                 return p2
@@ -421,21 +430,192 @@ class SddManager:
         cache = self._and_cache if is_and else self._or_cache
         return cache.get((a << 32) | b)
 
+    # Python frames the direct recursion of :meth:`_apply_rec` may hold
+    # before it hands the sub-problem to the :meth:`_drive` trampoline.
+    # Small enough to leave room under a recursion limit of 250 below a
+    # test runner's own frames; deep enough that query-lineage vtrees of
+    # a few dozen variables never reach it.
+    _APPLY_REC_BUDGET = 100
+
     def _apply(self, a: int, b: int, is_and: bool) -> int:
         # Apply is commutative for both ops: order the pair so constants
         # (the smallest ids) surface as ``a`` and the cache key is unique.
-        res = self._apply_shallow(a, b, is_and)
+        # (:meth:`_apply_shallow`, inlined: rotations and folds call this
+        # entry point far more often than they miss.)
+        if a == b:
+            return a
+        if a > b:
+            a, b = b, a
+        if a == _FALSE:
+            return _FALSE if is_and else b
+        if a == _TRUE:
+            return b if is_and else _TRUE
+        kind = self.node_kind
+        if kind[a] == "lit" and kind[b] == "lit" and self.node_var[a] == self.node_var[b]:
+            return _FALSE if is_and else _TRUE
+        res = (self._and_cache if is_and else self._or_cache).get((a << 32) | b)
         if res is not None:
             return res
-        return self._drive(self._apply_gen(a, b, is_and))
+        return self._apply_rec(a, b, is_and, self._apply_depth + 1)
+
+    def _apply_rec(self, a: int, b: int, is_and: bool, depth: int) -> int:
+        """Apply on a true miss (``a < b``, both non-constant, not cached)
+        by direct recursion; ``depth`` counts the Python frames the apply
+        machinery holds, this one included.  The shallow checks of
+        :meth:`_apply_shallow` are inlined for every sub-apply.
+
+        It issues sub-applies and allocations in exactly the order of
+        ``_apply_gen`` + ``_decision_gen`` — every element product first,
+        then the ORs compressing primes with equal subs — so node ids,
+        element tuples and hence WMC summation order do not depend on
+        where the recursion hands off to the trampoline.
+        """
+        if depth > self._APPLY_REC_BUDGET:
+            return self._handoff(a, b, is_and)
+        v_lo, v_hi = self.v_lo, self.v_hi
+        node_vnode = self.node_vnode
+        kind, node_var = self.node_kind, self.node_var
+        va, vb = node_vnode[a], node_vnode[b]
+        # lca walk: climb from va until the interval covers vb's.
+        v = va
+        lob, hib = v_lo[vb], v_hi[vb]
+        parent = self.v_parent
+        while not (v_lo[v] <= lob and hib <= v_hi[v]):
+            p = parent[v]
+            assert p is not None, "lca walked past the root"
+            v = p
+        # Element views at ``v`` (:meth:`_elements_at`, inlined): a node
+        # below the left child becomes ``(u, T), (¬u, F)``, one below the
+        # right child ``(T, u)``.
+        left_hi = v_hi[self.v_left[v]]  # type: ignore[index]
+        neg = self._neg_cache
+        if va == v and kind[a] == "dec":
+            ea = self.node_elements[a]
+        elif v_hi[va] <= left_hi:
+            na = neg.get(a)
+            if na is None:
+                na = self._negate_nested(a, depth)
+            ea = ((a, _TRUE), (na, _FALSE))
+        else:
+            ea = ((_TRUE, a),)
+        if vb == v and kind[b] == "dec":
+            eb = self.node_elements[b]
+        elif v_hi[vb] <= left_hi:
+            nb = neg.get(b)
+            if nb is None:
+                nb = self._negate_nested(b, depth)
+            eb = ((b, _TRUE), (nb, _FALSE))
+        else:
+            eb = ((_TRUE, b),)
+        assert ea is not None and eb is not None
+        and_cache, or_cache = self._and_cache, self._or_cache
+        cache = and_cache if is_and else or_cache
+        rec = self._apply_rec
+        d1 = depth + 1
+        # Compression (:meth:`_decision_gen`, inlined) needs the ORs of
+        # primes sharing a sub only after every product: ``by_sub`` holds
+        # each sub's first prime, ``merge`` the later ones in element order.
+        by_sub: dict[int, int] = {}
+        merge: list[tuple[int, int]] = []
+        for pa, sa in ea:
+            for pb, sb in eb:
+                # p = pa ∧ pb
+                if pa == pb:
+                    p = pa
+                else:
+                    x, y = (pa, pb) if pa < pb else (pb, pa)
+                    if x == _FALSE:
+                        continue
+                    if x == _TRUE:
+                        p = y
+                    elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                        continue
+                    else:
+                        p = and_cache.get((x << 32) | y)
+                        if p is None:
+                            p = rec(x, y, True, d1)
+                        if p == _FALSE:
+                            continue
+                # s = sa ∘ sb
+                if sa == sb:
+                    s = sa
+                else:
+                    x, y = (sa, sb) if sa < sb else (sb, sa)
+                    if x == _FALSE:
+                        s = _FALSE if is_and else y
+                    elif x == _TRUE:
+                        s = y if is_and else _TRUE
+                    elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                        s = _FALSE if is_and else _TRUE
+                    else:
+                        s = cache.get((x << 32) | y)
+                        if s is None:
+                            s = rec(x, y, is_and, d1)
+                if s in by_sub:
+                    merge.append((s, p))
+                else:
+                    by_sub[s] = p
+        for s, p in merge:
+            q = by_sub[s]
+            if q == p:
+                continue
+            x, y = (q, p) if q < p else (p, q)
+            if x == _FALSE:
+                r = y
+            elif x == _TRUE:
+                r = _TRUE
+            elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                r = _TRUE
+            else:
+                r = or_cache.get((x << 32) | y)
+                if r is None:
+                    r = rec(x, y, False, d1)
+            by_sub[s] = r
+        if len(by_sub) == 2:
+            # Primes are disjoint, so ordering by prime is the sort.
+            (s1, p1), (s2, p2) = by_sub.items()
+            elems = ((p1, s1), (p2, s2)) if p1 < p2 else ((p2, s2), (p1, s1))
+        else:
+            elems = tuple(sorted(zip(by_sub.values(), by_sub)))
+        res = self._intern_decision(v, elems)
+        cache[(a << 32) | b] = res
+        return res
+
+    def _negate_nested(self, u: int, depth: int) -> int:
+        """:meth:`negate` called from inside :meth:`_apply_rec`.  Negation
+        can re-enter apply (``negate`` → ``_decision`` → ``_apply``), so
+        the frames already held are recorded for that re-entry to count
+        from."""
+        saved = self._apply_depth
+        # This frame, negate, _decision and _apply sit between ``depth``
+        # and a re-entered _apply_rec.
+        self._apply_depth = depth + 4
+        try:
+            return self.negate(u)
+        finally:
+            self._apply_depth = saved
+
+    def _handoff(self, a: int, b: int, is_and: bool) -> int:
+        """Run one apply on the :meth:`_drive` trampoline once the direct
+        recursion has used up its frame budget.  Applies re-entered from
+        inside the trampoline (through ``negate``) go straight back to a
+        trampoline of their own."""
+        self._trampoline_handoffs += 1
+        saved = self._apply_depth
+        self._apply_depth = self._APPLY_REC_BUDGET
+        try:
+            return self._drive(self._apply_gen(a, b, is_and))
+        finally:
+            self._apply_depth = saved
 
     def _drive(self, gen) -> int:
-        """Trampoline for the apply/decision generators.
+        """Trampoline for the apply/decision generators — the stack-safe
+        path :meth:`_apply_rec` hands off to beyond its recursion budget.
 
         Generators yield ``(a, b, is_and)`` requests (only after their own
         shallow check missed); the driver runs each request as a child
         frame on an explicit stack, so the Python call stack stays O(1) no
-        matter how deep the vtree is.
+        matter how deep the vtree is below the handoff point.
         """
         stack = [gen]
         send: int | None = None
@@ -1543,6 +1723,9 @@ class SddManager:
         APIs and CLI reports use it); the underlying attributes are
         private.  ``nodes`` counts *live* nodes; ``node_capacity`` is the
         table length including freed slots awaiting reuse.
+        ``apply_trampoline_handoffs`` counts the applies the direct
+        recursion handed to the trampoline (0 when every apply stayed
+        within the recursion budget).
         """
         n_lit = len(self._lit_table)
         live = self.live_node_count
@@ -1564,6 +1747,7 @@ class SddManager:
             "or_cache_entries": len(self._or_cache),
             "neg_cache_entries": len(self._neg_cache),
             "apply_cache_entries": len(self._and_cache) + len(self._or_cache),
+            "apply_trampoline_handoffs": self._trampoline_handoffs,
         }
 
     def reachable(self, u: int) -> set[int]:

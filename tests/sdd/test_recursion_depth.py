@@ -172,6 +172,30 @@ class TestRecursionGuard:
             assert 0 < mgr.count_models(root) < (1 << n)
         finally:
             sys.setrecursionlimit(limit)
+        # Apply recursed past its frame budget: the trampoline ran.
+        assert mgr.stats()["apply_trampoline_handoffs"] > 0
+
+    @pytest.mark.parametrize(
+        "make_vtree, deep",
+        [(Vtree.left_linear, True), (Vtree.balanced, False)],
+        ids=["left-linear", "balanced"],
+    )
+    def test_compile_and_negate_under_reduced_limit(self, make_vtree, deep):
+        # Depth 259 > the lowered limit; left-linear compiles of the chain
+        # family are slow, so n stays just above it.
+        n = 260
+        circuit = chain_and_or(n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            mgr = SddManager(make_vtree(natural_variable_order(circuit)))
+            root = mgr.compile_circuit(circuit)
+            neg = mgr.negate(root)
+            assert mgr.count_models(root) + mgr.count_models(neg) == 1 << n
+        finally:
+            sys.setrecursionlimit(limit)
+        if deep:
+            assert mgr.stats()["apply_trampoline_handoffs"] > 0
 
     def test_library_does_not_touch_recursion_limit(self):
         import pathlib
