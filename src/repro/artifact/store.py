@@ -20,10 +20,14 @@ run as iterative sweeps over the arrays and are **op-for-op replicas** of
 the live evaluators (:class:`repro.sdd.wmc.SddWmcEvaluator`,
 :class:`repro.dnnf.wmc.DnnfWmcEvaluator`, the ``ObddManager`` sweeps):
 same child iteration order, same gap-product climb order, same initial
-``int`` accumulators.  Exact-``Fraction`` results are equal by
-mathematics; **float results are equal bit-for-bit**, which is what lets
-a warm-started worker pool assert answers identical to the process that
-compiled the artifact.
+``int`` accumulators, and the same scaled-integer encoding of exact
+weights (:func:`repro.sdd.wmc.scaled_weights`).  Exact-``Fraction``
+results are equal by mathematics; **float results are equal
+bit-for-bit**, which is what lets a warm-started worker pool assert
+answers identical to the process that compiled the artifact.  (The OBDD
+store's :meth:`FrozenObdd.weighted_count` stays on ``Fraction``, like the
+live OBDD sweeps it mirrors: they are the independent reference exact
+answers are checked against.)
 
 Freezing renumbers nodes into a canonical dense id space (constants,
 then literals sorted by ``(var, sign)``, then decisions in creation-stamp
@@ -38,10 +42,11 @@ from __future__ import annotations
 import json
 from array import array
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from ..core.vtree import Vtree
-from ..sdd.wmc import exact_weights, float_weights
+from ..sdd.wmc import exact_weights, float_weights, scaled_weights
 from .encoding import (
     DTYPE_BYTES,
     DTYPE_I32,
@@ -511,9 +516,12 @@ class FrozenSdd:
 class FrozenSddWmc:
     """Array-backed twin of :class:`repro.sdd.wmc.SddWmcEvaluator`.
 
-    Same ring-genericity, same amortized gap products, and — deliberately
-    — the same operation order everywhere, so float results match the
-    live evaluator bit-for-bit.  Reusable across roots of one store.
+    Same ring choice (``int`` weights count, weights containing a
+    ``Fraction`` sweep in scaled integers and divide once by the product
+    of the denominators, floats run as given), same amortized gap
+    products, the same stop-at-memo sweep, and — deliberately — the same
+    operation order everywhere, so float results match the live evaluator
+    bit-for-bit.  Reusable across roots of one store.
     """
 
     def __init__(self, frozen: FrozenSdd, weights: Mapping[str, tuple]):
@@ -522,18 +530,27 @@ class FrozenSddWmc:
         if missing:
             raise ValueError(f"weights missing for variables: {sorted(missing)[:5]}")
         self.weights = {v: weights[v] for v in frozen.variables}
+        self._scaled = scaled_weights(self.weights)
+        pairs = self.weights if self._scaled is None else self._scaled.pairs
+        den = {} if self._scaled is None else self._scaled.den
         fz = frozen
         prod: list = [1] * len(fz.vt)
+        scale: list[int] = [1] * len(fz.vt)
         for k in range(len(fz.vt)):
             c = fz.vt[k]
             if c >= 0:
-                w0, w1 = self.weights[fz.vars[c]]
+                w0, w1 = pairs[fz.vars[c]]
                 prod[k] = w0 + w1
+                scale[k] = den.get(fz.vars[c], 1)
             else:
                 prod[k] = prod[fz.v_left[k]] * prod[fz.v_right[k]]
+                scale[k] = scale[fz.v_left[k]] * scale[fz.v_right[k]]
+        self._pairs = pairs
         self._subtree_prod = prod
+        self._scale = scale
         self._gap_cache: dict[tuple[int, int], object] = {}
         self._memo: dict[int, object] = {}
+        self._swept = 0
 
     def _gap(self, outer: int, inner: int):
         if outer == inner:
@@ -566,16 +583,32 @@ class FrozenSddWmc:
         )
         return self._memo[u] * self._gap(target_vnode, vn)
 
-    def value(self, root: int):
+    def _sweep(self, root: int) -> None:
         fz = self.frozen
         memo = self._memo
-        todo = [u for u in fz.reachable(root) if u > _TRUE and u not in memo]
-        todo.sort()  # ascending frozen id == creation-stamp order
+        if root <= _TRUE or root in memo:
+            return
         base = fz.dec_base
+        seen = {root}
+        stack = [root]
+        while stack:
+            w = stack.pop()
+            if w < base:
+                continue
+            for p, s in fz.elements(w):
+                if p > _TRUE and p not in memo and p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+                if s > _TRUE and s not in memo and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        todo = sorted(seen)  # ascending frozen id == creation-stamp order
+        self._swept += len(todo)
+        pairs = self._pairs
         for u in todo:
             if u < base:
                 code = fz.lits[u - 2]
-                w0, w1 = self.weights[fz.vars[code >> 1]]
+                w0, w1 = pairs[fz.vars[code >> 1]]
                 memo[u] = w1 if code & 1 else w0
             else:
                 vn = fz.dec_vnode[u - base]
@@ -584,12 +617,20 @@ class FrozenSddWmc:
                 for p, s in fz.elements(u):
                     acc = acc + self._lift(p, vl) * self._lift(s, vr)
                 memo[u] = acc
-        return self._lift(root, fz.root_vnode)
+
+    def value(self, root: int):
+        self._sweep(root)
+        root_vnode = self.frozen.root_vnode
+        value = self._lift(root, root_vnode)
+        if self._scaled is None:
+            return value
+        return Fraction(value, self._scale[root_vnode])
 
     def stats(self) -> dict[str, int]:
         return {
             "memo_entries": len(self._memo),
             "gap_cache_entries": len(self._gap_cache),
+            "nodes_swept": self._swept,
         }
 
 
@@ -867,38 +908,75 @@ class FrozenDdnnf:
 
 
 class FrozenDdnnfWmc:
-    """Array-backed twin of :class:`repro.dnnf.wmc.DnnfWmcEvaluator`;
+    """Array-backed twin of :class:`repro.dnnf.wmc.DnnfWmcEvaluator`:
+    the same ring choice, per-node scales and stop-at-memo sweep, and
     identical operation order, so float results match bit-for-bit."""
 
     def __init__(self, frozen: FrozenDdnnf, weights: Mapping[str, tuple]):
         self.frozen = frozen
         self.weights = dict(weights)
+        self._scaled = scaled_weights(self.weights)
         self._memo: dict[int, object] = {_FALSE: 0, _TRUE: 1}
+        # Per-node denominators of the memo values (all 1 unless scaled).
+        self._scale: dict[int, int] = {_FALSE: 1, _TRUE: 1}
+        self._swept = 0
 
-    def value(self, root: int):
+    def _sweep(self, root: int) -> None:
         fz = self.frozen
         memo = self._memo
-        todo = [u for u in fz.reachable(root) if u not in memo]
+        seen = {root}
+        stack = [root]
+        while stack:
+            for c in fz.node_children(stack.pop()):
+                if c not in memo and c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        todo = sorted(seen)  # ascending id = children first
+        self._swept += len(todo)
+        scaled = self._scaled
+        pairs = self.weights if scaled is None else scaled.pairs
+        den = {} if scaled is None else scaled.den
+        scale = self._scale
         for u in todo:
             k = fz.kinds[u]
             if k == _K_LIT:
                 code = fz.litv[u]
-                w0, w1 = self.weights[fz.vars[code >> 1]]
+                var = fz.vars[code >> 1]
+                w0, w1 = pairs[var]
                 memo[u] = w1 if code & 1 else w0
+                scale[u] = den.get(var, 1)
             elif k == _K_AND:
-                acc = 1
+                acc = sc = 1
                 for c in fz.node_children(u):
                     acc = acc * memo[c]
+                    sc *= scale[c]
                 memo[u] = acc
+                scale[u] = sc
             else:
-                acc = 0
+                acc, sc = 0, 1
                 for c in fz.node_children(u):
-                    acc = acc + memo[c]
+                    v, cs = memo[c], scale[c]
+                    if cs == sc or not v:  # a zero (FALSE) adds at any scale
+                        acc = acc + v
+                    elif not acc:
+                        acc, sc = v, cs
+                    else:  # a non-smooth OR: put both terms over the lcm
+                        m = lcm(sc, cs)
+                        acc = acc * (m // sc) + v * (m // cs)
+                        sc = m
                 memo[u] = acc
-        return memo[root]
+                scale[u] = sc
+
+    def value(self, root: int):
+        memo = self._memo
+        if root not in memo:
+            self._sweep(root)
+        if self._scaled is None:
+            return memo[root]
+        return Fraction(memo[root], self._scale[root])
 
     def stats(self) -> dict[str, int]:
-        return {"memo_entries": len(self._memo)}
+        return {"memo_entries": len(self._memo), "nodes_swept": self._swept}
 
 
 # ======================================================================

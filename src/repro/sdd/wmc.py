@@ -20,22 +20,37 @@ Two things distinguish this module from a naive recursive walk:
   ``O(n)`` set difference per element (as the manager's original recursive
   implementation did).
 
-The evaluator is generic over the weight ring: ``int`` weights give exact
-model counts, :class:`~fractions.Fraction` weights give exact probabilities,
-``float`` weights give the fast inexact mode.  One evaluator instance can be
-reused across many roots of the same manager — the memo table is keyed by
-node id, so a workload of queries sharing sub-lineages pays for each shared
-node once (this is what :func:`repro.queries.evaluate.evaluate_many` leans
-on).
+Exact weights run in scaled integers.  ``int`` weights give exact model
+counts and ``float`` weights the fast inexact mode, both computed as given
+(floats in one fixed per-element operation order, so live and frozen
+answers are ``repr``-identical).  When the weights contain a :class:`~fractions.Fraction`,
+:func:`scaled_weights` encodes each variable's pair as integers over the
+pair's own common denominator ``D_v``; the sweep then runs in Python ints
+and divides once at the end, by the product of ``D_v`` over the root's
+scope.  WMC is homogeneous of degree 1 in every variable's pair, so that
+quotient is exactly the ``Fraction`` a sweep over the rational weights
+would return — without a gcd per ring operation.  (The OBDD sweeps of
+:mod:`repro.obdd` stay on ``Fraction`` on purpose: they are the independent
+reference the exact answers here are checked against.)
+
+One evaluator instance can be reused across many roots of the same
+manager — the memo table is keyed by node id, so a workload of queries
+sharing sub-lineages pays for each shared node once (this is what
+:func:`repro.queries.evaluate.evaluate_many` leans on).  Each sweep walks
+down from the root and stops at memoized nodes, so after a weight update
+it touches only the evicted cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 __all__ = [
     "SddWmcEvaluator",
+    "ScaledWeights",
+    "scaled_weights",
     "model_count",
     "weighted_model_count",
     "probability",
@@ -65,12 +80,59 @@ def float_weights(prob: Mapping[str, float]) -> dict[str, tuple[float, float]]:
     return {v: (1.0 - float(p), float(p)) for v, p in prob.items()}
 
 
+def _pairs_rational(weights: Mapping[str, tuple]) -> bool:
+    return all(
+        isinstance(x, (int, Fraction)) for pair in weights.values() for x in pair
+    )
+
+
+class ScaledWeights:
+    """Rational weight pairs as integers over per-variable denominators.
+
+    ``pairs[v] == (w_neg * D_v, w_pos * D_v)`` and ``den[v] == D_v``, the
+    lcm of the two denominators of ``v``'s pair.  A sweep over ``pairs``
+    yields every node's WMC multiplied by the product of ``D_v`` over the
+    node's scope; dividing once by that product recovers the exact value.
+    """
+
+    __slots__ = ("pairs", "den")
+
+    def __init__(self, weights: Mapping[str, tuple]):
+        self.pairs: dict[str, tuple[int, int]] = {}
+        self.den: dict[str, int] = {}
+        self.update(weights)
+
+    def update(self, changed: Mapping[str, tuple]) -> bool:
+        """Re-encode ``changed``; ``False`` (and nothing stored) when some
+        weight is not an ``int`` or ``Fraction``."""
+        if not _pairs_rational(changed):
+            return False
+        for v, (w0, w1) in changed.items():
+            d0, d1 = w0.denominator, w1.denominator
+            d = d0 if d0 == d1 else lcm(d0, d1)
+            self.pairs[v] = (w0.numerator * (d // d0), w1.numerator * (d // d1))
+            self.den[v] = d
+        return True
+
+
+def scaled_weights(weights: Mapping[str, tuple]) -> ScaledWeights | None:
+    """The scaled-integer encoding when ``weights`` are exact rationals with
+    at least one :class:`~fractions.Fraction`; ``None`` otherwise (``int``
+    and ``float`` weights are swept as given)."""
+    values = [x for pair in weights.values() for x in pair]
+    if any(isinstance(x, Fraction) for x in values) and _pairs_rational(weights):
+        return ScaledWeights(weights)
+    return None
+
+
 class SddWmcEvaluator:
     """Weighted model counting over one manager, reusable across roots.
 
     ``weights`` maps every vtree variable to ``(w_neg, w_pos)``.  Values may
-    be ``int``, ``float`` or :class:`~fractions.Fraction`; results stay in
-    the ring the weights live in (Python's numeric tower does the rest).
+    be ``int``, ``float`` or :class:`~fractions.Fraction`: ``int`` weights
+    return ``int``, weights containing a ``Fraction`` return the exact
+    ``Fraction`` (swept in scaled integers), and ``float`` weights return
+    ``float``.
     """
 
     def __init__(self, mgr, weights: Mapping[str, tuple]):
@@ -79,8 +141,10 @@ class SddWmcEvaluator:
         if missing:
             raise ValueError(f"weights missing for variables: {sorted(missing)[:5]}")
         self.weights = {v: weights[v] for v in mgr.vtree.variables}
+        self._scaled = scaled_weights(self.weights)
         self._rebuild_vtree_tables()
         self._memo: dict[int, object] = {}
+        self._swept = 0
         # The memo is keyed by node id; register for eviction (and for
         # vtree refresh after in-place rotations) so the manager can keep
         # this cache coherent across gc and minimization.
@@ -90,24 +154,34 @@ class SddWmcEvaluator:
 
     def _rebuild_vtree_tables(self) -> None:
         """Product of (w_neg + w_pos) over the variables under each vtree
-        node, children before parents.  Uses the manager's current
-        postorder — index order itself stops being topological once
-        in-place vtree rotations have run."""
+        node, children before parents, in the sweep's ring — plus, for
+        scaled weights, the product of the denominators ``D_v`` under each
+        node (a node's memo value is its WMC times its vtree node's
+        scale).  Uses the manager's current postorder — index order itself
+        stops being topological once in-place vtree rotations have run."""
         mgr = self.mgr
         postorder = getattr(mgr, "vtree_postorder", None)
         order = postorder() if postorder is not None else range(len(mgr.v_nodes))
+        scaled = self._scaled
+        pairs = self.weights if scaled is None else scaled.pairs
+        den = {} if scaled is None else scaled.den
         prod: list = [1] * len(mgr.v_nodes)
+        scale: list[int] = [1] * len(mgr.v_nodes)
         for i in order:
             v = mgr.v_nodes[i]
             if v.is_leaf:
                 # A variable just appended by SddManager.add_variable may
                 # not have weights yet (update_weights supplies them next);
                 # the multiplicative identity keeps the tables usable.
-                w = self.weights.get(v.var)
+                w = pairs.get(v.var)
                 prod[i] = 1 if w is None else w[0] + w[1]
+                scale[i] = den.get(v.var, 1)
             else:
                 prod[i] = prod[mgr.v_left[i]] * prod[mgr.v_right[i]]
+                scale[i] = scale[mgr.v_left[i]] * scale[mgr.v_right[i]]
+        self._pairs = pairs
         self._subtree_prod = prod
+        self._scale = scale
         self._root_vnode = getattr(mgr, "v_root", len(mgr.v_nodes) - 1)
         self._gap_cache: dict[tuple[int, int], object] = {}
 
@@ -115,7 +189,7 @@ class SddWmcEvaluator:
         """Called by the manager after an in-place rotation changed a vtree
         node's variable scope.  Memoized node values survive — a live
         node's own vtree scope never changes across a move — but the
-        per-vnode subtree products and gap paths must be rebuilt."""
+        per-vnode subtree products, scales and gap paths must be rebuilt."""
         self._rebuild_vtree_tables()
 
     # ------------------------------------------------------------------
@@ -149,60 +223,86 @@ class SddWmcEvaluator:
         return self._memo[u] * self._gap(target_vnode, self.mgr.node_vnode[u])
 
     def _sweep(self, root: int) -> None:
-        """Fill the memo for every reachable, not-yet-visited node."""
+        """Fill the memo for every node reachable from ``root`` without
+        passing through a memoized node."""
         mgr = self.mgr
         memo = self._memo
-        todo = [
-            u for u in mgr.reachable(root) if u > _TRUE and u not in memo
-        ]
+        if root <= _TRUE or root in memo:
+            return
+        node_kind, node_elements = mgr.node_kind, mgr.node_elements
+        seen = {root}
+        stack = [root]
+        while stack:
+            w = stack.pop()
+            if node_kind[w] != "dec":
+                continue
+            for p, s in node_elements[w]:
+                if p > _TRUE and p not in memo and p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+                if s > _TRUE and s not in memo and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
         # Creation order is topological (children are interned first); ids
         # are not once gc has recycled slots, so sort by stamp.
-        todo.sort(key=mgr.node_stamp.__getitem__)
+        todo = sorted(seen, key=mgr.node_stamp.__getitem__)
+        self._swept += len(todo)
+        pairs = self._pairs
         for u in todo:
-            if mgr.node_kind[u] == "lit":
-                w0, w1 = self.weights[mgr.node_var[u]]
+            if node_kind[u] == "lit":
+                w0, w1 = pairs[mgr.node_var[u]]
                 memo[u] = w1 if mgr.node_sign[u] else w0
             else:
                 vn = mgr.node_vnode[u]
                 vl, vr = mgr.v_left[vn], mgr.v_right[vn]
                 acc = 0
-                for p, s in mgr.node_elements[u]:
+                for p, s in node_elements[u]:
                     acc = acc + self._lift(p, vl) * self._lift(s, vr)
                 memo[u] = acc
 
     def value(self, root: int):
         """WMC of ``root`` over *all* vtree variables."""
         self._sweep(root)
-        return self._lift(root, self._root_vnode)
+        value = self._lift(root, self._root_vnode)
+        if self._scaled is None:
+            return value
+        return Fraction(value, self._scale[self._root_vnode])
 
     def update_weights(self, changed: Mapping[str, tuple]) -> int:
         """Point-update literal weights, invalidating exactly the stale memo.
 
-        A memoized node value depends only on the weights of variables
-        under its own vtree node, so changing ``var`` can only stale the
-        entries whose vtree node lies on the leaf(var)→root ancestor path
-        — everything else keeps its value.  Returns the number of memo
-        entries evicted; the next :meth:`value` call re-sweeps just those
-        nodes (no recompilation anywhere).
+        A memoized node value depends only on the weights (and, scaled,
+        the denominators) of variables under its own vtree node, so
+        changing ``var`` can only stale the entries whose vtree node lies
+        on the leaf(var)→root ancestor path — everything else keeps its
+        value.  Returns the number of memo entries evicted; the next
+        :meth:`value` call re-sweeps just those nodes (no recompilation
+        anywhere).
         """
         mgr = self.mgr
-        touched: set[int] = set()
-        for var, w in changed.items():
-            self.weights[var] = w
-            x = mgr.leaf_of_var.get(var)
-            while x is not None:
-                touched.add(x)
-                x = mgr.v_parent[x]
-        evicted = 0
-        if touched:
-            memo = self._memo
+        self.weights.update(changed)
+        memo = self._memo
+        if self._scaled is not None and not self._scaled.update(changed):
+            # A float joined exact weights: the integer memo is void, and
+            # the sweep runs on the weights as given from now on.
+            self._scaled = None
+            evicted = len(memo)
+            memo.clear()
+        else:
+            touched: set[int] = set()
+            for var in changed:
+                x = mgr.leaf_of_var.get(var)
+                while x is not None:
+                    touched.add(x)
+                    x = mgr.v_parent[x]
             node_vnode = mgr.node_vnode
             stale = [u for u in memo if node_vnode[u] in touched]
             for u in stale:
                 del memo[u]
             evicted = len(stale)
-        # Subtree products and gap paths embed the old weights everywhere
-        # above the touched leaves; rebuild both (linear, no node visits).
+        # Subtree products, scales and gap paths embed the old weights
+        # everywhere above the touched leaves; rebuild them (linear, no
+        # node visits).
         self._rebuild_vtree_tables()
         return evicted
 
@@ -216,10 +316,13 @@ class SddWmcEvaluator:
 
     def stats(self) -> dict[str, int]:
         """Public counters for the evaluator's memo tables (the supported
-        alternative to poking ``_memo`` directly)."""
+        alternative to poking ``_memo`` directly).  ``nodes_swept`` counts
+        every node value computed so far — a repeated :meth:`value` adds
+        nothing, a weight update adds the evicted cone."""
         return {
             "memo_entries": len(self._memo),
             "gap_cache_entries": len(self._gap_cache),
+            "nodes_swept": self._swept,
         }
 
 
@@ -246,11 +349,10 @@ def model_count(mgr, root: int, scope: Sequence[str] | None = None) -> int:
 def probability(mgr, root: int, prob: Mapping[str, float], *, exact: bool = False):
     """Probability of ``root`` under independent literal probabilities.
 
-    ``exact=True`` computes in :class:`~fractions.Fraction` arithmetic and
-    returns the exact rational; otherwise floats are used and a ``float``
-    returned.
+    ``exact=True`` returns the exact rational (swept in scaled integers);
+    otherwise floats are used and a ``float`` returned.
     """
     if exact:
-        # Constant roots short-circuit to int 0/1; normalize the ring.
+        # Weights without any Fraction (an empty map) sweep as ints.
         return Fraction(weighted_model_count(mgr, root, exact_weights(prob)))
     return float(weighted_model_count(mgr, root, float_weights(prob)))

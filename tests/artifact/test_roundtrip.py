@@ -4,7 +4,8 @@ The hypothesis half of the ``-m artifact`` suite: for *any* random
 circuit, ``compile → save → load`` preserves model count, bit-identical
 float WMC, exact WMC, and every total-assignment evaluation, on all four
 backends.  For UCQ lineage, an engine warm-started from a saved artifact
-answers every frozen query bit-identically with **zero** compilations.
+answers every frozen query bit-identically with **zero** compilations,
+before and after a weight update.
 """
 
 from __future__ import annotations
@@ -90,6 +91,19 @@ class TestUcqLineageRoundTrip:
         assert stats["cache_misses"] == 0
         assert stats["frozen_queries"] == len(qs)
         assert stats["frozen_hits"] > 0
+
+        # A weight update whose new probability changes the tuple's
+        # denominator: the frozen base still answers (no recompile), and
+        # its exact and float answers equal the live session's.
+        delta = db.set_probability("S", 1, 2, p=round(p / 3, 6))
+        live.apply_update(delta)
+        warm.apply_update(delta)
+        exact = [live.probability(q, exact=True) for q in qs]
+        assert [warm.probability(q, exact=True) for q in qs] == exact
+        assert [repr(warm.probability(q)) for q in qs] == [
+            repr(live.probability(q)) for q in qs
+        ]
+        assert warm.stats()["cache_misses"] == 0
 
     def test_db_mismatch_rejected(self, tmp_path):
         db = complete_database({"R": 1}, 2, p=0.5)
