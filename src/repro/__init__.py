@@ -25,43 +25,18 @@ Public API highlights
 - :mod:`repro.comm` — communication matrices, exact ranks, rectangle covers
   (Theorems 1–2, Lemma 8).
 - :mod:`repro.isa` — the Appendix-A ``ISA`` construction (Proposition 3).
+
+Every name above resolves on first access: importing :mod:`repro`, or
+one of its submodules, loads only what that module itself imports, and
+reading ``repro.Compiler`` (or ``from repro import Compiler``) imports
+the defining module then.  The subpackages :mod:`repro.core`,
+:mod:`repro.circuits`, :mod:`repro.sdd`, :mod:`repro.obdd` and
+:mod:`repro.queries` export the same way, so the query, serving and
+artifact path never loads numpy or networkx; only the truth-table and
+tree-decomposition code does.
 """
 
-from .core.boolfunc import BooleanFunction
-from .core.factors import (
-    FactorDecomposition,
-    factorized_implicants,
-    factors,
-    sentential_decomposition,
-)
-from .core.nnf_compile import CompiledNNF, compile_canonical_nnf
-from .core.pipeline import (
-    PipelineResult,
-    compile_circuit,
-    compile_circuit_apply,
-    vtree_from_circuit,
-)
-from .core.sdd_compile import CompiledSDD, compile_canonical_sdd
-from .core.vtree import Vtree
-from .core.widths import (
-    factor_width,
-    fiw,
-    lemma1_bound,
-    min_factor_width,
-    min_fiw,
-    min_sdw,
-    sdw,
-)
-from .circuits.circuit import Circuit
-from .circuits.nnf import NNF, conj, disj, false_node, lit, true_node
-from .circuits.parse import parse_formula
-from .compiler import Compiled, Compiler, compile_with
-from .obdd.obdd import ObddManager, obdd_from_function
-from .sdd.manager import SddManager, sdd_from_circuit
-from .queries.engine import QueryEngine
-from .queries.parallel import ParallelQueryEngine
-from .queries.syntax import UCQ, ConjunctiveQuery, parse_cq, parse_ucq
-from .queries.database import Database, ProbabilisticDatabase, complete_database
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -112,3 +87,29 @@ __all__ = [
     "ProbabilisticDatabase",
     "complete_database",
 ]
+
+_, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".compiler": ("Compiled", "Compiler", "compile_with"),
+    ".core.boolfunc": ("BooleanFunction",),
+    ".core.factors": (
+        "FactorDecomposition", "factorized_implicants", "factors", "sentential_decomposition",
+    ),
+    ".core.nnf_compile": ("CompiledNNF", "compile_canonical_nnf"),
+    ".core.pipeline": (
+        "PipelineResult", "compile_circuit", "compile_circuit_apply", "vtree_from_circuit",
+    ),
+    ".core.sdd_compile": ("CompiledSDD", "compile_canonical_sdd"),
+    ".core.vtree": ("Vtree",),
+    ".core.widths": (
+        "factor_width", "fiw", "lemma1_bound", "min_factor_width", "min_fiw", "min_sdw", "sdw",
+    ),
+    ".circuits.circuit": ("Circuit",),
+    ".circuits.nnf": ("NNF", "conj", "disj", "false_node", "lit", "true_node"),
+    ".circuits.parse": ("parse_formula",),
+    ".obdd.obdd": ("ObddManager", "obdd_from_function"),
+    ".sdd.manager": ("SddManager", "sdd_from_circuit"),
+    ".queries.engine": ("QueryEngine",),
+    ".queries.parallel": ("ParallelQueryEngine",),
+    ".queries.syntax": ("UCQ", "ConjunctiveQuery", "parse_cq", "parse_ucq"),
+    ".queries.database": ("Database", "ProbabilisticDatabase", "complete_database"),
+})

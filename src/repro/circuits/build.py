@@ -12,10 +12,12 @@ Includes the paper's named functions:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .circuit import Circuit
-from ..core.boolfunc import BooleanFunction
+
+if TYPE_CHECKING:
+    from ..core.boolfunc import BooleanFunction
 
 __all__ = [
     "implication",

@@ -9,12 +9,12 @@ of the undirected graph underlying the DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-import numpy as np
+if TYPE_CHECKING:
+    import networkx as nx
 
-from ..core.boolfunc import BooleanFunction
+    from ..core.boolfunc import BooleanFunction
 
 __all__ = ["Gate", "Circuit", "AND", "OR", "NOT", "VAR", "CONST"]
 
@@ -170,6 +170,10 @@ class Circuit:
 
         Vectorized: every gate computes a length-``2**n`` bool array.
         """
+        import numpy as np
+
+        from ..core.boolfunc import BooleanFunction
+
         if self.output is None:
             raise ValueError("circuit has no output gate")
         vs = tuple(sorted(set(variables) if variables is not None else self._var_ids))
@@ -219,6 +223,8 @@ class Circuit:
     # graphs
     # ------------------------------------------------------------------
     def digraph(self) -> nx.DiGraph:
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(len(self.gates)))
         for gid, gate in enumerate(self.gates):
@@ -229,6 +235,8 @@ class Circuit:
     def graph(self) -> nx.Graph:
         """The undirected graph underlying the DAG (treewidth is taken of
         this graph, per Definition of circuit treewidth)."""
+        import networkx as nx
+
         return nx.Graph(self.digraph())
 
     # ------------------------------------------------------------------

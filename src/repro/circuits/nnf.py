@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from ..core.boolfunc import BooleanFunction
 from ..core.vtree import Vtree
+
+if TYPE_CHECKING:
+    from ..core.boolfunc import BooleanFunction
 
 __all__ = ["NNF", "true_node", "false_node", "lit", "conj", "disj"]
 
@@ -149,6 +149,10 @@ class NNF:
     # ------------------------------------------------------------------
     def function(self, variables: Sequence[str] | None = None) -> BooleanFunction:
         """Exact function over ``variables`` (default: the node's variables)."""
+        import numpy as np
+
+        from ..core.boolfunc import BooleanFunction
+
         vs = tuple(sorted(set(variables) if variables is not None else self.variables))
         if not self.variables <= set(vs):
             raise ValueError("requested variable set misses NNF variables")

@@ -33,13 +33,7 @@ from typing import Sequence
 
 from .circuits.parse import parse_formula
 from .compiler import Compiler, available_backends, available_strategies
-from .core.computability import ctw_upper_bound, exact_circuit_treewidth
-from .core.nnf_compile import compile_canonical_nnf
-from .core.pipeline import compile_circuit_apply
-from .core.sdd_compile import compile_canonical_sdd
 from .core.vtree import Vtree
-from .core.vtree_search import minimize_vtree
-from .obdd.obdd import obdd_from_function
 from .queries.analysis import find_inversion
 from .queries.compile import compile_lineage_obdd, compile_lineage_sdd
 from .queries.engine import QueryEngine
@@ -102,6 +96,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print("--backend obdd requires --strategy (facade path)", file=sys.stderr)
         return 1
     if args.backend == "apply":
+        from .core.pipeline import compile_circuit_apply
+
         if args.vtree == "balanced":
             res = compile_circuit_apply(circuit, vtree=Vtree.balanced(vs))
         elif args.vtree == "right":
@@ -117,6 +113,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         )
         print(f"models: {res.model_count()} / 2^{len(vs)}")
         return 0
+    from .core.nnf_compile import compile_canonical_nnf
+    from .core.sdd_compile import compile_canonical_sdd
+    from .core.vtree_search import minimize_vtree
+    from .obdd.obdd import obdd_from_function
+
     f = circuit.function()
     if args.vtree == "balanced":
         t = Vtree.balanced(vs)
@@ -143,6 +144,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_ctw(args: argparse.Namespace) -> int:
+    from .core.computability import ctw_upper_bound, exact_circuit_treewidth
+
     f = parse_formula(args.formula).function()
     res = exact_circuit_treewidth(f, max_gates=args.max_gates)
     upper = ctw_upper_bound(f)

@@ -15,13 +15,13 @@ per variable order; ``apply``/``negate``/``exists`` are memoized.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from ..core.boolfunc import BooleanFunction
 from ..circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
 from ..circuits.nnf import NNF, conj, disj, false_node, lit, true_node
+
+if TYPE_CHECKING:
+    from ..core.boolfunc import BooleanFunction
 
 __all__ = ["ObddManager", "obdd_from_function", "obdd_width_of_function"]
 
@@ -181,6 +181,8 @@ class ObddManager:
     def from_function(self, f: BooleanFunction) -> int:
         """Canonical OBDD of an exact function (Shannon expansion with
         memoization on cofactor tables)."""
+        import numpy as np
+
         if not set(f.variables) <= set(self.order):
             raise ValueError("function variables must be within the manager order")
         aligned = f.extend(self.order) if f.variables != self.order else f
@@ -356,6 +358,8 @@ class ObddManager:
         return bool(w)
 
     def function(self, u: int, variables: Sequence[str] | None = None) -> BooleanFunction:
+        from ..core.boolfunc import BooleanFunction
+
         vs = tuple(sorted(variables if variables is not None else self.order))
         return self.to_nnf(u).function(vs) if u > 1 else BooleanFunction.constant(bool(u), vs)
 

@@ -1,22 +1,28 @@
-"""Query compilation over tuple-independent probabilistic databases."""
+"""Query compilation over tuple-independent probabilistic databases.
 
-from .analysis import find_inversion, is_hierarchical, is_inversion_free
-from .compile import (
-    compile_lineage_ddnnf,
-    compile_lineage_obdd,
-    compile_lineage_sdd,
-    lineage_vtree,
-)
-from .database import Database, ProbabilisticDatabase, complete_database
-from .engine import QueryEngine
-from .evaluate import (
-    BatchEvaluation,
-    evaluate_many,
-    probability_brute_force,
-    probability_via_ddnnf,
-    probability_via_obdd,
-    probability_via_sdd,
-)
-from .lineage import lineage_circuit, lineage_function
-from .parallel import ParallelBatchEvaluation, ParallelQueryEngine, shard_of
-from .syntax import UCQ, ConjunctiveQuery, parse_cq, parse_ucq
+Public names resolve on first access (see :mod:`repro._lazy`), so
+importing :mod:`repro.queries.engine` loads neither the parallel engine
+nor the truth-table evaluators.
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("find_inversion", "is_hierarchical", "is_inversion_free"),
+    ".compile": (
+        "compile_lineage_ddnnf", "compile_lineage_obdd", "compile_lineage_sdd", "lineage_vtree",
+    ),
+    ".database": ("Database", "ProbabilisticDatabase", "complete_database"),
+    ".engine": ("QueryEngine",),
+    ".evaluate": (
+        "BatchEvaluation",
+        "evaluate_many",
+        "probability_brute_force",
+        "probability_via_ddnnf",
+        "probability_via_obdd",
+        "probability_via_sdd",
+    ),
+    ".lineage": ("lineage_circuit", "lineage_function"),
+    ".parallel": ("ParallelBatchEvaluation", "ParallelQueryEngine", "shard_of"),
+    ".syntax": ("UCQ", "ConjunctiveQuery", "parse_cq", "parse_ucq"),
+})

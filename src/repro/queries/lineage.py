@@ -13,13 +13,15 @@ accepts ``D' ⊆ D`` iff ``D' |= Q``.  We materialize it three ways:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .database import Database, tuple_variable
 from .syntax import Atom, ConjunctiveQuery, UCQ
 from ..circuits.circuit import Circuit
 from ..circuits.nnf import NNF, conj, disj, false_node, lit
-from ..core.boolfunc import BooleanFunction
+
+if TYPE_CHECKING:
+    from ..core.boolfunc import BooleanFunction
 
 __all__ = [
     "ground_cq",

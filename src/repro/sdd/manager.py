@@ -47,12 +47,14 @@ Two operational properties matter for long-running sessions:
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from ..core.boolfunc import BooleanFunction
 from ..core.vtree import Vtree
 from ..circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
 from ..circuits.nnf import NNF, false_node, lit, true_node
+
+if TYPE_CHECKING:
+    from ..core.boolfunc import BooleanFunction
 
 __all__ = ["SddManager", "sdd_from_circuit", "CompilationBudgetExceeded"]
 

@@ -1,0 +1,76 @@
+"""Answer a UCQ along the serving path and check that numpy and networkx
+never load.
+
+Three checks over one complete domain-2 database:
+
+- a :class:`~repro.queries.engine.QueryEngine` answers the query exactly,
+  and the answer matches its closed form;
+- a thread-mode :class:`~repro.service.QueryService` gives the same answer;
+- the engine's artifact, saved and reloaded, gives it again without
+  compiling.
+
+Exits non-zero if an answer differs or if numpy, networkx or the
+truth-table and decomposition modules were imported.  It runs in an
+interpreter with neither numpy nor networkx installed::
+
+    PYTHONPATH=src python tests/serving_path.py
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from repro.queries.database import complete_database
+from repro.queries.engine import QueryEngine
+from repro.queries.syntax import parse_ucq
+from repro.service import QueryService
+
+OFF_PATH = ("numpy", "networkx", "repro.core.boolfunc", "repro.graphs")
+
+# P(R(x),S(x,y)) over the complete domain-2 instance at p = 1/2: each x
+# independently has R(x) and some S(x, y) with probability 1/2 * 3/4.
+EXPECTED = 1 - (1 - Fraction(1, 2) * Fraction(3, 4)) ** 2
+
+
+def main() -> int:
+    query = parse_ucq("R(x),S(x,y)")
+    db = complete_database({"R": 1, "S": 2}, 2)
+    engine = QueryEngine(db)
+    answers = {"engine": engine.probability(query, exact=True)}
+
+    service = QueryService(db, workers=1, mode="threads")
+    try:
+        answers["service"] = service.probability(query, exact=True)
+    finally:
+        service.close()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.rpaf"
+        engine.save_artifact(path)
+        warm = QueryEngine(db, frozen=path)
+        try:
+            answers["artifact"] = warm.probability(query, exact=True)
+            frozen_hits = warm.stats()["frozen_hits"]
+        finally:
+            warm.frozen.close()
+
+    failures = [f"{k} answered {v}, expected {EXPECTED}" for k, v in answers.items()
+                if v != EXPECTED]
+    if frozen_hits != 1:
+        failures.append(f"reloaded artifact served {frozen_hits} queries, expected 1")
+    loaded = [m for m in OFF_PATH if m in sys.modules]
+    if loaded:
+        failures.append(f"serving path imported {loaded}")
+    for line in failures:
+        print(f"FAIL: {line}", file=sys.stderr)
+    if not failures:
+        print(f"serving path OK: P = {EXPECTED} from engine, service and artifact; "
+              f"none of {list(OFF_PATH)} imported")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

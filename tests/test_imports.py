@@ -1,0 +1,98 @@
+"""Import hygiene: each module loads only what it runs.
+
+The package inits export their names lazily, so the query, serving and
+artifact path imports neither numpy nor networkx.  Every check runs in a
+fresh interpreter, because this process has long since imported both.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+OFF_PATH = ("numpy", "networkx", "repro.core.boolfunc", "repro.graphs")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.circuits", "repro.sdd", "repro.queries",
+                 "repro.obdd")
+SUBCOMMANDS = ("compile", "ctw", "query", "batch", "engine", "serve", "isa")
+
+
+def run_python(*args: str) -> str:
+    """Stdout of a fresh interpreter run with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["repro.queries.engine", "repro.service",
+                                    "repro.artifact", "repro.cli"])
+def test_serving_modules_skip_numpy_and_networkx(module):
+    out = run_python("-c", f"import sys, {module}\n"
+                           f"print([m for m in {OFF_PATH!r} if m in sys.modules])")
+    assert out.strip() == "[]"
+
+
+def test_serving_path_answers_without_numpy_and_networkx():
+    assert "serving path OK" in run_python("tests/serving_path.py")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_exports_resolve_bind_and_reject_unknown(package):
+    out = run_python("-c", textwrap.dedent(f"""
+        import importlib, sys
+        pkg = importlib.import_module({package!r})
+        listing = dir(pkg)
+        for name in pkg.__all__:
+            value = getattr(pkg, name)
+            # The defining module's own object, not a submodule that
+            # shares its name (repro.core.factors).
+            assert value is getattr(sys.modules[value.__module__], name), name
+            assert name in listing, name
+        star = {{}}
+        exec("from {package} import *", star)
+        assert set(pkg.__all__) <= set(star), set(pkg.__all__) - set(star)
+        try:
+            pkg.no_such_name
+        except AttributeError:
+            print("ok", len(pkg.__all__))
+    """))
+    assert out.startswith("ok ")
+
+
+def test_every_module_imports_on_its_own():
+    out = run_python("-c", textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import repro
+        names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+        for name in names:
+            for loaded in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
+                del sys.modules[loaded]
+            importlib.import_module(name)
+        print(len(names))
+    """))
+    assert int(out) > 60
+
+
+def test_ddnnf_compile_loads_networkx_at_first_decomposition():
+    out = run_python("-c", textwrap.dedent("""
+        import sys
+        from repro.circuits.parse import parse_formula
+        from repro.compiler import Compiler
+        circuit = parse_formula("(a & b) | c")
+        before = "networkx" in sys.modules
+        compiled = Compiler(backend="ddnnf", strategy="natural").compile(circuit)
+        print(before, "networkx" in sys.modules, compiled.model_count())
+    """))
+    assert out.split() == ["False", "True", "5"]
+
+
+def test_cli_help_lists_every_subcommand():
+    out = run_python("-m", "repro.cli", "--help")
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
