@@ -30,14 +30,11 @@ import time
 from fractions import Fraction
 
 from repro.circuits.build import chain_and_or, ladder
-from repro.core.pipeline import compile_circuit_apply
+from repro.compiler import Compiler, Lemma1Strategy
 from repro.core.vtree import Vtree
 from repro.queries.database import complete_database
-from repro.queries.evaluate import (
-    evaluate_many,
-    probability_exact_fraction,
-    probability_via_sdd,
-)
+from repro.queries.engine import QueryEngine
+from repro.queries.evaluate import probability_exact_fraction
 from repro.queries.syntax import parse_ucq
 
 try:  # pytest run
@@ -50,6 +47,10 @@ def _natural(v: str) -> tuple[str, int]:
     m = re.match(r"([a-zA-Z]+)(\d+)", v)
     assert m is not None
     return (m.group(1), int(m.group(2)))
+
+
+# The Lemma-1 extraction with the elimination heuristics, compiled by apply.
+LEMMA1_APPLY = Compiler("apply", Lemma1Strategy(exact=False))
 
 
 def _natural_vtree(circuit) -> Vtree:
@@ -74,11 +75,11 @@ def test_chain_lemma1_scaling(sizes_to_run=(50, 75, 100)):
     rows, sizes = [], []
     for n in sizes_to_run:
         t0 = time.time()
-        res = compile_circuit_apply(chain_and_or(n), exact=False)
+        res = LEMMA1_APPLY.compile(chain_and_or(n))
         mc = _self_consistent(res)
-        rows.append([n, res.decomposition_width, res.sdd_size, res.sdd_width,
+        rows.append([n, res.decomposition_width, res.size, res.width,
                      mc.bit_length(), f"{time.time() - t0:.2f}s"])
-        sizes.append((n, res.sdd_size))
+        sizes.append((n, res.size))
     report(
         "apply backend / chain family via Lemma-1 vtree (truth table infeasible)",
         ["vars", "TD width", "SDD size", "SDD width", "mc bits", "time"],
@@ -96,11 +97,11 @@ def test_chain_natural_vtree_200_vars():
     for n in (50, 100, 200):
         c = chain_and_or(n)
         t0 = time.time()
-        res = compile_circuit_apply(c, vtree=_natural_vtree(c))
+        res = Compiler("apply").compile(c, vtree=_natural_vtree(c))
         mc = _self_consistent(res)
-        rows.append([n, res.sdd_size, res.sdd_width, mc.bit_length(),
+        rows.append([n, res.size, res.width, mc.bit_length(),
                      f"{time.time() - t0:.2f}s"])
-        sizes.append((n, res.sdd_size))
+        sizes.append((n, res.size))
     report(
         "apply backend / chain family, natural right-linear vtree",
         ["vars", "SDD size", "SDD width", "mc bits", "time"],
@@ -113,15 +114,15 @@ def test_chain_natural_vtree_200_vars():
 def test_ladder_200_vars_lemma1():
     """Ladders (treewidth ≤ 3): 200 variables through the Lemma-1 vtree."""
     t0 = time.time()
-    res = compile_circuit_apply(ladder(100), exact=False)
+    res = LEMMA1_APPLY.compile(ladder(100))
     mc = _self_consistent(res)
     report(
         "apply backend / ladder(100) = 200 vars via Lemma-1 vtree",
         ["vars", "TD width", "SDD size", "SDD width", "mc bits", "time"],
-        [[200, res.decomposition_width, res.sdd_size, res.sdd_width,
+        [[200, res.decomposition_width, res.size, res.width,
           mc.bit_length(), f"{time.time() - t0:.2f}s"]],
     )
-    assert res.sdd_size < 10_000  # linear regime, not exponential
+    assert res.size < 10_000  # linear regime, not exponential
 
 
 def test_ucq_workload_56_tuples():
@@ -134,20 +135,20 @@ def test_ucq_workload_56_tuples():
     assert db.size >= 50
 
     t0 = time.time()
-    batch = evaluate_many([q_join, q_proj, q_self], db, exact=True)
+    batch = QueryEngine(db).evaluate([q_join, q_proj, q_self], exact=True)
     elapsed = time.time() - t0
 
     # Vtree independence: a balanced vtree must give identical Fractions.
     from repro.queries.compile import lineage_vtree
 
     balanced = lineage_vtree(q_join, db, shape="balanced")
-    batch2 = evaluate_many([q_join, q_proj, q_self], db, vtree=balanced, exact=True)
+    batch2 = QueryEngine(db, vtree=balanced).evaluate([q_join, q_proj, q_self], exact=True)
     assert batch.probabilities == batch2.probabilities
 
     # SDD/OBDD agreement on the join query.
     assert probability_exact_fraction(q_join, db) == batch.probabilities[0]
     # Single-query path agrees with the batch.
-    assert probability_via_sdd(q_proj, db, exact=True) == batch.probabilities[1]
+    assert QueryEngine(db).probability(q_proj, exact=True) == batch.probabilities[1]
 
     rows = [
         [str(q), batch.sizes[i], f"{float(batch.probabilities[i]):.6f}"]
@@ -170,7 +171,7 @@ def test_batch_sharing_beats_isolated_compilation():
     queries = [parse_ucq("R(x),S(x,y)"), parse_ucq("R(x),S(x,x)"),
                parse_ucq("S(x,y)"), parse_ucq("R(x),S(x,y),T(y)")]
     db = complete_database({"R": 1, "S": 2, "T": 1}, 5, p=0.4)
-    batch = evaluate_many(queries, db, exact=True)
+    batch = QueryEngine(db).evaluate(queries, exact=True)
     shared_entries = batch.stats["apply_cache_entries"]
 
     from repro.queries.compile import compile_lineage_sdd
@@ -182,7 +183,7 @@ def test_batch_sharing_beats_isolated_compilation():
     report(
         "apply backend / batch sharing vs isolated compilation",
         ["mode", "apply-cache entries"],
-        [["shared manager (evaluate_many)", shared_entries],
+        [["shared manager (QueryEngine)", shared_entries],
          ["four isolated managers", isolated_entries]],
     )
     assert shared_entries < isolated_entries
@@ -192,8 +193,6 @@ def test_chain_100_best_of_strategy_fast():
     """Strategy-regression guard: the ``best-of`` race on ``chain(100)``
     must settle on the natural order (small manager, no scrambled-fold
     blowup) — the full 10× comparison lives in ``bench_strategies.py``."""
-    from repro.compiler import Compiler
-
     t0 = time.time()
     compiled = Compiler(backend="apply", strategy="best-of").compile(chain_and_or(100))
     elapsed = time.time() - t0

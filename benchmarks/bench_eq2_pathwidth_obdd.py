@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.build import chain_and_or, cnf_chain, disjointness
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
 from repro.core.sdd_compile import compile_canonical_sdd
 from repro.core.vtree import Vtree
 from repro.graphs.pathwidth import exact_pathwidth, heuristic_pathwidth
@@ -79,7 +79,7 @@ def test_eq1_bad_order_vs_result1_sdd(benchmark):
         xs = [f"x{i}" for i in range(1, n + 1)]
         ys = [f"y{i}" for i in range(1, n + 1)]
         mgr, root = obdd_from_function(f, xs + ys)  # separated (bad) order
-        res = compile_circuit(disjointness(n), exact=False)
+        res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(disjointness(n))
         rows.append([n, mgr.width(root), mgr.size(root), res.sdd.sdw, res.sdd.size])
         obdd_sizes.append(mgr.size(root))
         sdd_sizes.append(res.sdd.size)
@@ -90,7 +90,7 @@ def test_eq1_bad_order_vs_result1_sdd(benchmark):
     )
     # OBDD grows exponentially, SDD roughly linearly.
     assert obdd_sizes[-1] / obdd_sizes[0] > sdd_sizes[-1] / sdd_sizes[0]
-    benchmark(lambda: compile_circuit(disjointness(4), exact=False))
+    benchmark(lambda: Compiler("canonical", Lemma1Strategy(exact=False)).compile(disjointness(4)))
 
 
 def test_bounded_sdd_width_implies_poly_obdd(benchmark):
@@ -100,7 +100,7 @@ def test_bounded_sdd_width_implies_poly_obdd(benchmark):
     rows = []
     obdd_sizes, ns = [], []
     for n in (4, 6, 8, 10):
-        res = compile_circuit(chain_and_or(n), exact=False)
+        res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(chain_and_or(n))
         f = res.function
         mgr, root = obdd_from_function(f)
         rows.append([n, res.sdd.sdw, mgr.size(root)])

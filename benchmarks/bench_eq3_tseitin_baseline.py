@@ -18,7 +18,9 @@ import pytest
 from repro.circuits.build import chain_and_or
 from repro.circuits.cnf import petke_razgon_baseline
 from repro.core.sdd_compile import compile_canonical_sdd
-from repro.core.pipeline import compile_circuit, vtree_from_circuit
+from repro.compiler import Compiler, Lemma1Strategy
+from repro.core.widths import factor_width, lemma1_bound
+from repro.core.pipeline import vtree_from_circuit
 
 from .conftest import report
 
@@ -71,8 +73,8 @@ def test_pipeline_on_padded_circuit_still_bounded(benchmark):
     decomposition must cover the redundant gates) keeps the Lemma-1
     certificate."""
     padded = chain_and_or(5).pad_with_redundant_gates(16)
-    res = compile_circuit(padded, exact=False)
-    assert res.factor_width <= res.lemma1_bound()
+    res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(padded)
+    assert factor_width(res.function, res.vtree) <= lemma1_bound(res.decomposition_width)
     vs = sorted(res.function.variables)
     assert res.sdd.root.function(vs) == res.function
-    benchmark(lambda: compile_circuit(padded, exact=False))
+    benchmark(lambda: Compiler("canonical", Lemma1Strategy(exact=False)).compile(padded))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.build import and_or_tree, parity
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
 from repro.core.widths import lemma1_bound
 from repro.graphs.exact_tw import exact_treewidth
 from repro.graphs.pathwidth import exact_pathwidth
@@ -86,7 +86,7 @@ def test_bounded_treewidth_gives_certified_sdd_width(benchmark):
     tiny against the certified (astronomical) budget."""
     rows = []
     for depth in (1, 2, 3):
-        res = compile_circuit(and_or_tree(depth), exact=False)
+        res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(and_or_tree(depth))
         bound = lemma1_bound(res.decomposition_width)
         assert res.sdd.sdw <= bound
         rows.append(
@@ -97,7 +97,7 @@ def test_bounded_treewidth_gives_certified_sdd_width(benchmark):
         ["n (leaves)", "TD width", "SDD width", "Lemma-1 budget", "SDD size"],
         rows,
     )
-    benchmark(lambda: compile_circuit(and_or_tree(2), exact=False))
+    benchmark(lambda: Compiler("canonical", Lemma1Strategy(exact=False)).compile(and_or_tree(2)))
 
 
 def test_isa_anchors_sdd_poly_region(benchmark):

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 
 from repro.queries.database import complete_database
-from repro.queries.evaluate import evaluate_many
+from repro.queries.engine import QueryEngine
 from repro.queries.parallel import ParallelQueryEngine
 from repro.queries.syntax import parse_ucq
 
@@ -83,16 +83,18 @@ def rolling_workload(domain: int, n_queries: int) -> list:
 
 
 def run_once(workload, db, *, workers: int, max_nodes, mode: str = "threads"):
-    """One timed evaluation; ``workers=1`` is the serial engine path."""
+    """One timed evaluation; ``workers=1`` is the serial engine path.  A
+    parallel run includes starting and closing its engine's worker pool."""
     t0 = time.perf_counter()
     if workers == 1:
-        batch = evaluate_many(workload, db, exact=True, max_nodes=max_nodes)
+        batch = QueryEngine(db, max_nodes=max_nodes).evaluate(workload, exact=True)
         stats = batch.stats
         mode_used = "serial"
     else:
-        batch = ParallelQueryEngine(
+        with ParallelQueryEngine(
             db, workers=workers, max_nodes=max_nodes, mode=mode
-        ).evaluate(workload, exact=True)
+        ) as engine:
+            batch = engine.evaluate(workload, exact=True)
         stats = batch.stats
         mode_used = batch.mode
     elapsed = time.perf_counter() - t0

@@ -15,7 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.build import chain_and_or, ladder
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
+from repro.core.widths import factor_width, lemma1_bound
 
 from .conftest import report
 
@@ -24,12 +25,12 @@ def _study(builder, sizes, exact=False):
     rows = []
     data = []
     for n in sizes:
-        res = compile_circuit(builder(n), exact=exact)
-        assert res.factor_width <= res.lemma1_bound()
+        res = Compiler("canonical", Lemma1Strategy(exact=exact)).compile(builder(n))
+        fw = factor_width(res.function, res.vtree)
+        assert fw <= lemma1_bound(res.decomposition_width)
         n_vars = len(res.function.variables)
         rows.append(
-            [n, n_vars, res.decomposition_width, res.factor_width, res.sdd.sdw,
-             res.sdd.size, res.nnf.size]
+            [n, n_vars, res.decomposition_width, fw, res.sdd.sdw, res.sdd.size, res.nnf.size]
         )
         data.append((n_vars, res.sdd.size, res.sdd.sdw))
     return rows, data
@@ -47,7 +48,7 @@ def test_chain_family_linear_sdd_size(benchmark):
     assert max(w for _, _, w in data) <= 16
     # size growth ratio tracks the variable ratio (linear), not its square
     assert s1 / s0 <= (n1 / n0) * 2.0
-    benchmark(lambda: compile_circuit(chain_and_or(8), exact=False))
+    benchmark(lambda: Compiler("canonical", Lemma1Strategy(exact=False)).compile(chain_and_or(8)))
 
 
 def test_ladder_family_linear_sdd_size(benchmark):
@@ -59,11 +60,11 @@ def test_ladder_family_linear_sdd_size(benchmark):
     )
     (n0, s0, _), (n1, s1, _) = data[0], data[-1]
     assert s1 / s0 <= (n1 / n0) ** 2  # far below exponential
-    benchmark(lambda: compile_circuit(ladder(3), exact=False))
+    benchmark(lambda: Compiler("canonical", Lemma1Strategy(exact=False)).compile(ladder(3)))
 
 
 def test_correctness_spot_check(benchmark):
-    res = compile_circuit(chain_and_or(9), exact=False)
+    res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(chain_and_or(9))
     vs = sorted(res.function.variables)
     assert res.sdd.root.function(vs) == res.function
     assert res.sdd.root.model_count(vs) == res.function.count_models()

@@ -2,8 +2,8 @@
 
 The tentpole bench for :class:`~repro.service.QueryService`, two halves:
 
-1. **Warm vs cold spawn** — the classic
-   :class:`~repro.queries.parallel.ParallelQueryEngine` spawn path pays
+1. **Warm vs cold spawn** — a fresh spawn-mode
+   :class:`~repro.queries.parallel.ParallelQueryEngine` per batch pays
    the full process-pool cost *per batch* (interpreter start, imports,
    db + vtree transfer, cache warm-up); the service's persistent
    :class:`~repro.service.pool.WorkerPool` pays it once and then serves
@@ -87,11 +87,10 @@ def run_warm_vs_cold(batches: int, *, workers: int = 2) -> dict:
 
     t0 = time.perf_counter()
     for _ in range(batches):
-        # Classic path: a fresh spawn pool per batch (the pre-service
-        # baseline — persistent=False is its default).
-        batch = ParallelQueryEngine(db, workers=workers, mode="spawn").evaluate(
-            qs, exact=True
-        )
+        # Cold baseline: a fresh engine, hence a fresh spawn pool, per
+        # batch — started, used once, and closed.
+        with ParallelQueryEngine(db, workers=workers, mode="spawn") as engine:
+            batch = engine.evaluate(qs, exact=True)
         assert batch.probabilities == expect, "cold spawn diverged from serial"
     cold_s = time.perf_counter() - t0
 

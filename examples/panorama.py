@@ -7,7 +7,7 @@ Run:  python examples/panorama.py
 """
 
 from repro.circuits.build import and_or_tree, parity
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
 from repro.graphs.exact_tw import exact_treewidth
 from repro.graphs.pathwidth import exact_pathwidth
 from repro.isa.sdd_construction import build_isa_sdd
@@ -32,7 +32,7 @@ def figure1() -> None:
     print(f"CTW(O(1)) = SDD(O(1))      witness: and/or tree (8 leaves), "
           f"treewidth {exact_treewidth(c.graph())}, "
           f"pathwidth {exact_pathwidth(c.graph(), limit=18)} (grows with depth)")
-    res = compile_circuit(c, exact=False)
+    res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(c)
     print(f"                           Result-1 SDD width {res.sdd.sdw}, size {res.sdd.size}")
     s = build_isa_sdd(2, 4)
     print(f"SDD(n^O(1))                witness: ISA_18, explicit SDD size {s.size} "

@@ -15,11 +15,8 @@ import numpy as np
 from repro.queries.analysis import find_inversion, is_inversion_free
 from repro.queries.compile import compile_lineage_obdd
 from repro.queries.database import ProbabilisticDatabase, complete_database
-from repro.queries.evaluate import (
-    probability_brute_force,
-    probability_via_obdd,
-    probability_via_sdd,
-)
+from repro.queries.engine import QueryEngine
+from repro.queries.evaluate import probability_brute_force, probability_via_obdd
 from repro.queries.families import chain_database, inversion_chain_query
 from repro.queries.syntax import parse_ucq
 
@@ -40,7 +37,7 @@ def easy_query() -> None:
 
     p_exact = probability_brute_force(q, db)
     p_obdd = probability_via_obdd(q, db)
-    p_sdd = probability_via_sdd(q, db)
+    p_sdd = QueryEngine(db).probability(q)
     print(f"P(q) brute force = {p_exact:.6f}")
     print(f"P(q) via OBDD    = {p_obdd:.6f}")
     print(f"P(q) via SDD     = {p_sdd:.6f}")

@@ -5,7 +5,8 @@ Run:  python examples/treewidth_to_sdd.py
 """
 
 from repro.circuits.build import chain_and_or, ladder
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
+from repro.core.widths import factor_width, lemma1_bound
 from repro.graphs.exact_tw import exact_treewidth
 
 
@@ -15,15 +16,16 @@ def study(name: str, builder, sizes) -> None:
           f"{'sdw':>4} {'SDD size':>9}")
     for n in sizes:
         circuit = builder(n)
-        res = compile_circuit(circuit, exact=False)
+        res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(circuit)
         g = circuit.graph()
         tw = exact_treewidth(g) if g.number_of_nodes() <= 14 else res.decomposition_width
-        bound = res.lemma1_bound()
+        bound = lemma1_bound(res.decomposition_width)
         bound_str = f"2^{bound.bit_length() - 1}" if bound > 10 ** 6 else str(bound)
-        print(f"{n:>4} {len(res.function.variables):>5} {tw:>6} {res.factor_width:>8} "
+        fw = factor_width(res.function, res.vtree)
+        print(f"{n:>4} {len(res.function.variables):>5} {tw:>6} {fw:>8} "
               f"{bound_str:>14} {res.sdd.sdw:>4} {res.sdd.size:>9}")
         # The certified Lemma-1 inequality:
-        assert res.factor_width <= bound
+        assert fw <= bound
         # And the compilation is exact:
         vs = sorted(res.function.variables)
         assert res.sdd.root.function(vs) == res.function

@@ -16,8 +16,8 @@ Public API highlights
 - :func:`repro.factors` — the paper's factor decompositions (Definition 1).
 - :func:`repro.compile_canonical_nnf` / :func:`repro.compile_canonical_sdd`
   — the Section-3.2 canonical constructions ``C_{F,T}`` and ``S_{F,T}``.
-- :func:`repro.compile_circuit` / :func:`repro.compile_circuit_apply` —
-  deprecated shims over the facade (kept for compatibility).
+- :func:`repro.vtree_from_circuit` — the Lemma-1 vtree extraction behind
+  the facade's ``lemma1`` strategy.
 - :class:`repro.ObddManager` / :class:`repro.SddManager` — decision-diagram
   engines with weighted model counting.
 - :mod:`repro.queries` — UCQ (+inequality) syntax, lineage, inversion
@@ -56,9 +56,6 @@ __all__ = [
     "compile_canonical_nnf",
     "CompiledSDD",
     "compile_canonical_sdd",
-    "PipelineResult",
-    "compile_circuit",
-    "compile_circuit_apply",
     "vtree_from_circuit",
     "factor_width",
     "fiw",
@@ -95,9 +92,7 @@ _, __getattr__, __dir__ = lazy_exports(__name__, {
         "FactorDecomposition", "factorized_implicants", "factors", "sentential_decomposition",
     ),
     ".core.nnf_compile": ("CompiledNNF", "compile_canonical_nnf"),
-    ".core.pipeline": (
-        "PipelineResult", "compile_circuit", "compile_circuit_apply", "vtree_from_circuit",
-    ),
+    ".core.pipeline": ("vtree_from_circuit",),
     ".core.sdd_compile": ("CompiledSDD", "compile_canonical_sdd"),
     ".core.vtree": ("Vtree",),
     ".core.widths": (

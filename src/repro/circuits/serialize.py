@@ -9,22 +9,17 @@ has moved to the shared artifact container
 varint codec for every on-disk format).  Persist NNF DAGs and circuits
 with :func:`repro.artifact.format.nnf_to_bytes` /
 :func:`~repro.artifact.format.nnf_from_bytes` (and the ``circuit_*``
-twins), which add corruption detection the bare JSON strings never had;
-the old ad-hoc string framing (:func:`nnf_dumps` / :func:`nnf_loads`)
-survives as a deprecated shim.
+twins), which add corruption detection on top of these dicts.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
 from typing import Any
 
 from .circuit import AND, CONST, NOT, OR, VAR, Circuit, Gate
 from .nnf import NNF, false_node, lit, true_node
 
-__all__ = ["nnf_to_dict", "nnf_from_dict", "nnf_dumps", "nnf_loads",
-           "circuit_to_dict", "circuit_from_dict"]
+__all__ = ["nnf_to_dict", "nnf_from_dict", "circuit_to_dict", "circuit_from_dict"]
 
 
 def nnf_to_dict(root: NNF) -> dict[str, Any]:
@@ -63,29 +58,6 @@ def nnf_from_dict(data: dict[str, Any]) -> NNF:
         else:
             raise ValueError(f"bad node kind {kind!r}")
     return built[data["root"]]
-
-
-def nnf_dumps(root: NNF) -> str:
-    """Deprecated: use :func:`repro.artifact.format.nnf_to_bytes` (the
-    shared artifact container adds a version header and CRC)."""
-    warnings.warn(
-        "nnf_dumps is deprecated; use repro.artifact.format.nnf_to_bytes "
-        "(versioned, CRC-checked container framing)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return json.dumps(nnf_to_dict(root))
-
-
-def nnf_loads(text: str) -> NNF:
-    """Deprecated: use :func:`repro.artifact.format.nnf_from_bytes`."""
-    warnings.warn(
-        "nnf_loads is deprecated; use repro.artifact.format.nnf_from_bytes "
-        "(versioned, CRC-checked container framing)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return nnf_from_dict(json.loads(text))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:

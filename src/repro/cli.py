@@ -19,8 +19,11 @@ Each subcommand prints a small report; exit code 0 on success.
 
 ``compile --strategy ...`` routes through the unified
 :class:`repro.compiler.Compiler` facade (any registered backend × any
-registered vtree strategy); the legacy ``--vtree`` flag keeps its original
-behaviour when no strategy is given.  ``engine`` evaluates a workload
+registered vtree strategy).  Without a strategy, ``--vtree`` picks the
+vtree: ``--backend apply`` compiles over it through the same facade
+(``search`` is the Lemma-1 strategy), and the canonical backend prints its
+truth-table report.  ``batch`` evaluates a workload through one
+:class:`repro.queries.QueryEngine`.  ``engine`` evaluates a workload
 through one :class:`repro.queries.QueryEngine` session and prints its
 public ``stats()``.
 """
@@ -38,12 +41,22 @@ from .queries.analysis import find_inversion
 from .queries.compile import compile_lineage_obdd, compile_lineage_sdd
 from .queries.engine import QueryEngine
 from .queries.parallel import ParallelQueryEngine
-from .queries.evaluate import evaluate_many, probability_via_obdd
+from .queries.evaluate import probability_via_obdd
 from .queries.database import complete_database
 from .queries.syntax import parse_ucq
 from .util.report import report
 
 __all__ = ["main"]
+
+
+def _named_vtree(shape: str, variables: list[str]) -> Vtree | None:
+    """The ``--vtree`` shape over ``variables``; ``None`` for ``search``."""
+    builders = {
+        "balanced": Vtree.balanced,
+        "right": Vtree.right_linear,
+        "left": Vtree.left_linear,
+    }
+    return builders[shape](variables) if shape in builders else None
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -66,14 +79,21 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         # Saving needs a Compiled handle, which only the facade path
         # returns; default it onto the facade's default strategy.
         args.strategy = "lemma1"
-    if args.strategy is not None or args.minimize:
+    vtree = None
+    if args.backend == "apply" and args.strategy is None and not args.minimize:
+        # --vtree names the vtree; "search" is the Lemma-1 extraction.
+        vtree = _named_vtree(args.vtree, vs)
+        if vtree is None:
+            args.strategy = "lemma1"
+    if args.strategy is not None or args.minimize or vtree is not None:
         strategy = args.strategy if args.strategy is not None else "best-of"
         compiled = Compiler(
             backend=args.backend, strategy=strategy, minimize=args.minimize
-        ).compile(circuit)
-        via = compiled.strategy or strategy
+        ).compile(circuit, vtree=vtree)
+        chosen = f"{args.vtree} vtree" if vtree is not None else f"{strategy} strategy"
+        via = compiled.strategy or (chosen if vtree is not None else strategy)
         report(
-            f"compile ({args.backend} backend, {strategy} strategy"
+            f"compile ({args.backend} backend, {chosen}"
             f"{', minimized' if args.minimize else ''}): {args.formula}",
             ["form", "size", "width"],
             [[f"{args.backend} (via {via})", compiled.size, compiled.width]],
@@ -95,37 +115,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.backend == "obdd":
         print("--backend obdd requires --strategy (facade path)", file=sys.stderr)
         return 1
-    if args.backend == "apply":
-        from .core.pipeline import compile_circuit_apply
-
-        if args.vtree == "balanced":
-            res = compile_circuit_apply(circuit, vtree=Vtree.balanced(vs))
-        elif args.vtree == "right":
-            res = compile_circuit_apply(circuit, vtree=Vtree.right_linear(vs))
-        elif args.vtree == "left":
-            res = compile_circuit_apply(circuit, vtree=Vtree.left_linear(vs))
-        else:  # search → the Lemma-1 extraction
-            res = compile_circuit_apply(circuit)
-        report(
-            f"compile (apply backend): {args.formula}",
-            ["form", "size", "width"],
-            [["SDD (manager)", res.sdd_size, res.sdd_width]],
-        )
-        print(f"models: {res.model_count()} / 2^{len(vs)}")
-        return 0
     from .core.nnf_compile import compile_canonical_nnf
     from .core.sdd_compile import compile_canonical_sdd
     from .core.vtree_search import minimize_vtree
     from .obdd.obdd import obdd_from_function
 
     f = circuit.function()
-    if args.vtree == "balanced":
-        t = Vtree.balanced(vs)
-    elif args.vtree == "right":
-        t = Vtree.right_linear(vs)
-    elif args.vtree == "left":
-        t = Vtree.left_linear(vs)
-    else:
+    t = _named_vtree(args.vtree, vs)
+    if t is None:
         _, t = minimize_vtree(f, max_rounds=6)
     sdd = compile_canonical_sdd(f, t)
     nnf = compile_canonical_nnf(f, t)
@@ -233,12 +230,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Evaluate a ';'-separated workload of UCQs against one complete
-    database through the shared-manager batch pipeline."""
+    database through one :class:`~repro.queries.engine.QueryEngine`
+    (one vtree, one shared manager)."""
     queries, db = _parse_workload(args)
     if not queries:
         print("no queries given", file=sys.stderr)
         return 1
-    batch = evaluate_many(queries, db, exact=args.exact)
+    batch = QueryEngine(db).evaluate(queries, exact=args.exact)
     rows = [
         [str(q), batch.sizes[i],
          str(batch.probabilities[i]) if args.exact else f"{batch.probabilities[i]:.6f}"]
@@ -329,35 +327,35 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             print("--auto-minimize applies to the serial session "
                   "(--workers 1)", file=sys.stderr)
             return 1
-        par = ParallelQueryEngine(
+        with ParallelQueryEngine(
             db, workers=args.workers, max_nodes=args.max_nodes,
             mode=args.parallel_mode,
-        )
-        batch = par.evaluate(queries, exact=args.exact)
-        rows = [
-            [str(q), batch.sizes[i],
-             str(batch.probabilities[i]) if args.exact else f"{batch.probabilities[i]:.6f}",
-             batch.shards[i]]
-            for i, q in enumerate(queries)
-        ]
-        report(
-            f"engine: {len(queries)} queries, {db.size} tuples, "
-            f"{args.workers} workers ({batch.mode})",
-            ["query", "SDD size", "P(q)", "shard"],
-            rows,
-        )
-        stats = batch.stats
-        print("merged stats: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())))
-        if args.update:
-            def evaluate():
-                b = par.evaluate(queries, exact=args.exact)
-                return [
-                    [str(q), b.sizes[i],
-                     str(b.probabilities[i]) if args.exact else f"{b.probabilities[i]:.6f}"]
-                    for i, q in enumerate(queries)
-                ]
-            return run_updates(par, evaluate)
-        return 0
+        ) as par:
+            batch = par.evaluate(queries, exact=args.exact)
+            rows = [
+                [str(q), batch.sizes[i],
+                 str(batch.probabilities[i]) if args.exact else f"{batch.probabilities[i]:.6f}",
+                 batch.shards[i]]
+                for i, q in enumerate(queries)
+            ]
+            report(
+                f"engine: {len(queries)} queries, {db.size} tuples, "
+                f"{args.workers} workers ({batch.mode})",
+                ["query", "SDD size", "P(q)", "shard"],
+                rows,
+            )
+            stats = batch.stats
+            print("merged stats: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())))
+            if args.update:
+                def evaluate():
+                    b = par.evaluate(queries, exact=args.exact)
+                    return [
+                        [str(q), b.sizes[i],
+                         str(b.probabilities[i]) if args.exact else f"{b.probabilities[i]:.6f}"]
+                        for i, q in enumerate(queries)
+                    ]
+                return run_updates(par, evaluate)
+            return 0
     engine = QueryEngine(
         db, max_nodes=args.max_nodes, auto_minimize_nodes=args.auto_minimize
     )
@@ -521,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("formula")
     c.add_argument("--vtree", choices=["balanced", "right", "left", "search"],
                    default="balanced",
-                   help="legacy vtree shape (ignored when --strategy is given)")
+                   help="vtree shape when no --strategy is given ('search': "
+                        "local search for canonical, Lemma-1 for apply)")
     c.add_argument("--backend", choices=available_backends(), default="canonical",
                    help="'apply' compiles bottom-up without a truth table "
                         "(scales past 20 variables); 'obdd' needs --strategy")

@@ -13,9 +13,9 @@ with pluggable realizations.  This package is its single front door:
   the racing ``best-of``, and ``dynamic`` (seed with ``best-of``, then
   minimize the live SDD in place with vtree rotations/swaps).
 
-The legacy entry points (:func:`repro.core.pipeline.compile_circuit`,
-:func:`repro.core.pipeline.compile_circuit_apply`) are deprecated shims over
-this facade.
+The ``lemma1`` strategy calls
+:func:`repro.core.pipeline.vtree_from_circuit`, the paper's Lemma-1
+extraction; circuit compilation has no other front door.
 """
 
 from .backends import (

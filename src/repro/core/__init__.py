@@ -13,9 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "FactorDecomposition", "factorized_implicants", "factors", "sentential_decomposition",
     ),
     ".nnf_compile": ("CompiledNNF", "compile_canonical_nnf"),
-    ".pipeline": (
-        "PipelineResult", "compile_circuit", "compile_circuit_apply", "vtree_from_circuit",
-    ),
+    ".pipeline": ("vtree_from_circuit",),
     ".sdd_compile": ("CompiledSDD", "compile_canonical_sdd"),
     ".vtree": ("Vtree",),
 })

@@ -1,5 +1,10 @@
-"""The Lemma-1 compilation pipeline: circuit → tree decomposition → vtree →
-canonical SDD / deterministic structured NNF.
+"""The Lemma-1 vtree extraction: circuit → tree decomposition → vtree.
+
+:class:`repro.compiler.Compiler` runs the whole Result-1 pipeline; its
+``lemma1`` strategy (:class:`~repro.compiler.strategies.Lemma1Strategy`)
+calls :func:`vtree_from_circuit`, and a backend then compiles over the
+vtree (``canonical`` for the paper's ``S_{F,T}`` / deterministic
+structured NNF, ``apply`` for bottom-up SDD compilation).
 
 This is the constructive content of Result 1: a circuit of treewidth ``k``
 and ``n`` variables yields a vtree ``T`` with ``fw(F,T) ≤ 2^{(w+2)·2^{w+1}}``
@@ -20,177 +25,14 @@ The vtree extraction follows the proof of Lemma 1 exactly:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Mapping
 
-from .boolfunc import BooleanFunction
-from .nnf_compile import CompiledNNF
-from .sdd_compile import CompiledSDD
 from .vtree import Vtree
-from .widths import factor_width, lemma1_bound
 from ..circuits.circuit import Circuit, VAR
 from ..graphs.elimination import heuristic_tree_decomposition
 from ..graphs.exact_tw import exact_tree_decomposition
 from ..graphs.treedecomp import TreeDecomposition
-from ..sdd.manager import SddManager
 
-__all__ = [
-    "PipelineResult",
-    "vtree_from_circuit",
-    "compile_circuit",
-    "compile_circuit_apply",
-]
-
-
-class PipelineResult:
-    """Everything the Lemma-1 pipeline produces for one circuit.
-
-    .. deprecated:: PR 2
-        New code should use :class:`repro.compiler.Compiler`, whose
-        :class:`~repro.compiler.backends.Compiled` results expose the same
-        measures uniformly across *three* registered backends.  This class
-        remains as the result type of the legacy entry points
-        :func:`compile_circuit` / :func:`compile_circuit_apply`, which now
-        delegate to the facade.
-
-    Two backends share this interface:
-
-    - ``backend == "canonical"`` — the paper-faithful ``S_{F,T}`` / NNF
-      construction from the full truth table (``sdd``/``nnf``/``function``
-      populated eagerly; limited to ~20 variables);
-    - ``backend == "apply"`` — bottom-up :class:`SddManager` compilation
-      through ``apply`` over the same Lemma-1 vtree (``manager``/``root``
-      populated; scales to hundreds of variables, ``function`` available
-      lazily and only sensible at small ``n``).
-
-    ``decomposition_width`` is ``None`` when no tree decomposition was
-    involved (explicit vtree or reused manager).
-
-    The unified accessors (:attr:`sdd_size`, :attr:`sdd_width`,
-    :meth:`model_count`, :meth:`probability`, :meth:`evaluate`) work on
-    either backend so callers can switch on scale without branching.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        decomposition_width: int | None,
-        vtree: Vtree,
-        *,
-        backend: str = "canonical",
-        function: BooleanFunction | None = None,
-        sdd: CompiledSDD | None = None,
-        nnf: CompiledNNF | None = None,
-        manager: SddManager | None = None,
-        root: int | None = None,
-    ):
-        if backend not in ("canonical", "apply"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.circuit = circuit
-        self.backend = backend
-        self.decomposition_width = decomposition_width
-        self.vtree = vtree
-        self.sdd = sdd
-        self.nnf = nnf
-        self.manager = manager
-        self.root = root
-        self._function = function
-        # The facade Compiled this result delegates its measures to; set by
-        # compile_circuit / compile_circuit_apply, built lazily otherwise.
-        self._compiled = None
-
-    # -- truth-table views (computed lazily for the apply backend) -------
-    @property
-    def function(self) -> BooleanFunction:
-        """The circuit's exact Boolean function.
-
-        Materializes the ``2^n`` truth table on first access for the apply
-        backend — only call it at small ``n``.
-        """
-        if self._function is None:
-            self._function = self.circuit.function()
-        return self._function
-
-    @property
-    def factor_width(self) -> int:
-        return factor_width(self.function, self.vtree)
-
-    def lemma1_bound(self) -> int:
-        """``2^{(w+2)·2^{w+1}}`` for ``w`` the decomposition width used."""
-        if self.decomposition_width is None:
-            raise ValueError(
-                "no tree decomposition was involved (explicit vtree); "
-                "the Lemma-1 bound is undefined"
-            )
-        return lemma1_bound(self.decomposition_width)
-
-    # -- backend-independent measures ------------------------------------
-    # All measures delegate to the facade's Compiled implementations
-    # (repro.compiler.backends) so there is exactly one copy of the
-    # per-backend logic — extras marginalization, exact-WMC SDD reuse, etc.
-    @property
-    def _delegate(self):
-        if self._compiled is None:
-            if self.backend == "apply":
-                from ..compiler.backends import ApplyCompiled
-
-                assert self.manager is not None and self.root is not None
-                self._compiled = ApplyCompiled(
-                    self.circuit,
-                    self.vtree,
-                    self.decomposition_width,
-                    "",
-                    manager=self.manager,
-                    root=self.root,
-                )
-            else:
-                from ..compiler.backends import CanonicalCompiled
-
-                assert self.sdd is not None
-                self._compiled = CanonicalCompiled(
-                    self.circuit,
-                    self.vtree,
-                    self.decomposition_width,
-                    "",
-                    function=self.function,
-                    sdd=self.sdd,
-                    nnf=self.nnf,
-                )
-        return self._compiled
-
-    @property
-    def sdd_size(self) -> int:
-        """SDD size in the backend's own convention (NNF gates for the
-        canonical construction, decision elements for the manager)."""
-        return self._delegate.size
-
-    @property
-    def sdd_width(self) -> int:
-        return self._delegate.width
-
-    def model_count(self) -> int:
-        """Exact model count over the circuit's variables (linear-time on
-        the apply backend, truth-table on the canonical one)."""
-        return self._delegate.model_count()
-
-    def probability(
-        self, prob: Mapping[str, float], *, exact: bool = False
-    ) -> float | Fraction:
-        """Probability under independent literal probabilities.
-
-        ``exact=True`` runs the WMC in :class:`~fractions.Fraction`
-        arithmetic (on the canonical backend it reuses the already-compiled
-        SDD instead of recompiling the circuit).
-        """
-        return self._delegate.probability(prob, exact=exact)
-
-    def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        return self._delegate.evaluate(assignment)
-
-    def stats(self) -> dict[str, int]:
-        """Public counters of the underlying compilation (see
-        :meth:`repro.compiler.backends.Compiled.stats`)."""
-        return self._delegate.stats()
+__all__ = ["vtree_from_circuit"]
 
 
 def vtree_from_circuit(
@@ -252,100 +94,3 @@ def vtree_from_circuit(
         vtree = vtree.prune_to(set(map(str, variables)))
     assert vtree.variables >= set(variables)
     return vtree, decomposition.width
-
-
-def compile_circuit(
-    circuit: Circuit,
-    decomposition: TreeDecomposition | None = None,
-    *,
-    exact: bool | None = None,
-    prune_dummies: bool = True,
-) -> PipelineResult:
-    """Run the full Result-1 pipeline on ``circuit``.
-
-    .. deprecated:: PR 2
-        Shim over ``Compiler(backend="canonical")`` — prefer
-        :class:`repro.compiler.Compiler`, which also gives strategy choice
-        and the ``obdd`` backend.
-
-    Produces both compiled forms (canonical SDD and canonical deterministic
-    structured NNF) over the Lemma-1 vtree.
-    """
-    from ..compiler.backends import CanonicalBackend
-
-    vtree, width = vtree_from_circuit(
-        circuit, decomposition, exact=exact, prune_dummies=prune_dummies
-    )
-    compiled = CanonicalBackend().compile(circuit, vtree, decomposition_width=width)
-    result = PipelineResult(
-        circuit,
-        width,
-        vtree,
-        backend="canonical",
-        function=compiled.function,
-        sdd=compiled.sdd,
-        nnf=compiled.nnf,
-    )
-    result._compiled = compiled
-    return result
-
-
-def compile_circuit_apply(
-    circuit: Circuit,
-    decomposition: TreeDecomposition | None = None,
-    *,
-    exact: bool | None = None,
-    prune_dummies: bool = True,
-    vtree: Vtree | None = None,
-    manager: SddManager | None = None,
-) -> PipelineResult:
-    """Run the Result-1 pipeline through :class:`SddManager.apply` — no
-    truth table anywhere, so circuits with hundreds of variables compile.
-
-    .. deprecated:: PR 2
-        Shim over ``Compiler(backend="apply")`` — prefer
-        :class:`repro.compiler.Compiler` for one-off circuits and
-        :class:`repro.queries.QueryEngine` for shared-manager workloads.
-
-    The vtree is the same Lemma-1 extraction as :func:`compile_circuit`
-    (bounded-treewidth circuits therefore keep their linear-size guarantee);
-    the SDD itself is built bottom-up over the circuit's gates with
-    hash-consing and apply-caching instead of the ``(v, H)`` truth-table
-    keys of ``S_{F,T}``.
-
-    ``vtree`` overrides the extraction (``decomposition``/``exact``/
-    ``prune_dummies`` are then ignored and the reported
-    ``decomposition_width`` is ``None``); ``manager`` reuses an existing
-    manager — its vtree must cover the circuit's variables — so a batch of
-    circuits shares one apply cache.
-    """
-    from ..compiler.backends import ApplyBackend
-
-    if manager is not None:
-        vt = manager.vtree
-        if not set(map(str, circuit.variables)) <= vt.variables:
-            raise ValueError("manager's vtree does not cover the circuit")
-        width: int | None = None
-        root = manager.compile_circuit(circuit)
-        return PipelineResult(
-            circuit, width, vt, backend="apply", manager=manager, root=root
-        )
-    if vtree is not None:
-        if not set(map(str, circuit.variables)) <= vtree.variables:
-            raise ValueError("vtree does not cover the circuit's variables")
-        vt, width = vtree, None
-    else:
-        vt, width = vtree_from_circuit(
-            circuit, decomposition, exact=exact, prune_dummies=prune_dummies
-        )
-    compiled = ApplyBackend().compile(circuit, vt, decomposition_width=width)
-    result = PipelineResult(
-        circuit,
-        width,
-        vt,
-        backend="apply",
-        manager=compiled.manager,
-        root=compiled.root,
-    )
-    result._compiled = compiled
-    return result

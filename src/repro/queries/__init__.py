@@ -16,11 +16,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".engine": ("QueryEngine",),
     ".evaluate": (
         "BatchEvaluation",
-        "evaluate_many",
         "probability_brute_force",
         "probability_via_ddnnf",
         "probability_via_obdd",
-        "probability_via_sdd",
     ),
     ".lineage": ("lineage_circuit", "lineage_function"),
     ".parallel": ("ParallelBatchEvaluation", "ParallelQueryEngine", "shard_of"),

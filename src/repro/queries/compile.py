@@ -102,7 +102,7 @@ def lineage_vtree(query: UCQ, db: Database, shape: str = "right") -> Vtree:
 
     The order covers *every* tuple variable of ``db``, so one vtree — and
     hence one :class:`SddManager` — serves any query against the same
-    database (what :func:`repro.queries.evaluate.evaluate_many` exploits).
+    database (what :class:`repro.queries.QueryEngine` sessions exploit).
     """
     order = hierarchy_order(query, db)
     missing = set(db.all_tuple_variables()) - set(order)

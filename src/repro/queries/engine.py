@@ -1,9 +1,7 @@
 """A query-evaluation session: one database, one vtree, one manager.
 
 :class:`QueryEngine` is the stateful front door for probabilistic query
-evaluation.  Where the functional helpers (`probability_via_sdd`,
-`evaluate_many`) build their sharing per call, an engine owns it for its
-whole lifetime:
+evaluation.  It owns its sharing for its whole lifetime:
 
 - **one vtree** — built from the first query's hierarchy order and covering
   *every* tuple variable of the database, so any later query against the
@@ -486,64 +484,29 @@ class QueryEngine:
         queries: Iterable[UCQ],
         *,
         exact: bool = False,
-        workers: int | None = None,
-        parallel_mode: str = "auto",
-        shard_seed: int = 0,
         timeout: float | None = None,
     ):
         """Evaluate a workload; returns a
-        :class:`~repro.queries.evaluate.BatchEvaluation` (the same result
-        type :func:`~repro.queries.evaluate.evaluate_many` returns).
+        :class:`~repro.queries.evaluate.BatchEvaluation`.
 
         ``timeout`` grants each query its own wall-clock budget (seconds;
         per query, not per batch — matching the service tier's per-query
         deadlines); a query that exceeds it raises the typed
         :class:`~repro.service.errors.DeadlineExceeded` out of the batch.
-        Serial path only — with ``workers > 1`` use the service tier
-        (:meth:`~repro.service.QueryService.submit`), whose pool enforces
-        per-task deadlines.
 
         With a ``max_nodes`` budget, queries early in a large batch may be
         evicted (and their node ids collected, possibly recycled) by the
         time the batch ends.  ``sizes`` are measured at evaluation time;
         ``roots`` holds only roots that are still compiled and pinned when
         the batch returns — evicted queries report ``None`` there, never a
-        stale id.
-
-        ``workers`` > 1 shards the batch across that many worker engines
-        (each inheriting this session's vtree and per-worker ``max_nodes``
-        budget) via :class:`~repro.queries.parallel.ParallelQueryEngine`
-        and returns its
-        :class:`~repro.queries.parallel.ParallelBatchEvaluation` —
-        probabilities and sizes bit-identical to the serial path, but
-        compiled in throwaway worker sessions (this engine's own caches
-        are neither used nor populated).  ``workers=None`` or ``1`` stays
-        on the serial path.
+        stale id.  To shard a batch across worker engines, use
+        :class:`~repro.queries.parallel.ParallelQueryEngine`.
         """
         from .evaluate import BatchEvaluation
 
         qs: Sequence[UCQ] = list(queries)
         if not qs:
             raise ValueError("empty workload")
-        if workers is not None and workers <= 0:
-            raise ValueError("workers must be positive")
-        if workers is not None and workers > 1:
-            if timeout is not None:
-                raise ValueError(
-                    "timeout= is serial-path only; parallel batches enforce "
-                    "per-task deadlines in the service tier (WorkerPool.submit)"
-                )
-            from .parallel import ParallelQueryEngine
-
-            return ParallelQueryEngine(
-                self.db,
-                workers=workers,
-                vtree=self._vtree,
-                max_nodes=self.max_nodes,
-                mode=parallel_mode,
-                shard_seed=shard_seed,
-                backend=self.backend,
-            ).evaluate(qs, exact=exact)
         if self.backend == "ddnnf":
             probabilities = []
             sizes = []

@@ -1,23 +1,20 @@
 """Probabilistic query evaluation — the application the paper's compilation
 results serve.
 
-Exact evaluators, cross-checked in tests:
+Reference evaluators, cross-checked in tests against the session engine
+(:class:`repro.queries.QueryEngine`, the front door for SDD evaluation):
 
 - :func:`probability_brute_force` — sums over possible worlds through the
   exact lineage function (exponential; ground truth for small instances);
-- :func:`probability_via_obdd` / :func:`probability_via_sdd` — compile the
-  lineage and run the linear-time weighted model count on the tractable
-  form (the query-compilation pipeline end-to-end; ``exact=True`` keeps
-  the arithmetic in :class:`~fractions.Fraction`, so results stay exact
-  even on databases far beyond the truth-table regime);
-- :func:`evaluate_many` — a *workload* evaluator: many queries against one
-  database share a single vtree, one :class:`SddManager` (hash-cons tables
-  and apply cache included), and one WMC memo, so common sub-lineages are
-  compiled and counted once across the whole batch.
+- :func:`probability_via_obdd` / :func:`probability_via_ddnnf` — compile
+  the lineage as an OBDD or a bag-by-bag d-DNNF and run the linear-time
+  weighted model count on it;
+- :func:`probability_exact_fraction` — the OBDD count in
+  :class:`~fractions.Fraction` arithmetic, so results stay exact even on
+  databases far beyond the truth-table regime.
 
-The session-oriented front door is :class:`repro.queries.QueryEngine`;
-:func:`probability_via_sdd` and :func:`evaluate_many` are thin shims over a
-single-use engine and remain for compatibility.
+:class:`BatchEvaluation` is the result type of
+:meth:`QueryEngine.evaluate <repro.queries.engine.QueryEngine.evaluate>`.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Sequence
 
 from .compile import compile_lineage_ddnnf, compile_lineage_obdd
 from .database import ProbabilisticDatabase
-from .engine import QueryEngine
 from .lineage import lineage_function
 from .syntax import UCQ
 from ..core.vtree import Vtree
@@ -38,11 +34,9 @@ from ..sdd.wmc import exact_weights
 __all__ = [
     "probability_brute_force",
     "probability_via_obdd",
-    "probability_via_sdd",
     "probability_via_ddnnf",
     "probability_exact_fraction",
     "BatchEvaluation",
-    "evaluate_many",
 ]
 
 
@@ -57,26 +51,6 @@ def probability_via_obdd(
 ) -> float:
     mgr, root = compile_lineage_obdd(query, db, order)
     return mgr.probability(root, db.probability_map())
-
-
-def probability_via_sdd(
-    query: UCQ,
-    db: ProbabilisticDatabase,
-    vtree: Vtree | None = None,
-    *,
-    exact: bool = False,
-) -> float | Fraction:
-    """Query probability through the apply-based SDD pipeline.
-
-    .. deprecated:: PR 2
-        Shim over a single-use :class:`~repro.queries.engine.QueryEngine`;
-        construct an engine directly to share work across queries.
-
-    ``exact=True`` runs the WMC in rational arithmetic and returns the
-    exact :class:`~fractions.Fraction` — the only trustworthy mode once
-    instances outgrow float precision (hundreds of tuples).
-    """
-    return QueryEngine(db, vtree=vtree).probability(query, exact=exact)
 
 
 def probability_via_ddnnf(
@@ -131,53 +105,3 @@ class BatchEvaluation:
 
     def __getitem__(self, i: int):
         return self.probabilities[i]
-
-
-def evaluate_many(
-    queries: Sequence[UCQ],
-    db: ProbabilisticDatabase,
-    *,
-    vtree: Vtree | None = None,
-    exact: bool = False,
-    max_nodes: int | None = None,
-    workers: int | None = None,
-    parallel_mode: str = "auto",
-    shard_seed: int = 0,
-):
-    """Compile and exactly evaluate a workload of queries against one
-    database, sharing everything shareable.
-
-    .. deprecated:: PR 2
-        Shim over a single-use :class:`~repro.queries.engine.QueryEngine`
-        (``QueryEngine(db, vtree=vtree).evaluate(queries, exact=exact)``);
-        construct an engine directly to keep the sharing alive beyond one
-        batch.
-
-    All lineages are functions over the same variable set (the tuples of
-    ``db``), so one vtree fits all; one :class:`SddManager` then gives the
-    batch a common hash-cons table and apply cache — a sub-lineage two
-    queries share is compiled once — and one WMC memo keyed by node id
-    counts shared nodes once too.
-
-    Returns a :class:`BatchEvaluation`; ``probabilities[i]`` is the exact
-    :class:`~fractions.Fraction` (``exact=True``) or ``float`` probability
-    of ``queries[i]``.
-
-    ``max_nodes`` bounds the shared manager for very large workloads:
-    least-recently-used lineages are released and garbage-collected when
-    the budget overflows (see :class:`~repro.queries.engine.QueryEngine`).
-
-    ``workers`` > 1 shards the workload across that many worker engines
-    sharing one base vtree (each with its own per-worker ``max_nodes``
-    budget) and returns a
-    :class:`~repro.queries.parallel.ParallelBatchEvaluation`; results are
-    bit-identical to the serial path for every ``workers``/``shard_seed``
-    setting.  ``workers=None`` or ``1`` is exactly the serial path.
-    """
-    return QueryEngine(db, vtree=vtree, max_nodes=max_nodes).evaluate(
-        queries,
-        exact=exact,
-        workers=workers,
-        parallel_mode=parallel_mode,
-        shard_seed=shard_seed,
-    )

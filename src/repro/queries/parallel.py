@@ -27,21 +27,25 @@ setting, every shard seed, and both execution modes:
   and even its float WMC value — does not depend on which worker ran it
   or what was compiled before it;
 - a ``max_nodes`` budget applies *shard-locally* (each worker engine gets
-  the full budget for its shard), and PR 3's GC never changes an answer —
-  eviction only affects whether ``roots[i]`` reports the still-pinned id
-  or the ``None`` marker.
+  the full budget for its shard), and the manager's GC never changes an
+  answer — eviction only affects whether ``roots[i]`` reports the
+  still-pinned id or the ``None`` marker.
 
 Execution modes
 ---------------
 
-``mode="threads"`` runs each shard's engine on a worker thread (no
-pickling, engines persist across batches for session reuse);
-``mode="spawn"`` runs each shard in a spawn-started process (work units
-are pickled: queries, database, and the base vtree as a flat
-:meth:`~repro.core.vtree.Vtree.to_postfix` encoding, so 10k-deep
-right-linear vtrees cross the process boundary without recursion).
-``mode="auto"`` picks threads for small batches or single-CPU hosts
-(process start-up would dominate) and spawn otherwise.
+Every batch runs on one :class:`~repro.service.pool.WorkerPool`, started
+on the first batch and kept for the engine's lifetime, so worker engines
+and their caches survive across batches.  ``mode="threads"`` keeps each
+worker engine on an in-process thread (no pickling); ``mode="spawn"``
+keeps each in a spawn-started child process (queries, the database, and
+the base vtree as a flat :meth:`~repro.core.vtree.Vtree.to_postfix`
+encoding cross the pipe, so 10k-deep right-linear vtrees travel without
+recursion).  ``mode="auto"`` picks threads when the first batch is small
+or the host has one CPU (process start-up would dominate) and spawn
+otherwise.  The pool never steals: each worker runs exactly its own
+shard, in batch order, so a ``max_nodes`` budget sees the same eviction
+sequence a serial engine would see restricted to that shard.
 
 ``workers=1`` short-circuits to the serial
 :meth:`QueryEngine.evaluate` path and returns its
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -87,47 +92,19 @@ def shard_of(query: UCQ, workers: int, seed: int = 0) -> int:
     return int.from_bytes(digest, "big") % workers
 
 
-def _evaluate_shard(payload):
-    """One worker's whole shard, start to finish (top-level so a spawned
-    process can import it; everything in ``payload`` is picklable).
-
-    ``items`` is ``[(batch_index, query), ...]`` in original batch order —
-    so a ``max_nodes`` budget sees the same LRU sequence a serial engine
-    would see restricted to this shard.  Returns per-query results plus
-    the worker engine's public stats; ``root`` is the pinned root id or
-    ``None`` if the query was evicted by the time the shard finished
-    (mirroring the serial batch contract).
-    """
-    db, vtree_ops, max_nodes, backend, items, exact = payload
-    vtree = Vtree.from_postfix(vtree_ops) if vtree_ops is not None else None
-    engine = QueryEngine(db, vtree=vtree, max_nodes=max_nodes, backend=backend)
-    return _run_items(engine, items, exact)
-
-
-def _run_items(engine: QueryEngine, items, exact: bool):
-    results = []
-    for idx, q in items:
-        p = engine.probability(q, exact=exact)
-        size = engine.compiled_size(q)  # just asked for: never evicted yet
-        assert size is not None
-        results.append((idx, p, size))
-    roots = [(idx, engine.cached_root(q)) for idx, q in items]
-    return results, roots, engine.stats()
-
-
 @dataclass
 class ParallelBatchEvaluation:
     """Everything one sharded workload evaluation produces.
 
     Per-query lists are in original batch order.  ``roots[i]`` is the root
-    id in worker ``shards[i]``'s manager, or ``None`` if that worker's
-    ``max_nodes`` budget evicted the query before its shard finished —
-    never a stale id.  In ``spawn`` mode the managers lived in worker
-    processes, so root ids are reported for inspection but are not
-    dereferenceable here; in ``threads`` mode ``engines[shards[i]]`` is
+    id in worker ``shards[i]``'s manager when the batch returned, or
+    ``None`` if that worker's ``max_nodes`` budget had evicted the query
+    by then — never a stale id.  In ``spawn`` mode the managers live in
+    worker processes, so root ids are reported for inspection but are not
+    dereferenceable here; in ``threads`` mode ``engines()[shards[i]]`` is
     the live session that owns ``roots[i]``.  ``worker_stats`` is keyed
     by shard index (``worker_stats[shards[i]]`` is query ``i``'s worker;
-    empty shards never spin up and have no entry).
+    shards with no query in this batch have no entry).
     """
 
     queries: list[UCQ]
@@ -162,18 +139,14 @@ class ParallelQueryEngine:
 
     ``mode`` is ``"auto"`` (default), ``"threads"``, or ``"spawn"``; see
     the module docstring for the choice rule and the determinism
-    guarantee.  Not safe for *concurrent* ``evaluate`` calls on the same
-    instance.
+    guarantee.  ``backend`` selects the compiled representation per worker
+    engine (``"sdd"`` or ``"ddnnf"`` — the latter needs no shared vtree,
+    every other guarantee is unchanged).
 
-    ``backend`` selects the compiled representation per worker engine
-    (``"sdd"`` or ``"ddnnf"`` — the latter needs no shared vtree, every
-    other guarantee is unchanged).  ``persistent=True`` routes batches
-    through a long-lived :class:`~repro.service.pool.WorkerPool` instead
-    of the per-batch executors: worker engines (threads *and* spawn-child
-    processes) survive across batches, and ``steal`` lets idle workers
-    take queued work from skewed shards — answers stay bit-identical, per
-    the pool's determinism guarantee.  A persistent engine should be
-    :meth:`close`\\ d (or used as a context manager) when done.
+    The worker pool starts on the first batch and lives until
+    :meth:`close` (or the engine is garbage-collected); use the engine as
+    a context manager to bound it.  Not safe for *concurrent*
+    ``evaluate`` calls on the same instance.
     """
 
     def __init__(
@@ -186,8 +159,6 @@ class ParallelQueryEngine:
         mode: str = "auto",
         shard_seed: int = 0,
         backend: str = "sdd",
-        persistent: bool = False,
-        steal: bool = True,
     ):
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -205,13 +176,9 @@ class ParallelQueryEngine:
         self.mode = mode
         self.shard_seed = shard_seed
         self.backend = backend
-        self.persistent = persistent
-        self.steal = steal
         self._vtree = vtree
-        # threads mode keeps one engine per shard alive across batches —
-        # the session-sharing contract of the serial engine, per shard.
-        self._engines: dict[int, QueryEngine] = {}
-        self._pool = None  # persistent=True: the lazily started WorkerPool
+        self._serial: QueryEngine | None = None  # workers == 1
+        self._pool = None  # the lazily started WorkerPool (workers > 1)
 
     @property
     def vtree(self) -> Vtree | None:
@@ -238,6 +205,23 @@ class ParallelQueryEngine:
             return "threads"  # small batch: spawn cost dominates
         return "spawn"
 
+    def _ensure_pool(self, vtree: Vtree | None, n_queries: int):
+        if self._pool is None:
+            from ..service.pool import WorkerPool
+
+            self._pool = WorkerPool(
+                self.db,
+                workers=self.workers,
+                vtree=vtree,
+                max_nodes=self.max_nodes,
+                mode=self._resolve_mode(n_queries),
+                steal=False,
+                backend=self.backend,
+            )
+            # An engine dropped without close() still stops its workers.
+            weakref.finalize(self, self._pool.close)
+        return self._pool
+
     def evaluate(self, queries: Iterable[UCQ], *, exact: bool = False):
         """Evaluate a workload sharded across the workers.
 
@@ -251,17 +235,15 @@ class ParallelQueryEngine:
         if not qs:
             raise ValueError("empty workload")
         if self.workers == 1:
-            engine = self._engines.get(0)
-            if engine is None:
-                engine = QueryEngine(
+            if self._serial is None:
+                self._serial = QueryEngine(
                     self.db,
                     vtree=self._vtree,
                     max_nodes=self.max_nodes,
                     backend=self.backend,
                 )
-                self._engines[0] = engine
-            batch = engine.evaluate(qs, exact=exact)
-            self._vtree = engine.vtree
+            batch = self._serial.evaluate(qs, exact=exact)
+            self._vtree = self._serial.vtree
             return batch
 
         vtree = self._ensure_vtree(qs[0])
@@ -269,106 +251,28 @@ class ParallelQueryEngine:
         items_per_worker: dict[int, list[tuple[int, UCQ]]] = {}
         for i, (q, w) in enumerate(zip(qs, shards)):
             items_per_worker.setdefault(w, []).append((i, q))
-        mode = self._resolve_mode(len(qs))
-        occupied = sorted(items_per_worker)
-
-        if self.persistent:
-            return self._run_pool(qs, shards, items_per_worker, exact, vtree, mode)
-        if mode == "threads":
-            outputs = self._run_threads(occupied, items_per_worker, exact, vtree)
-        else:
-            outputs = self._run_spawn(occupied, items_per_worker, exact, vtree)
-
-        probabilities: list = [None] * len(qs)
-        sizes: list = [0] * len(qs)
-        roots: list = [None] * len(qs)
-        worker_stats: dict[int, dict[str, int | str]] = {}
-        for w, (results, shard_roots, stats) in zip(occupied, outputs):
-            for idx, p, size in results:
-                probabilities[idx] = p
-                sizes[idx] = size
-            for idx, root in shard_roots:
-                roots[idx] = root
-            worker_stats[w] = stats
-        return ParallelBatchEvaluation(
-            queries=list(qs),
-            probabilities=probabilities,
-            roots=roots,
-            sizes=sizes,
-            shards=shards,
-            workers=self.workers,
-            mode=mode,
-            vtree=vtree,
-            worker_stats=worker_stats,
-            stats=self._merge_stats(list(worker_stats.values())),
-        )
-
-    # ------------------------------------------------------------------
-    # execution backends
-    # ------------------------------------------------------------------
-    def _run_threads(self, occupied, items_per_worker, exact, vtree):
-        from concurrent.futures import ThreadPoolExecutor
-
-        for w in occupied:
-            if w not in self._engines:
-                self._engines[w] = QueryEngine(
-                    self.db,
-                    vtree=vtree,
-                    max_nodes=self.max_nodes,
-                    backend=self.backend,
-                )
-        if len(occupied) == 1:
-            w = occupied[0]
-            return [_run_items(self._engines[w], items_per_worker[w], exact)]
-        with ThreadPoolExecutor(max_workers=len(occupied)) as pool:
-            futures = [
-                pool.submit(_run_items, self._engines[w], items_per_worker[w], exact)
-                for w in occupied
-            ]
-            return [f.result() for f in futures]
-
-    def _run_spawn(self, occupied, items_per_worker, exact, vtree):
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        vtree_ops = None if vtree is None else vtree.to_postfix()
-        payloads = [
-            (self.db, vtree_ops, self.max_nodes, self.backend, items_per_worker[w], exact)
-            for w in occupied
-        ]
-        if len(payloads) == 1:
-            # Everything hashed to one shard: a process pool would pay
-            # interpreter start-up and payload pickling for a strictly
-            # serial run — evaluate the lone shard in this process
-            # (same throwaway-engine semantics as a spawn worker).
-            return [_evaluate_shard(payloads[0])]
-        with ProcessPoolExecutor(
-            max_workers=len(occupied), mp_context=get_context("spawn")
-        ) as pool:
-            return list(pool.map(_evaluate_shard, payloads))
-
-    def _run_pool(self, qs, shards, items_per_worker, exact, vtree, mode):
-        """``persistent=True``: run the batch on the long-lived
-        :class:`~repro.service.pool.WorkerPool` (started on the first
-        batch with the mode resolved then; warm engines and — in spawn
-        mode — warm child processes serve every later batch)."""
-        pool = self._ensure_pool(vtree, mode)
+        pool = self._ensure_pool(vtree, len(qs))
         results = pool.run_batch(items_per_worker, exact=exact)
-        probabilities: list = [None] * len(qs)
-        sizes: list = [0] * len(qs)
-        roots: list = [None] * len(qs)
-        for idx, r in results.items():
-            probabilities[idx] = r.probability
-            sizes[idx] = r.size
-            roots[idx] = r.root
-        worker_stats = pool.worker_stats()
+
+        # Roots are read once the whole batch is done, not as each task
+        # finishes: a later query of the same shard may have evicted an
+        # earlier one, and its id may since have been recycled.
+        ran_on: dict[int, list[int]] = {}
+        for idx in range(len(qs)):
+            ran_on.setdefault(results[idx].worker, []).append(idx)
+        live = pool.cached_roots({w: [qs[i] for i in idxs] for w, idxs in ran_on.items()})
+        roots: list[int | None] = [None] * len(qs)
+        for w, idxs in ran_on.items():
+            for idx, root in zip(idxs, live[w]):
+                roots[idx] = root
+        worker_stats = {w: s for w, s in pool.worker_stats().items() if w in ran_on}
         stats = self._merge_stats(list(worker_stats.values()))
         stats.update(pool.stats())
         return ParallelBatchEvaluation(
             queries=list(qs),
-            probabilities=probabilities,
+            probabilities=[results[i].probability for i in range(len(qs))],
             roots=roots,
-            sizes=sizes,
+            sizes=[results[i].size for i in range(len(qs))],
             shards=shards,
             workers=self.workers,
             mode=pool.mode,
@@ -376,21 +280,6 @@ class ParallelQueryEngine:
             worker_stats=worker_stats,
             stats=stats,
         )
-
-    def _ensure_pool(self, vtree, mode):
-        if self._pool is None:
-            from ..service.pool import WorkerPool
-
-            self._pool = WorkerPool(
-                self.db,
-                workers=self.workers,
-                vtree=vtree,
-                max_nodes=self.max_nodes,
-                mode=mode,
-                steal=self.steal,
-                backend=self.backend,
-            )
-        return self._pool
 
     # ------------------------------------------------------------------
     # live updates
@@ -404,12 +293,10 @@ class ParallelQueryEngine:
         workers that extend live, workers created later from the base
         vtree, and spawn children rebuilding from postfix all compile
         against structurally identical vtrees, keeping answers
-        bit-identical), live per-shard engines delta-patch their caches,
-        and a persistent :class:`~repro.service.pool.WorkerPool` gets the
-        delta as a control message for threads *and* spawn children.
-        Per-batch spawn workers need nothing: they pickle the database
-        fresh each batch.  Like :meth:`evaluate`, not safe concurrently
-        with an in-flight batch on the same instance.
+        bit-identical), and the worker pool gets the delta as a control
+        message for threads *and* spawn workers, which delta-patch their
+        caches.  Like :meth:`evaluate`, not safe concurrently with an
+        in-flight batch on the same instance.
 
         Returns the merged counter increments across workers
         (``updates_applied`` counts this call once).
@@ -428,17 +315,15 @@ class ParallelQueryEngine:
             "delta_patched_roots": 0,
             "update_recompiles": 0,
         }
-        increments = [e.apply_update(delta) for e in self._engines.values()]
-        if self._pool is not None:
-            increments.append(self._pool.apply_update(delta))
-        for inc in increments:
-            for key in ("memo_invalidations", "delta_patched_roots", "update_recompiles"):
-                merged[key] += inc.get(key, 0)
+        for tier in (self._serial, self._pool):
+            if tier is not None:
+                inc = tier.apply_update(delta)
+                for key in ("memo_invalidations", "delta_patched_roots", "update_recompiles"):
+                    merged[key] += inc.get(key, 0)
         return merged
 
     def close(self) -> None:
-        """Shut down the persistent worker pool, if one was started.
-        Idempotent; a no-op for the classic per-batch paths."""
+        """Shut down the worker pool, if one was started.  Idempotent."""
         if self._pool is not None:
             self._pool.close()
 
@@ -452,17 +337,17 @@ class ParallelQueryEngine:
     # introspection
     # ------------------------------------------------------------------
     def engines(self) -> dict[int, QueryEngine]:
-        """The live per-shard engines (classic threads/serial modes; with
-        ``persistent=True`` see the pool's own
-        :meth:`~repro.service.pool.WorkerPool.engines`)."""
+        """The live per-worker engines: the pool's threads-mode engines
+        (spawn engines live in their child processes), or the serial
+        engine under ``workers=1``."""
         if self._pool is not None:
             return self._pool.engines()
-        return dict(self._engines)
+        return {} if self._serial is None else {0: self._serial}
 
     @property
     def pool(self):
-        """The persistent :class:`~repro.service.pool.WorkerPool`
-        (``None`` unless ``persistent=True`` and a batch has run)."""
+        """The :class:`~repro.service.pool.WorkerPool` (``None`` until a
+        batch with ``workers > 1`` has run)."""
         return self._pool
 
     def _merge_stats(
@@ -481,7 +366,12 @@ class ParallelQueryEngine:
         merged["workers"] = self.workers
         return merged
 
-    def stats(self) -> dict[str, int]:
-        """Aggregated public counters over the live per-shard engines
-        (threads/serial modes; empty until the first batch)."""
-        return self._merge_stats([e.stats() for e in self._engines.values()])
+    def stats(self) -> dict[str, int | str]:
+        """Public counters summed over every worker engine, plus the
+        pool's own counters once it has started (empty until the first
+        batch)."""
+        if self._pool is None:
+            return self._merge_stats([] if self._serial is None else [self._serial.stats()])
+        stats = self._merge_stats(list(self._pool.worker_stats().values()))
+        stats.update(self._pool.stats())
+        return stats

@@ -36,7 +36,7 @@ reference the exact answers here are checked against.)
 One evaluator instance can be reused across many roots of the same
 manager — the memo table is keyed by node id, so a workload of queries
 sharing sub-lineages pays for each shared node once (this is what
-:func:`repro.queries.evaluate.evaluate_many` leans on).  Each sweep walks
+:meth:`repro.queries.QueryEngine.evaluate` leans on).  Each sweep walks
 down from the root and stops at memoized nodes, so after a weight update
 it touches only the evicted cone.
 """

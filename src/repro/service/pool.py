@@ -4,12 +4,11 @@ The execution substrate of the always-on service tier: ``workers``
 long-lived :class:`~repro.queries.engine.QueryEngine` sessions — in-process
 (``mode="threads"``) or in spawn-started child processes kept alive on a
 task queue (``mode="spawn"``) — all sharing one read-only base vtree.
-Where :class:`~repro.queries.parallel.ParallelQueryEngine`'s classic spawn
-path starts and tears down a process pool per batch (interpreter start,
-imports, vtree transfer, cache warm-up — every batch), a
-:class:`WorkerPool` pays those costs once: engines, hash-cons tables,
-apply caches, WMC memos, and compiled-query caches all survive across
-batches and sessions.
+Interpreter start, imports, vtree transfer and cache warm-up are paid
+once per worker: engines, hash-cons tables, apply caches, WMC memos, and
+compiled-query caches all survive across batches and sessions.  The
+service tier (:class:`~repro.service.QueryService`) and
+:class:`~repro.queries.parallel.ParallelQueryEngine` both run on it.
 
 Scheduling
 ----------
@@ -117,9 +116,10 @@ class TaskResult:
 class _Task:
     query: UCQ | None
     exact: bool
-    # Control tasks carry a database delta instead of a query; they are
-    # addressed to one specific worker and never stolen.
-    control: UpdateDelta | None = None
+    # Control tasks carry a message instead of a query — ("update", delta)
+    # or ("roots", queries); they are addressed to one specific worker and
+    # never stolen.
+    control: tuple | None = None
     future: Future = field(default_factory=Future)
     # Wall-clock budget (starts at submission; queue wait counts).
     deadline: Deadline | None = None
@@ -291,6 +291,10 @@ def _pool_worker_main(conn, payload) -> None:
                     # database, so the version gate makes this a no-op.
                     inc = engine.apply_update(msg[1])
                     conn.send(("ok", inc, 0, None, engine.stats()))
+                    continue
+                if msg[0] == "roots":
+                    roots = [engine.cached_root(q) for q in msg[1]]
+                    conn.send(("ok", roots, 0, None, engine.stats()))
                     continue
                 query, exact, ordinal, timeout = msg[1], msg[2], msg[3], msg[4]
                 if plan is not None:
@@ -652,7 +656,7 @@ class WorkerPool:
             return merged
         tasks = []
         for w in self._scheduler.live():
-            task = _Task(query=None, exact=False, control=delta)
+            task = _Task(query=None, exact=False, control=("update", delta))
             self._scheduler.put_control(w, task)
             tasks.append(task)
         for task in tasks:
@@ -754,7 +758,10 @@ class WorkerPool:
         live = self._scheduler.live()
         for i, t in enumerate(leftovers):
             if t.control is not None:
-                t.future.set_result({"updates_applied": 0})
+                t.future.set_result(
+                    [None] * len(t.control[1]) if t.control[0] == "roots"
+                    else {"updates_applied": 0}
+                )
             elif live:
                 try:
                     self._scheduler.put_front(live[i % len(live)], t)
@@ -774,7 +781,7 @@ class WorkerPool:
 
     def _execute(self, w: int, task: _Task):
         if task.control is not None:
-            return self._execute_update(w, task.control)
+            return self._execute_control(w, task.control)
         if self.mode == "threads":
             return self._execute_threads(w, task)
         return self._execute_spawn(w, task)
@@ -842,22 +849,25 @@ class WorkerPool:
             raise RuntimeError(f"spawn worker {w} failed: {p}")
         return TaskResult(probability=p, size=size, root=root, worker=w)
 
-    def _execute_update(self, w: int, delta: UpdateDelta) -> dict[str, int]:
-        """Apply one delta on worker ``w``; returns its counter increments."""
+    def _execute_control(self, w: int, msg: tuple):
+        """Run one control message on worker ``w``: ``("update", delta)``
+        returns its counter increments, ``("roots", queries)`` its root id
+        per query.  Threads workers only ever get updates
+        (:meth:`cached_roots` reads their engines directly)."""
         if self.mode == "threads":
             engine = self._engines.get(w)
             if engine is None:
                 # Never built: it will be constructed lazily against the
                 # already-updated shared database — nothing to patch.
                 return {"updates_applied": 0}
-            return engine.apply_update(delta)
-        status, inc, _size, _root, stats = self._spawn_call(w, ("update", delta))
+            return engine.apply_update(msg[1])
+        status, out, _size, _root, stats = self._spawn_call(w, msg)
         self._spawn_stats[w] = stats
         if status != "ok":
-            if isinstance(inc, BaseException):
-                raise inc
-            raise RuntimeError(f"spawn worker {w} failed to apply update: {inc}")
-        return inc
+            if isinstance(out, BaseException):
+                raise out
+            raise RuntimeError(f"spawn worker {w} failed on {msg[0]!r}: {out}")
+        return out
 
     def _spawn_call(self, w: int, msg):
         """Send one message to spawn worker ``w`` and await its reply,
@@ -914,6 +924,30 @@ class WorkerPool:
         """The live per-worker engines (threads mode; spawn engines live
         in their child processes)."""
         return dict(self._engines)
+
+    def cached_roots(self, queries: dict[int, list[UCQ]]) -> dict[int, list[int | None]]:
+        """Each worker's root id *now* for its listed queries
+        (``worker -> [query, ...]``); ``None`` where the query is not
+        compiled there — evicted by the ``max_nodes`` budget, or the
+        worker was restarted or retired.  Threads engines are read
+        directly; each spawn worker answers one control message.  Call
+        between batches, not while one is in flight."""
+        if self.mode == "threads":
+            engines = self._engines
+            return {
+                w: [engines[w].cached_root(q) if w in engines else None for q in qs]
+                for w, qs in queries.items()
+            }
+        live = set(self._scheduler.live())
+        tasks = {}
+        for w, qs in queries.items():
+            if w in live:
+                tasks[w] = _Task(query=None, exact=False, control=("roots", qs))
+                self._scheduler.put_control(w, tasks[w])
+        return {
+            w: tasks[w].future.result() if w in tasks else [None] * len(qs)
+            for w, qs in queries.items()
+        }
 
     def worker_pids(self) -> list[int]:
         """Spawn worker process ids (stable across batches — that is the

@@ -17,11 +17,18 @@ from hypothesis import strategies as st
 from repro.circuits.build import chain_and_or, ladder, parity
 from repro.circuits.circuit import Circuit
 from repro.circuits.random_circuits import random_circuit
-from repro.core.pipeline import compile_circuit, compile_circuit_apply
+from repro.compiler import Compiler, Lemma1Strategy
 from repro.core.vtree import Vtree
 from repro.sdd.manager import SddManager
 
 from ..conftest import boolean_functions
+
+# The Lemma-1 pipeline under both backends (auto-selected decomposition, or
+# pinned to the elimination heuristics).
+CANONICAL = Compiler("canonical", "lemma1")
+APPLY = Compiler("apply", "lemma1")
+CANONICAL_HEURISTIC = Compiler("canonical", Lemma1Strategy(exact=False))
+APPLY_HEURISTIC = Compiler("apply", Lemma1Strategy(exact=False))
 
 
 @st.composite
@@ -39,8 +46,8 @@ class TestAgainstCanonical:
     @settings(max_examples=40, deadline=None)
     @given(small_circuits(max_vars=7))
     def test_same_function_as_canonical_pipeline(self, circuit):
-        res_c = compile_circuit(circuit, exact=False)
-        res_a = compile_circuit_apply(circuit, exact=False)
+        res_c = CANONICAL_HEURISTIC.compile(circuit)
+        res_a = APPLY_HEURISTIC.compile(circuit)
         assert res_a.backend == "apply" and res_c.backend == "canonical"
         f_apply = res_a.manager.function(
             res_a.root, sorted(map(str, circuit.variables))
@@ -54,11 +61,11 @@ class TestAgainstCanonical:
         """Apply-compiling the circuit and compiling its truth-table DNF
         into a fresh manager over the same vtree give the same canonical
         SDD (equal size, equal function)."""
-        res_a = compile_circuit_apply(circuit, exact=False)
+        res_a = APPLY_HEURISTIC.compile(circuit)
         f = circuit.function()
         fresh = SddManager(res_a.vtree)
         root_tt = fresh.compile_circuit(Circuit.from_function_dnf(f))
-        assert fresh.size(root_tt) == res_a.sdd_size
+        assert fresh.size(root_tt) == res_a.size
         assert fresh.count_models(root_tt, circuit.variables) == res_a.model_count()
 
     @settings(max_examples=25, deadline=None)
@@ -78,57 +85,60 @@ class TestUnifiedInterface:
     def test_probability_matches_function(self):
         circuit = chain_and_or(6)
         prob = {str(v): 0.3 for v in circuit.variables}
-        res_c = compile_circuit(circuit)
-        res_a = compile_circuit_apply(circuit)
+        res_c = CANONICAL.compile(circuit)
+        res_a = APPLY.compile(circuit)
         assert res_a.probability(prob) == pytest.approx(res_c.probability(prob))
         exact = res_a.probability(prob, exact=True)
         assert float(exact) == pytest.approx(res_c.probability(prob))
 
     def test_evaluate_matches(self):
         circuit = parity(5)
-        res_c = compile_circuit(circuit)
-        res_a = compile_circuit_apply(circuit)
+        res_c = CANONICAL.compile(circuit)
+        res_a = APPLY.compile(circuit)
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = {str(v): int(rng.integers(0, 2)) for v in circuit.variables}
             assert res_a.evaluate(a) == res_c.evaluate(a)
 
     def test_lazy_function_on_apply_backend(self):
-        res = compile_circuit_apply(chain_and_or(5))
-        f = res.function  # materialized on demand
-        assert f.count_models() == res.model_count()
+        """The apply result carries no truth table; the circuit's own
+        function, built on demand, agrees with its count."""
+        res = APPLY.compile(chain_and_or(5))
+        assert not hasattr(res, "function")
+        assert res.circuit.function().count_models() == res.model_count()
 
     def test_explicit_vtree_override(self):
         circuit = chain_and_or(8)
         vs = sorted(map(str, circuit.variables))
-        res = compile_circuit_apply(circuit, vtree=Vtree.right_linear(vs))
+        res = APPLY.compile(circuit, vtree=Vtree.right_linear(vs))
         assert res.decomposition_width is None  # no decomposition involved
-        with pytest.raises(ValueError):
-            res.lemma1_bound()
         assert res.vtree.is_right_linear()
         assert res.model_count() == circuit.function().count_models()
 
     def test_vtree_must_cover_variables(self):
         with pytest.raises(ValueError):
-            compile_circuit_apply(chain_and_or(4), vtree=Vtree.leaf("x1"))
+            APPLY.compile(chain_and_or(4), vtree=Vtree.leaf("x1"))
 
     def test_manager_reuse_shares_nodes(self):
+        """One manager compiles several circuits into one node table; a
+        recompilation returns the very same canonical node."""
         c1, c2 = chain_and_or(6), parity(6)
         vs = sorted({str(v) for v in c1.variables} | {str(v) for v in c2.variables})
         mgr = SddManager(Vtree.balanced(vs))
-        r1 = compile_circuit_apply(c1, manager=mgr)
-        r2 = compile_circuit_apply(c2, manager=mgr)
-        assert r1.manager is mgr and r2.manager is mgr
-        assert r1.model_count() == c1.function().count_models()
+        r1 = mgr.compile_circuit(c1)
+        nodes = mgr.stats()["nodes"]
+        mgr.compile_circuit(c2)
+        assert mgr.stats()["nodes"] > nodes
+        assert mgr.compile_circuit(c1) == r1
+        assert mgr.count_models(r1, c1.variables) == c1.function().count_models()
 
     def test_counting_on_wider_vtree(self):
-        """A reused manager whose vtree covers extra variables must not
-        inflate model counts or break probabilities (the circuit does not
-        depend on the extras)."""
+        """A vtree covering extra variables must not inflate model counts
+        or break probabilities (the circuit does not depend on the
+        extras)."""
         circuit = chain_and_or(4)  # x1..x4
         vs = sorted(map(str, circuit.variables)) + ["z1", "z2", "z3"]
-        mgr = SddManager(Vtree.balanced(vs))
-        res = compile_circuit_apply(circuit, manager=mgr)
+        res = APPLY.compile(circuit, vtree=Vtree.balanced(vs))
         assert res.model_count() == circuit.function().count_models()
         prob = {str(v): 0.3 for v in circuit.variables}  # no entry for z*
         expected = circuit.function().probability(prob)
@@ -140,7 +150,8 @@ class TestUnifiedInterface:
         """prune_dummies=False leaves Lemma-1 dummy leaves in the vtree;
         counting must still be over the circuit's variables."""
         circuit = chain_and_or(4)
-        res = compile_circuit_apply(circuit, exact=False, prune_dummies=False)
+        compiler = Compiler("apply", Lemma1Strategy(exact=False, prune_dummies=False))
+        res = compiler.compile(circuit)
         assert res.vtree.variables > set(map(str, circuit.variables))
         assert res.model_count() == circuit.function().count_models()
         prob = {str(v): 0.5 for v in circuit.variables}
@@ -148,24 +159,13 @@ class TestUnifiedInterface:
             circuit.function().probability(prob)
         )
 
-    def test_manager_vtree_mismatch_raises(self):
-        mgr = SddManager(Vtree.balanced(["a", "b"]))
-        with pytest.raises(ValueError):
-            compile_circuit_apply(chain_and_or(4), manager=mgr)
-
-    def test_unknown_backend_rejected(self):
-        from repro.core.pipeline import PipelineResult
-
-        with pytest.raises(ValueError):
-            PipelineResult(chain_and_or(3), 1, Vtree.leaf("x1"), backend="magic")
-
 
 class TestBeyondTruthTable:
     """The acceptance criterion: a >= 50-variable bounded-treewidth circuit
     compiles and exactly counts end-to-end."""
 
     def test_chain_50_vars_lemma1(self):
-        res = compile_circuit_apply(chain_and_or(50), exact=False)
+        res = APPLY_HEURISTIC.compile(chain_and_or(50))
         n = len(res.circuit.variables)
         assert n >= 50
         mc = res.model_count()
@@ -179,6 +179,6 @@ class TestBeyondTruthTable:
         assert p == Fraction(mc, 1 << n)
 
     def test_ladder_60_vars(self):
-        res = compile_circuit_apply(ladder(30), exact=False)
+        res = APPLY_HEURISTIC.compile(ladder(30))
         assert len(res.circuit.variables) == 60
-        assert res.sdd_size < 3000  # linear regime
+        assert res.size < 3000  # linear regime

@@ -12,7 +12,8 @@ from repro.circuits.build import (
     parity,
 )
 from repro.circuits.circuit import Circuit
-from repro.core.pipeline import compile_circuit, vtree_from_circuit
+from repro.compiler import Compiler, Lemma1Strategy
+from repro.core.pipeline import vtree_from_circuit
 from repro.core.widths import factor_width, lemma1_bound
 
 
@@ -50,16 +51,16 @@ class TestLemma1Bound:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_chain_factor_width_within_bound(self, n):
         """Lemma 1: fw(F, T) <= 2^{(w+2)·2^{w+1}} for the extracted vtree."""
-        res = compile_circuit(chain_and_or(n))
-        assert res.factor_width <= res.lemma1_bound()
+        res = Compiler("canonical", "lemma1").compile(chain_and_or(n))
+        assert factor_width(res.function, res.vtree) <= lemma1_bound(res.decomposition_width)
 
     def test_disjointness_within_bound(self):
-        res = compile_circuit(disjointness(3))
-        assert res.factor_width <= res.lemma1_bound()
+        res = Compiler("canonical", "lemma1").compile(disjointness(3))
+        assert factor_width(res.function, res.vtree) <= lemma1_bound(res.decomposition_width)
 
     def test_parity_within_bound(self):
-        res = compile_circuit(parity(4))
-        assert res.factor_width <= res.lemma1_bound()
+        res = Compiler("canonical", "lemma1").compile(parity(4))
+        assert factor_width(res.function, res.vtree) <= lemma1_bound(res.decomposition_width)
 
 
 class TestEndToEnd:
@@ -69,7 +70,7 @@ class TestEndToEnd:
     )
     def test_compiled_forms_correct(self, builder, arg):
         c = builder(arg)
-        res = compile_circuit(c)
+        res = Compiler("canonical", "lemma1").compile(c)
         vs = sorted(res.function.variables)
         assert res.sdd.root.function(vs) == res.function
         assert res.nnf.root.function(vs) == res.function
@@ -84,7 +85,7 @@ class TestEndToEnd:
         sizes = {}
         widths = set()
         for n in (4, 6, 8, 10):
-            res = compile_circuit(chain_and_or(n), exact=False)
+            res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(chain_and_or(n))
             sizes[n] = res.sdd.size
             widths.add(res.sdd.sdw)
         assert max(widths) <= 16  # bounded width across the family
@@ -92,6 +93,6 @@ class TestEndToEnd:
         assert sizes[10] <= sizes[4] * (10 / 4) ** 2
 
     def test_decomposition_width_reported(self):
-        res = compile_circuit(chain_and_or(4))
+        res = Compiler("canonical", "lemma1").compile(chain_and_or(4))
         assert res.decomposition_width >= 1
-        assert res.lemma1_bound() == lemma1_bound(res.decomposition_width)
+        assert res.decomposition_width == vtree_from_circuit(chain_and_or(4))[1]

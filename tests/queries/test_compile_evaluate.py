@@ -16,11 +16,11 @@ from repro.queries.compile import (
     lineage_sdd_size,
 )
 from repro.queries.database import ProbabilisticDatabase, complete_database
+from repro.queries.engine import QueryEngine
 from repro.queries.evaluate import (
     probability_brute_force,
     probability_exact_fraction,
     probability_via_obdd,
-    probability_via_sdd,
 )
 from repro.queries.families import (
     hierarchical_query,
@@ -111,7 +111,7 @@ class TestEvaluation:
         db = ProbabilisticDatabase.random(schema, 3, rng, tuple_density=0.9)
         p0 = probability_brute_force(q, db)
         assert probability_via_obdd(q, db) == pytest.approx(p0)
-        assert probability_via_sdd(q, db) == pytest.approx(p0)
+        assert QueryEngine(db).probability(q) == pytest.approx(p0)
 
     def test_exact_fraction(self):
         db = ProbabilisticDatabase()
@@ -142,4 +142,4 @@ class TestEvaluation:
         db = chain_database(1, 2, p=0.5)
         p0 = probability_brute_force(q, db)
         assert probability_via_obdd(q, db) == pytest.approx(p0)
-        assert probability_via_sdd(q, db) == pytest.approx(p0)
+        assert QueryEngine(db).probability(q) == pytest.approx(p0)

@@ -85,7 +85,3 @@ class TestEvaluateTimeout:
         qs = [_q(), _q("S(x,x)")] * 10
         result = QueryEngine(db).evaluate(qs, exact=True, timeout=30.0)
         assert len(result.probabilities) == len(qs)
-
-    def test_parallel_path_rejects_timeout(self):
-        with pytest.raises(ValueError):
-            QueryEngine(_db(domain=2)).evaluate([_q()], workers=2, timeout=1.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.queries.database import ProbabilisticDatabase, complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.evaluate import evaluate_many, probability_brute_force
+from repro.queries.evaluate import probability_brute_force
 from repro.queries.syntax import parse_ucq
 
 QUERIES = [
@@ -88,12 +88,16 @@ class TestSessionSharing:
         assert float(p_exact) == pytest.approx(p_float)
 
     def test_evaluate_matches_evaluate_many(self):
+        """A batch equals the same queries asked one by one of a fresh
+        engine."""
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         queries = [parse_ucq(s) for s in QUERIES]
         batch_engine = QueryEngine(db).evaluate(queries, exact=True)
-        batch_legacy = evaluate_many(queries, db, exact=True)
-        assert batch_engine.probabilities == batch_legacy.probabilities
-        assert batch_engine.sizes == batch_legacy.sizes
+        single = QueryEngine(db)
+        assert batch_engine.probabilities == [
+            single.probability(q, exact=True) for q in queries
+        ]
+        assert batch_engine.sizes == [single.lineage_size(q) for q in queries]
         assert batch_engine.stats["manager_nodes"] > 0
 
     def test_empty_workload_rejected(self):
@@ -289,9 +293,9 @@ class TestCacheCounters:
 
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         qs = [parse_ucq(t) for t in QUERIES]
-        par = ParallelQueryEngine(db, workers=2, mode="threads")
-        par.evaluate(qs)
-        batch = par.evaluate(qs)  # repeats hit the per-worker caches
+        with ParallelQueryEngine(db, workers=2, mode="threads") as par:
+            par.evaluate(qs)
+            batch = par.evaluate(qs)  # repeats hit the per-worker caches
         merged = batch.stats
         # Ints summed across workers, never dropped or stringified.
         assert merged["cache_misses"] == len(qs)

@@ -1,5 +1,6 @@
-"""Batched query evaluation: the shared-manager workload API, cross-checked
-against brute force at small instances and self-consistent at scale."""
+"""Batched query evaluation through one :class:`QueryEngine` (one vtree,
+one shared manager), cross-checked against brute force at small instances
+and self-consistent at scale."""
 
 from __future__ import annotations
 
@@ -13,12 +14,8 @@ from hypothesis import strategies as st
 from repro.core.vtree import Vtree
 from repro.queries.compile import compile_lineage_sdd, lineage_vtree
 from repro.queries.database import ProbabilisticDatabase, complete_database
-from repro.queries.evaluate import (
-    evaluate_many,
-    probability_brute_force,
-    probability_exact_fraction,
-    probability_via_sdd,
-)
+from repro.queries.engine import QueryEngine
+from repro.queries.evaluate import probability_brute_force, probability_exact_fraction
 from repro.queries.syntax import parse_ucq
 
 QUERIES = [
@@ -45,8 +42,8 @@ class TestAgainstBruteForce:
             return
         q = parse_ucq(qs)
         expected = probability_brute_force(q, db)
-        assert probability_via_sdd(q, db) == pytest.approx(expected)
-        exact = probability_via_sdd(q, db, exact=True)
+        assert QueryEngine(db).probability(q) == pytest.approx(expected)
+        exact = QueryEngine(db).probability(q, exact=True)
         assert float(exact) == pytest.approx(expected)
 
     @settings(max_examples=15, deadline=None)
@@ -56,7 +53,7 @@ class TestAgainstBruteForce:
         if db.size == 0:
             return
         queries = [parse_ucq(s) for s in QUERIES]
-        batch = evaluate_many(queries, db, exact=True)
+        batch = QueryEngine(db).evaluate(queries, exact=True)
         for q, p in zip(queries, batch.probabilities):
             assert isinstance(p, Fraction)
             assert float(p) == pytest.approx(probability_brute_force(q, db))
@@ -66,35 +63,34 @@ class TestBatchSemantics:
     def test_batch_equals_individual(self):
         db = complete_database({"R": 1, "S": 2}, 3, p=0.35)
         queries = [parse_ucq(s) for s in QUERIES]
-        batch = evaluate_many(queries, db, exact=True)
+        batch = QueryEngine(db).evaluate(queries, exact=True)
         for q, p in zip(queries, batch.probabilities):
-            assert probability_via_sdd(q, db, exact=True) == p
+            assert QueryEngine(db).probability(q, exact=True) == p
 
     def test_vtree_independence(self):
         db = complete_database({"R": 1, "S": 2}, 3, p=0.2)
         queries = [parse_ucq(s) for s in QUERIES]
-        right = evaluate_many(queries, db, exact=True)
-        balanced = evaluate_many(
-            queries, db, vtree=lineage_vtree(queries[0], db, shape="balanced"),
-            exact=True,
-        )
+        right = QueryEngine(db).evaluate(queries, exact=True)
+        balanced = QueryEngine(
+            db, vtree=lineage_vtree(queries[0], db, shape="balanced")
+        ).evaluate(queries, exact=True)
         assert right.probabilities == balanced.probabilities
 
     def test_obdd_sdd_agreement(self):
         db = complete_database({"R": 1, "S": 2}, 3, p=0.45)
         q = parse_ucq("R(x),S(x,y)")
-        batch = evaluate_many([q], db, exact=True)
+        batch = QueryEngine(db).evaluate([q], exact=True)
         assert batch.probabilities[0] == probability_exact_fraction(q, db)
 
     def test_float_mode_returns_floats(self):
         db = complete_database({"R": 1, "S": 2}, 2, p=0.5)
-        batch = evaluate_many([parse_ucq("S(x,y)")], db)
+        batch = QueryEngine(db).evaluate([parse_ucq("S(x,y)")])
         assert isinstance(batch.probabilities[0], float)
 
     def test_batch_result_container(self):
         db = complete_database({"R": 1}, 2, p=0.5)
         queries = [parse_ucq("R(x)"), parse_ucq("R(x),R(y)")]
-        batch = evaluate_many(queries, db)
+        batch = QueryEngine(db).evaluate(queries)
         assert len(batch) == 2
         assert batch[0] == batch.probabilities[0]
         assert len(batch.sizes) == 2 and len(batch.roots) == 2
@@ -103,7 +99,7 @@ class TestBatchSemantics:
     def test_empty_workload_rejected(self):
         db = complete_database({"R": 1}, 2)
         with pytest.raises(ValueError):
-            evaluate_many([], db)
+            QueryEngine(db).evaluate([])
 
     def test_manager_reuse_rejects_uncovering_vtree(self):
         db = complete_database({"R": 1, "S": 2}, 2)
@@ -120,11 +116,10 @@ class TestAtScale:
         db = complete_database({"R": 1, "S": 2}, 7, p=0.3)
         assert db.size >= 50
         queries = [parse_ucq(s) for s in QUERIES]
-        batch = evaluate_many(queries, db, exact=True)
-        balanced = evaluate_many(
-            queries, db, vtree=lineage_vtree(queries[0], db, shape="balanced"),
-            exact=True,
-        )
+        batch = QueryEngine(db).evaluate(queries, exact=True)
+        balanced = QueryEngine(
+            db, vtree=lineage_vtree(queries[0], db, shape="balanced")
+        ).evaluate(queries, exact=True)
         assert batch.probabilities == balanced.probabilities
         for p in batch.probabilities:
             assert isinstance(p, Fraction) and 0 <= p <= 1

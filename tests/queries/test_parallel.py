@@ -6,7 +6,8 @@ the serial engine's output *exactly* — same ``Fraction`` numerators, same
 float bit patterns, same sizes, and the same ``None``-marker discipline
 for budget-evicted queries.  Everything here runs in ``threads`` mode
 (identical code path to ``spawn`` minus the pickling boundary, which
-``TestSpawnMode`` covers once).
+``TestSpawnMode`` covers).  Engines are closed on the way out so their
+worker pools stop.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.queries.database import ProbabilisticDatabase, complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.evaluate import BatchEvaluation, evaluate_many
+from repro.queries.evaluate import BatchEvaluation
 from repro.queries.parallel import (
     ParallelBatchEvaluation,
     ParallelQueryEngine,
@@ -78,12 +79,6 @@ class TestShardAssignment:
         db = complete_database({"R": 1}, 2, p=0.5)
         with pytest.raises(ValueError, match="workers"):
             ParallelQueryEngine(db, workers=0)
-        # The rewired serial entry points reject the same inputs instead
-        # of silently falling through to the serial path.
-        with pytest.raises(ValueError, match="workers"):
-            QueryEngine(db).evaluate([q], workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            evaluate_many([q], db, workers=-2)
         with pytest.raises(ValueError, match="mode"):
             ParallelQueryEngine(db, workers=2, mode="forkbomb")
         with pytest.raises(ValueError, match="max_nodes"):
@@ -105,12 +100,11 @@ class TestParitySerialVsParallel:
         if db.size == 0:
             return
         queries = [parse_ucq(s) for s in batch]
-        serial = evaluate_many(queries, db, exact=True)
-        parallel = evaluate_many(
-            queries, db, exact=True, workers=workers,
-            parallel_mode="threads" if workers > 1 else "auto",
-            shard_seed=shard_seed,
-        )
+        serial = QueryEngine(db).evaluate(queries, exact=True)
+        with ParallelQueryEngine(
+            db, workers=workers, mode="threads", shard_seed=shard_seed
+        ) as engine:
+            parallel = engine.evaluate(queries, exact=True)
         assert parallel.probabilities == serial.probabilities
         assert all(isinstance(p, Fraction) for p in parallel.probabilities)
         assert parallel.sizes == serial.sizes
@@ -130,11 +124,11 @@ class TestParitySerialVsParallel:
         if db.size == 0:
             return
         queries = [parse_ucq(s) for s in QUERIES]
-        serial = evaluate_many(queries, db)
-        parallel = evaluate_many(
-            queries, db, workers=workers, parallel_mode="threads",
-            shard_seed=shard_seed,
-        )
+        serial = QueryEngine(db).evaluate(queries)
+        with ParallelQueryEngine(
+            db, workers=workers, mode="threads", shard_seed=shard_seed
+        ) as engine:
+            parallel = engine.evaluate(queries)
         assert parallel.probabilities == serial.probabilities  # == on floats: bitwise
 
     @settings(max_examples=10, deadline=None)
@@ -150,14 +144,14 @@ class TestParitySerialVsParallel:
         if db.size == 0:
             return
         queries = [parse_ucq(s) for s in QUERIES] * 2
-        serial = evaluate_many(queries, db, exact=True)
-        engine = ParallelQueryEngine(
+        serial = QueryEngine(db).evaluate(queries, exact=True)
+        with ParallelQueryEngine(
             db, workers=workers, max_nodes=max_nodes, mode="threads"
-        )
-        batch = engine.evaluate(queries, exact=True)
+        ) as engine:
+            batch = engine.evaluate(queries, exact=True)
+            engines = engine.engines()
         assert batch.probabilities == serial.probabilities
         assert batch.sizes == serial.sizes
-        engines = engine.engines()
         for i, q in enumerate(queries):
             live = engines[batch.shards[i]].cached_root(q)
             assert batch.roots[i] == live  # None marker iff evicted
@@ -168,7 +162,8 @@ class TestBatchShape:
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         queries = [parse_ucq(s) for s in QUERIES]
         direct = QueryEngine(db).evaluate(queries, exact=True)
-        via_parallel = ParallelQueryEngine(db, workers=1).evaluate(queries, exact=True)
+        with ParallelQueryEngine(db, workers=1) as engine:
+            via_parallel = engine.evaluate(queries, exact=True)
         assert isinstance(via_parallel, BatchEvaluation)  # not a parallel result
         assert via_parallel.probabilities == direct.probabilities
         assert via_parallel.sizes == direct.sizes
@@ -177,7 +172,8 @@ class TestBatchShape:
     def test_parallel_result_container(self):
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         queries = [parse_ucq(s) for s in QUERIES]
-        batch = ParallelQueryEngine(db, workers=3, mode="threads").evaluate(queries)
+        with ParallelQueryEngine(db, workers=3, mode="threads") as engine:
+            batch = engine.evaluate(queries)
         assert isinstance(batch, ParallelBatchEvaluation)
         assert len(batch) == len(queries)
         assert batch[0] == batch.probabilities[0]
@@ -193,18 +189,35 @@ class TestBatchShape:
         """Session reuse per shard: a repeated batch is all cache hits."""
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         queries = [parse_ucq(s) for s in QUERIES]
-        engine = ParallelQueryEngine(db, workers=2, mode="threads")
-        first = engine.evaluate(queries, exact=True)
-        nodes_before = engine.stats()["manager_nodes"]
-        second = engine.evaluate(queries, exact=True)
-        assert second.probabilities == first.probabilities
-        assert engine.stats()["manager_nodes"] == nodes_before  # no recompilation
-        assert engine.stats()["queries_compiled"] == len(set(queries))
+        with ParallelQueryEngine(db, workers=2, mode="threads") as engine:
+            first = engine.evaluate(queries, exact=True)
+            nodes_before = engine.stats()["manager_nodes"]
+            second = engine.evaluate(queries, exact=True)
+            assert second.probabilities == first.probabilities
+            assert engine.stats()["manager_nodes"] == nodes_before  # no recompilation
+            assert engine.stats()["queries_compiled"] == len(set(queries))
+
+    @pytest.mark.parametrize("mode", ["threads", "spawn"])
+    def test_stats_sum_worker_counters(self, mode):
+        """``stats()`` after a batch is the per-worker engine counters
+        summed, plus the pool's own."""
+        db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
+        queries = [parse_ucq(s) for s in QUERIES]
+        with ParallelQueryEngine(db, workers=2, mode=mode) as engine:
+            batch = engine.evaluate(queries, exact=True)
+            stats = engine.stats()
+        for key in ("queries_compiled", "manager_nodes", "cache_misses"):
+            assert stats[key] == sum(s[key] for s in batch.worker_stats.values())
+        assert stats["queries_compiled"] == len(set(queries))
+        assert stats["cache_misses"] == len(queries)
+        assert stats["pool_batches_served"] == 1
+        assert stats["workers"] == 2 and stats["tuples"] == db.size
 
     def test_more_workers_than_queries(self):
         db = complete_database({"R": 1}, 2, p=0.5)
         q = parse_ucq("R(x)")
-        batch = ParallelQueryEngine(db, workers=8, mode="threads").evaluate([q], exact=True)
+        with ParallelQueryEngine(db, workers=8, mode="threads") as engine:
+            batch = engine.evaluate([q], exact=True)
         assert batch.probabilities == [QueryEngine(db).probability(q, exact=True)]
         assert len(batch.worker_stats) == 1  # empty shards never spin up
 
@@ -219,44 +232,67 @@ class TestBatchShape:
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         q = parse_ucq("R(x),S(x,y)")
         balanced = lineage_vtree(q, db, shape="balanced")
-        engine = ParallelQueryEngine(db, workers=2, vtree=balanced, mode="threads")
-        batch = engine.evaluate([q, parse_ucq("S(x,y)")], exact=True)
+        with ParallelQueryEngine(db, workers=2, vtree=balanced, mode="threads") as engine:
+            batch = engine.evaluate([q, parse_ucq("S(x,y)")], exact=True)
+            workers = engine.engines()
         assert engine.vtree is balanced
         assert batch.vtree is balanced
-        for worker in engine.engines().values():
+        for worker in workers.values():
             assert worker.vtree is balanced
 
     def test_auto_mode_picks_threads_for_small_batches(self):
         db = complete_database({"R": 1, "S": 2}, 2, p=0.5)
-        batch = ParallelQueryEngine(db, workers=2, mode="auto").evaluate(
-            [parse_ucq("R(x)")]
-        )
+        with ParallelQueryEngine(db, workers=2, mode="auto") as engine:
+            batch = engine.evaluate([parse_ucq("R(x)")])
         assert batch.mode == "threads"
 
 
 class TestSpawnMode:
-    """One end-to-end crossing of the pickling boundary (queries, database
+    """End-to-end crossings of the pickling boundary (queries, database
     and postfix-encoded vtree out; Fractions, sizes, roots, stats back)."""
 
     def test_spawn_parity_with_serial(self):
         db = complete_database({"R": 1, "S": 2}, 3, p=0.35)
         queries = [parse_ucq(s) for s in QUERIES] * 2
-        serial = evaluate_many(queries, db, exact=True)
-        batch = ParallelQueryEngine(db, workers=2, mode="spawn").evaluate(
-            queries, exact=True
-        )
+        serial = QueryEngine(db).evaluate(queries, exact=True)
+        with ParallelQueryEngine(db, workers=2, mode="spawn") as engine:
+            batch = engine.evaluate(queries, exact=True)
         assert batch.mode == "spawn"
         assert batch.probabilities == serial.probabilities
         assert batch.sizes == serial.sizes
         assert all(r is not None for r in batch.roots)
         assert batch.stats["queries_compiled"] == len(set(queries))
 
-    def test_spawn_single_occupied_shard_runs_inline(self):
-        """One occupied shard = zero parallelism: spawn mode must not pay
-        for a process pool (the shard evaluates in-process instead)."""
+    def test_spawn_budgeted_none_markers(self):
+        """Under a tight per-worker budget, ``roots[i]`` is ``None``
+        exactly where a serial engine running shard ``shards[i]`` alone
+        (same vtree, same budget, batch order) has evicted query ``i`` by
+        the end of the batch — read then, not as each query finishes."""
+        db = complete_database({"R": 1, "S": 2}, 3, p=0.35)
+        queries = [parse_ucq(s) for s in QUERIES] * 2
+        serial = QueryEngine(db).evaluate(queries, exact=True)
+        with ParallelQueryEngine(db, workers=2, max_nodes=30, mode="spawn") as engine:
+            batch = engine.evaluate(queries, exact=True)
+        assert batch.mode == "spawn"
+        assert batch.probabilities == serial.probabilities
+        assert batch.sizes == serial.sizes
+        expected = [None] * len(queries)
+        for w in set(batch.shards):
+            shard = QueryEngine(db, vtree=batch.vtree, max_nodes=30)
+            mine = [i for i in range(len(queries)) if batch.shards[i] == w]
+            for i in mine:
+                shard.probability(queries[i], exact=True)
+            for i in mine:
+                expected[i] = shard.cached_root(queries[i])
+        assert batch.roots == expected
+        assert None in batch.roots  # the budget really evicted something
+
+    def test_spawn_single_occupied_shard(self):
+        """One occupied shard: only its worker reports stats."""
         db = complete_database({"R": 1}, 2, p=0.5)
         q = parse_ucq("R(x)")
-        batch = ParallelQueryEngine(db, workers=4, mode="spawn").evaluate([q], exact=True)
+        with ParallelQueryEngine(db, workers=4, mode="spawn") as engine:
+            batch = engine.evaluate([q], exact=True)
         assert batch.mode == "spawn"
         assert batch.probabilities == [QueryEngine(db).probability(q, exact=True)]
         assert len(batch.worker_stats) == 1

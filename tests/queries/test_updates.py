@@ -227,19 +227,19 @@ class TestParallelEquivalence:
     def test_threads_parallel_matches_serial(self, ops, workers):
         db, sdb = _db(), _db()
         qs = _queries()
-        par = ParallelQueryEngine(db, workers=workers, mode="threads")
-        par.evaluate(qs)
-        serial = QueryEngine(sdb, vtree=par.vtree)
-        for q in qs:
-            serial.probability(q)
+        with ParallelQueryEngine(db, workers=workers, mode="threads") as par:
+            par.evaluate(qs)
+            serial = QueryEngine(sdb, vtree=par.vtree)
+            for q in qs:
+                serial.probability(q)
 
-        def broadcast(delta):
-            par.apply_update(delta)
-            serial.apply_update(delta)  # replays onto sdb (own copy)
+            def broadcast(delta):
+                par.apply_update(delta)
+                serial.apply_update(delta)  # replays onto sdb (own copy)
 
-        apply_ops(db, ops, broadcast)
-        batch = par.evaluate(qs)
-        exact = par.evaluate(qs, exact=True)
+            apply_ops(db, ops, broadcast)
+            batch = par.evaluate(qs)
+            exact = par.evaluate(qs, exact=True)
         for i, q in enumerate(qs):
             assert repr(batch.probabilities[i]) == repr(serial.probability(q))
             assert exact.probabilities[i] == serial.probability(q, exact=True)
@@ -248,9 +248,7 @@ class TestParallelEquivalence:
     def test_persistent_pool_update_broadcast(self, backend):
         db, sdb = _db(), _db()
         qs = _queries()
-        par = ParallelQueryEngine(
-            db, workers=2, mode="threads", persistent=True, backend=backend
-        )
+        par = ParallelQueryEngine(db, workers=2, mode="threads", backend=backend)
         try:
             par.evaluate(qs)
             serial = QueryEngine(

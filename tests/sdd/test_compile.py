@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,7 @@ from repro.circuits.random_circuits import random_circuit
 from repro.circuits.serialize import (
     circuit_from_dict,
     circuit_to_dict,
-    nnf_dumps,
     nnf_from_dict,
-    nnf_loads,
     nnf_to_dict,
 )
 from repro.core.sdd_compile import compile_canonical_sdd
@@ -65,12 +65,13 @@ class TestNnfSerialization:
         c = random_circuit(rng, n_vars=4, n_gates=8)
         f = c.function()
         sdd = compile_canonical_sdd(f, Vtree.balanced(sorted(f.variables)))
-        with pytest.warns(DeprecationWarning):
-            restored = nnf_loads(nnf_dumps(sdd.root))
+        restored = nnf_from_dict(json.loads(json.dumps(nnf_to_dict(sdd.root))))
         assert restored.structural_key() == sdd.root.structural_key()
         assert restored.function(sorted(f.variables)) == f
 
     def test_container_codec_matches_legacy_strings(self):
+        """The artifact container and the bare dict codec restore the
+        same DAG."""
         from repro.artifact.format import nnf_from_bytes, nnf_to_bytes
 
         rng = np.random.default_rng(1)
@@ -79,6 +80,7 @@ class TestNnfSerialization:
         sdd = compile_canonical_sdd(f, Vtree.balanced(sorted(f.variables)))
         restored = nnf_from_bytes(nnf_to_bytes(sdd.root))
         assert restored.structural_key() == sdd.root.structural_key()
+        assert restored.structural_key() == nnf_from_dict(nnf_to_dict(sdd.root)).structural_key()
 
     def test_sharing_survives(self):
         rng = np.random.default_rng(2)
@@ -92,8 +94,7 @@ class TestNnfSerialization:
         from repro.circuits.nnf import false_node, lit, true_node
 
         for node in (true_node(), false_node(), lit("x", False)):
-            with pytest.warns(DeprecationWarning):
-                restored = nnf_loads(nnf_dumps(node))
+            restored = nnf_from_dict(json.loads(json.dumps(nnf_to_dict(node))))
             assert restored.structural_key() == node.structural_key()
 
     def test_bad_payload(self):

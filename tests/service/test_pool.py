@@ -255,31 +255,30 @@ class TestSpawnPool:
 
 
 class TestPersistentParallelEngine:
-    """ParallelQueryEngine(persistent=True) rides the pool and stays
-    bit-identical to both serial and its own classic batch path."""
+    """ParallelQueryEngine rides one pool for its lifetime and stays
+    bit-identical to serial and to a fresh engine (one pool per batch,
+    the classic cold use)."""
 
     @pytest.mark.parametrize("mode", ["threads", "spawn"])
     def test_matches_classic_and_serial(self, mode):
         db = _db()
         qs = _queries()
         expect, _ = _serial_expectations(db, qs)
-        classic = ParallelQueryEngine(db, workers=3, mode=mode).evaluate(
-            qs, exact=True
-        )
-        with ParallelQueryEngine(
-            db, workers=3, mode=mode, persistent=True
-        ) as persistent:
+        with ParallelQueryEngine(db, workers=3, mode=mode) as cold:
+            classic = cold.evaluate(qs, exact=True)
+        with ParallelQueryEngine(db, workers=3, mode=mode) as persistent:
             batches = [persistent.evaluate(qs, exact=True) for _ in range(3)]
         for batch in batches:
             assert batch.probabilities == classic.probabilities == expect
             assert batch.sizes == classic.sizes
             assert batch.shards == classic.shards
         assert persistent.pool.batches_served == 3
+        assert persistent.pool.stats()["pool_steals"] == 0  # shard-owned
 
     def test_close_is_idempotent_and_classic_noop(self):
         db = _db(domain=2)
         engine = ParallelQueryEngine(db, workers=2)
-        engine.close()  # no pool: no-op
-        with ParallelQueryEngine(db, workers=2, persistent=True) as engine:
+        engine.close()  # no batch yet, no pool: no-op
+        with ParallelQueryEngine(db, workers=2) as engine:
             engine.evaluate(_queries())
         engine.close()  # second close after __exit__

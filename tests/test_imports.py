@@ -96,3 +96,42 @@ def test_ddnnf_compile_loads_networkx_at_first_decomposition():
 def test_cli_help_lists_every_subcommand():
     out = run_python("-m", "repro.cli", "--help")
     assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+
+
+RETIRED = ("PipelineResult", "compile_circuit", "compile_circuit_apply", "probability_via_sdd",
+           "evaluate_many", "nnf_dumps", "nnf_loads")
+
+
+def test_retired_front_doors_are_gone():
+    """Circuits compile through ``Compiler``, lineages evaluate through
+    ``QueryEngine``, and parallel batches run on one pool: the old shims
+    and the per-batch executor options are gone, not carried."""
+    out = run_python("-c", textwrap.dedent(f"""
+        import importlib
+        for module in ("repro", "repro.core", "repro.core.pipeline", "repro.queries",
+                       "repro.queries.evaluate", "repro.circuits.serialize"):
+            mod = importlib.import_module(module)
+            for name in {RETIRED!r}:
+                assert not hasattr(mod, name), (module, name)
+                try:
+                    exec(f"from {{module}} import {{name}}", {{}})
+                except ImportError:
+                    pass
+                else:
+                    raise AssertionError((module, name))
+        from repro.queries import ParallelQueryEngine, QueryEngine, complete_database, parse_ucq
+        db = complete_database({{"R": 1}}, 2)
+        q = parse_ucq("R(x)")
+        rejected = 0
+        for call in (lambda: ParallelQueryEngine(db, persistent=True),
+                     lambda: ParallelQueryEngine(db, steal=False),
+                     lambda: QueryEngine(db).evaluate([q], workers=2),
+                     lambda: QueryEngine(db).evaluate([q], parallel_mode="threads"),
+                     lambda: QueryEngine(db).evaluate([q], shard_seed=1)):
+            try:
+                call()
+            except TypeError:
+                rejected += 1
+        print("gone", rejected)
+    """))
+    assert out.strip() == "gone 5"

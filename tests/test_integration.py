@@ -15,16 +15,14 @@ from repro.circuits.build import chain_and_or, disjointness, h_function, parity
 from repro.comm.lowerbounds import analyze_vtree_for_h
 from repro.comm.matrix import cm_rank
 from repro.core.boolfunc import BooleanFunction
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
+from repro.core.widths import factor_width, lemma1_bound
 from repro.core.sdd_compile import compile_canonical_sdd
 from repro.core.vtree import Vtree
 from repro.obdd.ordering import min_obdd_width
 from repro.queries.database import ProbabilisticDatabase, complete_database
-from repro.queries.evaluate import (
-    probability_brute_force,
-    probability_via_obdd,
-    probability_via_sdd,
-)
+from repro.queries.engine import QueryEngine
+from repro.queries.evaluate import probability_brute_force, probability_via_obdd
 from repro.queries.families import (
     chain_database,
     hierarchical_query,
@@ -38,9 +36,9 @@ class TestResult1Story:
 
     def test_full_pipeline_with_probability(self):
         c = chain_and_or(6)
-        res = compile_circuit(c)
+        res = Compiler("canonical", "lemma1").compile(c)
         # Lemma 1 bound respected
-        assert res.factor_width <= res.lemma1_bound()
+        assert factor_width(res.function, res.vtree) <= lemma1_bound(res.decomposition_width)
         # probability computed on the compiled deterministic structured NNF
         prob = {v: 0.5 for v in res.function.variables}
         p_compiled = res.nnf.root.probability(prob, res.function.variables)
@@ -53,7 +51,7 @@ class TestResult1Story:
     def test_sdd_width_bounded_along_family(self):
         widths = []
         for n in (4, 6, 8):
-            res = compile_circuit(chain_and_or(n), exact=False)
+            res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(chain_and_or(n))
             widths.append(res.sdd.sdw)
         assert max(widths) <= 16
 
@@ -113,7 +111,7 @@ class TestQueryJourney:
         q = hierarchical_query()
         truth = probability_brute_force(q, db)
         assert probability_via_obdd(q, db) == pytest.approx(truth)
-        assert probability_via_sdd(q, db) == pytest.approx(truth)
+        assert QueryEngine(db).probability(q) == pytest.approx(truth)
 
     def test_hard_query_still_correct_small(self):
         q = inversion_chain_query(2)

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from repro.circuits.cnf import tseitin
 from repro.circuits.implicants import ip_nnf
 from repro.circuits.random_circuits import random_circuit, random_monotone_circuit
-from repro.core.pipeline import compile_circuit
+from repro.compiler import Compiler, Lemma1Strategy
+from repro.core.widths import factor_width, lemma1_bound
 from repro.core.vtree import Vtree
 from repro.obdd.obdd import ObddManager
 from repro.sdd.manager import SddManager
@@ -38,10 +39,10 @@ def test_full_chain_agreement(seed, n_vars, n_gates):
     vs = sorted(f.variables)
 
     # Lemma-1 pipeline
-    res = compile_circuit(circuit, exact=False)
+    res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(circuit)
     assert res.sdd.root.function(vs) == f
     assert res.nnf.root.function(vs) == f
-    assert res.factor_width <= res.lemma1_bound()
+    assert factor_width(res.function, res.vtree) <= lemma1_bound(res.decomposition_width)
     assert res.nnf.root.is_deterministic()
     assert res.nnf.root.is_structured_by(res.vtree)
 
@@ -88,7 +89,7 @@ def test_counting_agreement_across_engines(seed):
     vs = sorted(f.variables)
     expected = f.count_models()
 
-    res = compile_circuit(circuit, exact=False)
+    res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(circuit)
     assert res.sdd.root.model_count(vs) == expected
     assert res.nnf.root.model_count(vs) == expected
 
@@ -109,7 +110,7 @@ def test_probability_agreement_across_engines(seed):
     prob = {v: float(p) for v, p in zip(vs, rng.uniform(0.1, 0.9, size=len(vs)))}
     expected = f.probability(prob)
 
-    res = compile_circuit(circuit, exact=False)
+    res = Compiler("canonical", Lemma1Strategy(exact=False)).compile(circuit)
     assert res.sdd.root.probability(prob, vs) == pytest.approx(expected)
 
     omgr = ObddManager(vs)
