@@ -28,8 +28,7 @@ import itertools
 
 from .vtree import Vtree
 from ..circuits.circuit import Circuit, VAR
-from ..graphs.elimination import heuristic_tree_decomposition
-from ..graphs.exact_tw import exact_tree_decomposition
+from ..graphs.exact_tw import tree_decomposition
 from ..graphs.treedecomp import TreeDecomposition
 
 __all__ = ["vtree_from_circuit"]
@@ -52,11 +51,7 @@ def vtree_from_circuit(
         raise ValueError("circuit has no variables; constants need no vtree")
     graph = circuit.graph()
     if decomposition is None:
-        if exact is None:
-            exact = graph.number_of_nodes() <= 12
-        decomposition = (
-            exact_tree_decomposition(graph) if exact else heuristic_tree_decomposition(graph)
-        )
+        decomposition = tree_decomposition(graph, exact)
     decomposition.validate(graph)
     nice = decomposition.make_nice()
     nice.validate(graph)

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
-from ..graphs.elimination import heuristic_tree_decomposition
-from ..graphs.exact_tw import exact_tree_decomposition
+from ..graphs.exact_tw import tree_decomposition
 from ..graphs.treedecomp import FriendlyTreeDecomposition, TreeDecomposition
 from .nodes import FALSE, TRUE, DnnfDag
 
@@ -92,20 +91,19 @@ def friendly_from_circuit(
     decomposition: TreeDecomposition | None = None,
     *,
     exact: bool | None = None,
+    deadline=None,
 ) -> FriendlyTreeDecomposition:
     """The friendly decomposition of the circuit's gate graph.
 
-    Mirrors :func:`repro.core.pipeline.vtree_from_circuit`'s selection rule:
-    ``exact=None`` picks the exact treewidth DP when the graph has at most
-    12 nodes and the heuristics otherwise.
+    Shares :func:`repro.core.pipeline.vtree_from_circuit`'s selection rule,
+    :func:`repro.graphs.exact_tw.tree_decomposition`: ``exact=None`` picks
+    the exact treewidth DP when the graph has at most 12 nodes and the
+    heuristics otherwise.  ``deadline`` is checked between the heuristics'
+    eliminations.
     """
     graph = circuit.graph()
     if decomposition is None:
-        if exact is None:
-            exact = graph.number_of_nodes() <= 12
-        decomposition = (
-            exact_tree_decomposition(graph) if exact else heuristic_tree_decomposition(graph)
-        )
+        decomposition = tree_decomposition(graph, exact, deadline)
     decomposition.validate(graph)
     friendly = decomposition.make_friendly()
     friendly.validate(graph)
@@ -158,12 +156,13 @@ def build_ddnnf(
     race backend's early abandon uses to cut off a candidate that can no
     longer win.  ``deadline`` is a
     :class:`~repro.service.errors.Deadline`-like token checked at the
-    same per-bag safepoints (its ``check()`` raises the typed
+    same per-bag safepoints and between the eliminations of the tree
+    decomposition (its ``check()`` raises the typed
     :class:`~repro.service.errors.DeadlineExceeded`), giving the service
     tier cooperative wall-clock cancellation."""
     if circuit.output is None:
         raise ValueError("circuit has no output gate")
-    friendly = friendly_from_circuit(circuit, decomposition, exact=exact)
+    friendly = friendly_from_circuit(circuit, decomposition, exact=exact, deadline=deadline)
     dag = DnnfDag()
     builder = _BagBuilder(circuit, dag, node_budget=node_budget, deadline=deadline)
     root = builder.run(friendly)

@@ -2,13 +2,41 @@
 
 A perfect elimination ordering of a triangulation gives a tree decomposition
 whose width is the max back-degree.  ``min_degree`` and ``min_fill`` are the
-standard greedy heuristics; both return valid tree decompositions (validated
-in tests against :meth:`TreeDecomposition.validate`).
+standard greedy heuristics; both return valid tree decomposition orders
+(validated in tests against :meth:`TreeDecomposition.validate`).
+
+Everything here runs on a plain ``dict[vertex, set]`` adjacency copied
+once from the input graph, self-loops dropped, keys in the graph's node
+order.  One greedy loop serves both heuristics:
+
+- **Tie-breaking.**  Each step eliminates the vertex with the smallest key,
+  ``(degree, repr)`` for min-degree and ``(fill, degree, repr)`` for
+  min-fill, where ``fill`` counts the missing edges among the vertex's
+  neighbours.  Equal keys go to the vertex that comes first in the graph's
+  node order, which is what ``min()`` over the graph's nodes picks.
+  ``repr`` is computed once per vertex.
+- **Refresh set.**  Keys live in a lazy heap.  After eliminating ``v``,
+  only vertices whose key can have changed get a new entry: ``N(v)`` for
+  min-degree, ``N(v) ∪ N(N(v))`` (taken after the fill edges are added)
+  for min-fill.  Removing ``v`` changes the neighbourhoods in ``N(v)``
+  only, and a fill edge ``ab`` changes the fill of ``u`` only when ``u``
+  sees both ``a`` and ``b``.
+- **Bags.**  The loop records each bag ``{v} ∪ N(v)`` as it eliminates;
+  :func:`heuristic_tree_decomposition` builds its tree from those bags
+  without eliminating again.
+- **Early abandon.**  :func:`heuristic_tree_decomposition` runs min-degree
+  first and stops min-fill as soon as its running width reaches
+  min-degree's.  Min-degree wins ties, so min-fill could only have been
+  chosen by being strictly narrower: the result is unchanged.
+- **Safepoint.**  A ``deadline`` token (anything with
+  ``check(where)``, such as :class:`repro.service.errors.Deadline`) is
+  checked between eliminations as ``deadline.check("tree decomposition")``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+import heapq
+from typing import Callable, Hashable, Sequence
 
 import networkx as nx
 
@@ -22,47 +50,114 @@ __all__ = [
     "treewidth_upper_bound",
 ]
 
+_Adjacency = dict[Hashable, set]
 
-def _eliminate(g: nx.Graph, v: Hashable) -> None:
-    neigh = list(g.neighbors(v))
-    for i in range(len(neigh)):
-        for j in range(i + 1, len(neigh)):
-            g.add_edge(neigh[i], neigh[j])
-    g.remove_node(v)
+
+def _adjacency(graph: nx.Graph) -> _Adjacency:
+    adj: _Adjacency = {v: set() for v in graph}
+    for u, v in graph.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def _eliminate(adj: _Adjacency, v: Hashable) -> set:
+    """Remove ``v``, turning its neighbourhood into a clique; returns it."""
+    neigh = adj.pop(v)
+    for u in neigh:
+        au = adj[u]
+        au.discard(v)
+        au |= neigh
+        au.discard(u)
+    return neigh
+
+
+def _degree_key(adj: _Adjacency, v: Hashable) -> tuple:
+    return (len(adj[v]),)
+
+
+def _fill_key(adj: _Adjacency, v: Hashable) -> tuple:
+    neigh = adj[v]
+    d = len(neigh)
+    linked = 0  # ordered pairs of adjacent neighbours
+    for u in neigh:
+        linked += len(neigh & adj[u])
+    return ((d * (d - 1) - linked) // 2, d)
+
+
+def _greedy(
+    adj: _Adjacency,
+    key: Callable[[_Adjacency, Hashable], tuple],
+    *,
+    two_hop: bool,
+    abandon_at: int | None = None,
+    deadline=None,
+) -> tuple[list, list[set]] | None:
+    """Eliminate all of ``adj`` (consumed) greedily by ``key``.
+
+    Returns the order and each vertex's neighbours at elimination time, or
+    ``None`` once the running width reaches ``abandon_at``.  ``two_hop``
+    refreshes ``N(v) ∪ N(N(v))`` after each step instead of ``N(v)``.
+    """
+    ties = {v: (repr(v), i) for i, v in enumerate(adj)}
+    current = {v: key(adj, v) for v in adj}
+    heap = [(k, ties[v], v) for v, k in current.items()]
+    heapq.heapify(heap)
+    order: list = []
+    neighbours: list[set] = []
+    width = -1
+    while adj:
+        k, _, v = heapq.heappop(heap)
+        if current.get(v) != k:
+            continue  # stale entry
+        if deadline is not None:
+            deadline.check("tree decomposition")
+        del current[v]
+        neigh = _eliminate(adj, v)
+        order.append(v)
+        neighbours.append(neigh)
+        if len(neigh) > width:
+            width = len(neigh)
+            if abandon_at is not None and width >= abandon_at:
+                return None
+        touched = neigh
+        if two_hop:
+            touched = set(neigh)
+            for u in neigh:
+                touched |= adj[u]
+        for u in touched:
+            k = key(adj, u)
+            if k != current[u]:
+                current[u] = k
+                heapq.heappush(heap, (k, ties[u], u))
+    return order, neighbours
+
+
+def _decomposition(order: Sequence, neighbours: Sequence[set]) -> TreeDecomposition:
+    """Bag of ``order[i]`` = itself plus its neighbours at elimination time;
+    each bag attaches to the bag of its earliest-eliminated neighbour."""
+    position = {v: i for i, v in enumerate(order)}
+    bags = {i: frozenset({v} | neigh) for i, (v, neigh) in enumerate(zip(order, neighbours))}
+    tree = nx.Graph()
+    tree.add_nodes_from(bags)
+    for i, neigh in enumerate(neighbours):
+        if neigh:
+            tree.add_edge(i, min(position[u] for u in neigh))
+        elif i + 1 < len(order):
+            # Disconnected remainder: attach anywhere to keep a tree.
+            tree.add_edge(i, i + 1)
+    return TreeDecomposition(tree, bags)
 
 
 def min_degree_order(graph: nx.Graph) -> list:
     """Greedy minimum-degree elimination order."""
-    g = nx.Graph(graph)
-    g.remove_edges_from(nx.selfloop_edges(g))
-    order = []
-    while g.number_of_nodes():
-        v = min(g.nodes, key=lambda u: (g.degree(u), repr(u)))
-        order.append(v)
-        _eliminate(g, v)
-    return order
-
-
-def _fill_in(g: nx.Graph, v: Hashable) -> int:
-    neigh = list(g.neighbors(v))
-    missing = 0
-    for i in range(len(neigh)):
-        for j in range(i + 1, len(neigh)):
-            if not g.has_edge(neigh[i], neigh[j]):
-                missing += 1
-    return missing
+    return _greedy(_adjacency(graph), _degree_key, two_hop=False)[0]
 
 
 def min_fill_order(graph: nx.Graph) -> list:
     """Greedy minimum-fill-in elimination order."""
-    g = nx.Graph(graph)
-    g.remove_edges_from(nx.selfloop_edges(g))
-    order = []
-    while g.number_of_nodes():
-        v = min(g.nodes, key=lambda u: (_fill_in(g, u), g.degree(u), repr(u)))
-        order.append(v)
-        _eliminate(g, v)
-    return order
+    return _greedy(_adjacency(graph), _fill_key, two_hop=True)[0]
 
 
 def order_to_tree_decomposition(graph: nx.Graph, order: Sequence) -> TreeDecomposition:
@@ -70,41 +165,28 @@ def order_to_tree_decomposition(graph: nx.Graph, order: Sequence) -> TreeDecompo
 
     Bag of ``v`` = ``{v} ∪ (neighbors of v at elimination time)``; each bag
     attaches to the bag of the earliest-eliminated vertex in it after ``v``.
+    Raises ``ValueError`` unless ``order`` lists every vertex exactly once.
     """
-    g = nx.Graph(graph)
-    g.remove_edges_from(nx.selfloop_edges(g))
-    if set(order) != set(g.nodes):
+    adj = _adjacency(graph)
+    if len(order) != len(adj) or set(order) != adj.keys():
         raise ValueError("order must enumerate exactly the graph vertices")
-    position = {v: i for i, v in enumerate(order)}
-    bags: dict[int, frozenset] = {}
-    bag_neighbors: dict[int, set] = {}
-    for i, v in enumerate(order):
-        neigh = set(g.neighbors(v))
-        bags[i] = frozenset({v} | neigh)
-        bag_neighbors[i] = neigh
-        _eliminate(g, v)
-    tree = nx.Graph()
-    tree.add_nodes_from(bags)
-    for i, v in enumerate(order):
-        later = [u for u in bag_neighbors[i] if position[u] > i]
-        if later:
-            parent = min(later, key=lambda u: position[u])
-            tree.add_edge(i, position[parent])
-        elif i + 1 < len(order):
-            # Disconnected remainder: attach anywhere to keep a tree.
-            tree.add_edge(i, i + 1)
-    return TreeDecomposition(tree, bags)
+    return _decomposition(order, [_eliminate(adj, v) for v in order])
 
 
-def heuristic_tree_decomposition(graph: nx.Graph) -> TreeDecomposition:
-    """Best of min-degree and min-fill."""
-    if graph.number_of_nodes() == 0:
+def heuristic_tree_decomposition(graph: nx.Graph, *, deadline=None) -> TreeDecomposition:
+    """Best of min-degree and min-fill; min-degree on equal widths."""
+    adj = _adjacency(graph)
+    if not adj:
         return TreeDecomposition(nx.Graph(), {})
-    candidates = [
-        order_to_tree_decomposition(graph, min_degree_order(graph)),
-        order_to_tree_decomposition(graph, min_fill_order(graph)),
-    ]
-    return min(candidates, key=lambda td: td.width)
+    best = _greedy(
+        {v: set(neigh) for v, neigh in adj.items()}, _degree_key,
+        two_hop=False, deadline=deadline,
+    )
+    narrower = _greedy(
+        adj, _fill_key, two_hop=True,
+        abandon_at=max(map(len, best[1])), deadline=deadline,
+    )
+    return _decomposition(*(narrower or best))
 
 
 def treewidth_upper_bound(graph: nx.Graph) -> int:

@@ -18,9 +18,11 @@ import networkx as nx
 from .elimination import heuristic_tree_decomposition, order_to_tree_decomposition
 from .treedecomp import TreeDecomposition
 
-__all__ = ["exact_treewidth", "treewidth", "exact_tree_decomposition"]
+__all__ = ["exact_treewidth", "treewidth", "exact_tree_decomposition", "tree_decomposition"]
 
 _DEFAULT_EXACT_LIMIT = 16
+# ``tree_decomposition(exact=None)`` runs the exact DP up to this many vertices.
+_AUTO_EXACT_LIMIT = 12
 
 
 def _bit_adjacency(graph: nx.Graph) -> tuple[list, list[int]]:
@@ -148,3 +150,18 @@ def treewidth(graph: nx.Graph, exact_limit: int = _DEFAULT_EXACT_LIMIT) -> int:
     if g.number_of_nodes() <= exact_limit:
         return exact_treewidth(g, exact_limit)
     return heuristic_tree_decomposition(g).width
+
+
+def tree_decomposition(graph: nx.Graph, exact: bool | None = None, deadline=None) -> TreeDecomposition:
+    """The decomposition Result 1's pipelines start from.
+
+    ``exact=None`` picks the exact treewidth DP when the graph has at most
+    12 vertices and the heuristics otherwise; ``True``/``False`` pin one.
+    ``deadline`` is checked between the heuristics' eliminations (see
+    :mod:`repro.graphs.elimination`).
+    """
+    if exact is None:
+        exact = graph.number_of_nodes() <= _AUTO_EXACT_LIMIT
+    if exact:
+        return exact_tree_decomposition(graph)
+    return heuristic_tree_decomposition(graph, deadline=deadline)

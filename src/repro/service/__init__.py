@@ -14,42 +14,29 @@ serial :class:`~repro.queries.engine.QueryEngine` for every worker
 count, execution mode, steal schedule, and crash/replay schedule — and
 no submitted future is ever stranded: each resolves with a value or a
 typed :class:`~repro.service.errors.ServiceError`.
+
+Public names resolve on first access (see :mod:`repro._lazy`), so the
+engines' deadline path imports :mod:`~repro.service.errors` without
+starting the pool, supervisor and service modules.
 """
 
-from .admission import AdmissionController, Session
-from .errors import (
-    AdmissionError,
-    Deadline,
-    DeadlineExceeded,
-    PoolClosed,
-    QuotaExceeded,
-    ServiceError,
-    ServiceSaturated,
-    TaskPoisoned,
-    WorkerRetired,
-)
-from .faults import FaultPlan
-from .pool import TaskResult, WorkerPool
-from .service import QueryService, ServiceAnswer
-from .supervisor import RestartPolicy, Supervisor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "Deadline",
-    "DeadlineExceeded",
-    "FaultPlan",
-    "PoolClosed",
-    "QuotaExceeded",
-    "QueryService",
-    "RestartPolicy",
-    "ServiceAnswer",
-    "ServiceError",
-    "ServiceSaturated",
-    "Session",
-    "Supervisor",
-    "TaskPoisoned",
-    "TaskResult",
-    "WorkerPool",
-    "WorkerRetired",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".admission": ("AdmissionController", "Session"),
+    ".errors": (
+        "AdmissionError",
+        "Deadline",
+        "DeadlineExceeded",
+        "PoolClosed",
+        "QuotaExceeded",
+        "ServiceError",
+        "ServiceSaturated",
+        "TaskPoisoned",
+        "WorkerRetired",
+    ),
+    ".faults": ("FaultPlan",),
+    ".pool": ("TaskResult", "WorkerPool"),
+    ".service": ("QueryService", "ServiceAnswer"),
+    ".supervisor": ("RestartPolicy", "Supervisor"),
+})

@@ -51,7 +51,9 @@ class Deadline:
     :meth:`check` at their existing ``node_budget`` safepoints (between
     gates in :meth:`~repro.sdd.manager.SddManager.compile_circuit` and
     its pairwise folds, between bags in
-    :func:`~repro.dnnf.builder.build_ddnnf`).  The compilers never import
+    :func:`~repro.dnnf.builder.build_ddnnf`) and between the eliminations
+    of the tree decomposition the d-DNNF builder starts from.  The
+    compilers never import
     this module — they only call ``deadline.check(where)`` on whatever
     object was passed down, and *it* raises the typed error.
 
@@ -125,8 +127,9 @@ class DeadlineExceeded(ServiceError):
     """A query's wall-clock deadline expired mid-work.
 
     Raised cooperatively at the compilation safepoints (between gates in
-    the apply pipeline, between bags in the d-DNNF builder) — the same
-    granularity as ``node_budget`` enforcement — and before dispatching
+    the apply pipeline, between bags in the d-DNNF builder, between
+    eliminations of its tree decomposition) — the same granularity as
+    ``node_budget`` enforcement — and before dispatching
     a task whose deadline already passed while it sat in a queue.
     ``timeout`` is the budget that was granted (seconds); ``where``
     names the stage that noticed."""

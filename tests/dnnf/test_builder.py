@@ -8,6 +8,8 @@ with **zero** ``SddManager.apply`` calls.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,11 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.random_circuits import random_circuit
 from repro.compiler import Compiler
 from repro.dnnf import FALSE, TRUE, build_ddnnf, check_ddnnf, model_count
+from repro.queries.database import complete_database
+from repro.queries.engine import QueryEngine
+from repro.queries.syntax import parse_ucq
 from repro.sdd.manager import SddManager
+from repro.service.errors import Deadline, DeadlineExceeded
 
 pytestmark = pytest.mark.ddnnf
 
@@ -154,3 +160,26 @@ class TestResultSurface:
         # prune; the counter proves the pruning path runs on real circuits.
         r = build_ddnnf(chain_and_or(8))
         assert r.counters["pruned_unjustified"] + r.counters["pruned_output"] > 0
+
+
+class TestDecompositionDeadline:
+    def test_deadline_reaches_the_elimination_loop(self):
+        now = [0.0]
+        expired = Deadline(1.0, clock=lambda: now[0])
+        now[0] = 2.0
+        with pytest.raises(DeadlineExceeded) as ei:
+            build_ddnnf(ladder(20), deadline=expired)
+        assert ei.value.where == "tree decomposition"
+
+    def test_high_width_lineage_times_out_promptly(self):
+        # The heuristic decomposition of this 686-gate lineage alone takes
+        # over a second; without safepoints between eliminations the call
+        # ran for 17 s before the first bag check noticed the deadline.
+        db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 5)
+        engine = QueryEngine(db, backend="ddnnf")
+        query = parse_ucq("S(x,y),U(y,z),S(z,w)")
+        start = time.perf_counter()
+        with pytest.raises(DeadlineExceeded):
+            engine.probability(query, timeout=0.5)
+        assert time.perf_counter() - start < 1.5
+        assert engine.stats()["deadline_exceeded"] == 1

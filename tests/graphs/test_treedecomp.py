@@ -82,6 +82,10 @@ class TestElimination:
         with pytest.raises(ValueError):
             order_to_tree_decomposition(g, [0, 1])  # missing vertex
 
+    def test_order_with_repeated_vertex(self):
+        with pytest.raises(ValueError, match="exactly the graph vertices"):
+            order_to_tree_decomposition(nx.path_graph(3), [0, 0, 1, 2])
+
     def test_disconnected_graph(self):
         g = nx.Graph()
         g.add_edge(0, 1)

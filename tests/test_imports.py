@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OFF_PATH = ("numpy", "networkx", "repro.core.boolfunc", "repro.graphs")
 LAZY_PACKAGES = ("repro", "repro.core", "repro.circuits", "repro.sdd", "repro.queries",
-                 "repro.obdd")
+                 "repro.obdd", "repro.service")
 SUBCOMMANDS = ("compile", "ctw", "query", "batch", "engine", "serve", "isa")
 
 
