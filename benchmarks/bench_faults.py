@@ -26,9 +26,12 @@ Criteria (all asserted, smoke included):
 
 Run stand-alone: ``python benchmarks/bench_faults.py [--smoke]``
 (``--smoke`` keeps every assertion; only the full run rewrites
-``BENCH_faults.json``).  The scenario is already the smallest honest
-one — the floors only mean something with compile-heavy survivor
-shards — so smoke runs the same sizes and just skips the JSON rewrite.
+``BENCH_faults.json``).  The floor only means something with
+compile-heavy survivor shards, so the instance is sized for them:
+since the lineage circuits are factorized, a domain-5 cold rebuild
+takes under a second and sits within 5x of one child restart, so the
+bench runs at domain 6.  Smoke runs the same sizes and just skips the
+JSON rewrite.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ except ImportError:  # stand-alone smoke run
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
-DOMAIN = 5
+DOMAIN = 6
 RELATIONS = {"R": 1, "S": 2, "T": 1, "U": 2}
 
 # Shard 0 (the worker that gets killed) is deliberately cheap: the
@@ -65,9 +68,10 @@ SHARDS = [
     ["S(x,y),U(y,z),S(z,w)", "S(x,y),S(y,z),S(z,w)", "S(x,y),U(y,z)"],
 ]
 
-# Acceptance floors (measured on a 1-core box: recovery ~0.4s vs cold
-# rebuild ~24s, i.e. ~50x; multicore shrinks the rebuild but recovery
-# stays well under any single survivor shard's compile time).
+# Acceptance floor.  Recovery is one child start plus one cheap replay
+# (0.1-0.3 s on a 2-CPU box); the rebuild recompiles every shard, about
+# 5-7 s at domain 6 there (under 1 s at domain 5, where the ratio drops
+# below 5x).
 MIN_SPEEDUP = 5.0
 RESULT_TIMEOUT = 600.0
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .database import Database, tuple_variable
-from .lineage import lineage_circuit
+from .lineage import lineage_circuit, lineage_terms, terms_circuit
 from .syntax import UCQ
-from ..circuits.circuit import Circuit
 from ..core.vtree import Vtree
 from ..obdd.obdd import ObddManager
 from ..sdd.manager import SddManager
@@ -86,8 +85,13 @@ def compile_lineage_obdd(
     query: UCQ, db: Database, order: Sequence[str] | None = None
 ) -> tuple[ObddManager, int]:
     """Compile the lineage into an OBDD (default order:
-    :func:`hierarchy_order`)."""
-    circuit = lineage_circuit(query, db)
+    :func:`hierarchy_order`).
+
+    The OBDD is the benchmarks' and evaluators' independent reference, so
+    it compiles the grounded DNF, not :func:`lineage_circuit` (the builder
+    the SDD and d-DNNF paths share).  An OBDD is canonical per order, so
+    the circuit shape does not change the result."""
+    circuit = terms_circuit(lineage_terms(query, db))
     o = list(order) if order is not None else hierarchy_order(query, db)
     missing = set(circuit.variables) - set(o)
     if missing:
@@ -121,7 +125,6 @@ def compile_lineage_sdd(
     vtree: Vtree | None = None,
     *,
     manager: SddManager | None = None,
-    circuit: Circuit | None = None,
     deadline=None,
 ) -> tuple[SddManager, int]:
     """Compile the lineage into an SDD via bottom-up ``apply`` — no truth
@@ -132,13 +135,10 @@ def compile_lineage_sdd(
     balanced or custom vtrees.  Passing ``manager`` compiles into an
     existing manager (its vtree must cover the lineage variables), sharing
     its hash-cons tables and apply cache with previous compilations.
-    ``circuit`` may pass a pre-built lineage circuit (callers that ground
-    the lineage anyway, e.g. the engine's update-diff bookkeeping).
     ``deadline`` (a :class:`~repro.service.errors.Deadline`) cancels the
     compilation cooperatively at the per-gate safepoints.
     """
-    if circuit is None:
-        circuit = lineage_circuit(query, db)
+    circuit = lineage_circuit(query, db)
     if manager is None:
         if vtree is None:
             vtree = lineage_vtree(query, db)
@@ -149,26 +149,19 @@ def compile_lineage_sdd(
     return manager, manager.compile_circuit(circuit, deadline=deadline)
 
 
-def compile_lineage_ddnnf(
-    query: UCQ, db: Database, *, circuit: Circuit | None = None, deadline=None
-):
+def compile_lineage_ddnnf(query: UCQ, db: Database, *, deadline=None):
     """Compile the lineage bag-by-bag into a d-DNNF — no variable order, no
     manager, no apply cascade: the decomposition of the lineage circuit's
     gate graph drives the build directly (:mod:`repro.dnnf`).
 
     Returns the :class:`~repro.dnnf.builder.DdnnfResult`; pair it with
     :func:`repro.dnnf.wmc.probability` or hand both to
-    :func:`repro.queries.evaluate.probability_via_ddnnf`.  ``circuit``
-    may pass a pre-built lineage circuit, as in
-    :func:`compile_lineage_sdd`; ``deadline`` cancels cooperatively at
-    the per-bag safepoints.
+    :func:`repro.queries.evaluate.probability_via_ddnnf`.  ``deadline``
+    cancels cooperatively at the per-bag safepoints.
     """
     from ..dnnf.builder import build_ddnnf
 
-    return build_ddnnf(
-        circuit if circuit is not None else lineage_circuit(query, db),
-        deadline=deadline,
-    )
+    return build_ddnnf(lineage_circuit(query, db), deadline=deadline)
 
 
 def lineage_obdd_width(query: UCQ, db: Database, order: Sequence[str] | None = None) -> int:

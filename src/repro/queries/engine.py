@@ -177,8 +177,8 @@ class QueryEngine:
         self._ddnnf: OrderedDict[UCQ, object] = OrderedDict()
         self._ddnnf_wmc: dict[tuple[UCQ, bool], object] = {}
         self._ddnnf_values: dict[tuple[UCQ, bool], float | Fraction] = {}
-        # Grounded DNF terms per cached query — what apply_update diffs to
-        # delta-patch roots instead of recompiling.
+        # Grounded DNF terms per cached SDD query — what apply_update diffs
+        # to delta-patch roots instead of recompiling.
         self._terms: dict[UCQ, frozenset[frozenset[str]]] = {}
         self._evicted = 0
         self._cache_hits = 0
@@ -348,11 +348,7 @@ class QueryEngine:
         from ..service.errors import DeadlineExceeded
 
         try:
-            _, root = compile_lineage_sdd(
-                query, self.db, manager=mgr,
-                circuit=lineage_circuit(query, self.db, terms=terms),
-                deadline=deadline,
-            )
+            _, root = compile_lineage_sdd(query, self.db, manager=mgr, deadline=deadline)
         except DeadlineExceeded:
             self._deadline_exceeded += 1
             raise
@@ -384,18 +380,12 @@ class QueryEngine:
         from .compile import compile_lineage_ddnnf
         from ..service.errors import DeadlineExceeded
 
-        terms = lineage_terms(query, self.db)
         try:
-            result = compile_lineage_ddnnf(
-                query, self.db,
-                circuit=lineage_circuit(query, self.db, terms=terms),
-                deadline=deadline,
-            )
+            result = compile_lineage_ddnnf(query, self.db, deadline=deadline)
         except DeadlineExceeded:
             self._deadline_exceeded += 1
             raise
         self._ddnnf[query] = result
-        self._terms[query] = frozenset(terms)
         self._collect_over_budget_ddnnf(keep=query)
         return result
 
@@ -557,7 +547,6 @@ class QueryEngine:
         if self.backend == "ddnnf":
             if self._ddnnf.pop(query, None) is None:
                 return False
-            self._terms.pop(query, None)
             for exact in (False, True):
                 self._ddnnf_values.pop((query, exact), None)
                 self._ddnnf_wmc.pop((query, exact), None)
@@ -748,11 +737,7 @@ class QueryEngine:
             else:
                 # Inequality-only variables + a changed active domain can
                 # alter terms that never mention the tuple; recompile.
-                new_root = mgr.compile_circuit(
-                    lineage_circuit(query, self.db, terms=sorted(
-                        new_terms, key=lambda t: sorted(t)
-                    ))
-                )
+                new_root = mgr.compile_circuit(lineage_circuit(query, self.db))
                 recompiles += 1
             mgr.pin(new_root)
             mgr.release(root)

@@ -1,13 +1,36 @@
 """Lineage of a Boolean UCQ over a database.
 
 ``L(Q, D)`` is the monotone Boolean function over the tuples of ``D`` that
-accepts ``D' ⊆ D`` iff ``D' |= Q``.  We materialize it three ways:
+accepts ``D' ⊆ D`` iff ``D' |= Q``.  We materialize it four ways:
 
 - :func:`lineage_terms` — the grounded DNF terms (sets of tuple variables);
-- :func:`lineage_circuit` — a DNF-shaped :class:`Circuit` (polynomial for
-  fixed ``Q``, as in the paper's setup);
+- :func:`lineage_circuit` — a factorized :class:`Circuit`, the one the SDD
+  and d-DNNF compilers consume;
+- :func:`terms_circuit` — a DNF-shaped circuit over given terms;
 - :func:`lineage_function` — the exact :class:`BooleanFunction` (small
   instances; used for ground truth in tests/benches).
+
+:func:`lineage_circuit` eliminates query variables instead of emitting one
+AND per grounded term, so the circuit follows the query's shape and its
+treewidth stays far below the DNF's (5 against 9 for
+``S(x,y),U(y,z),S(z,w)`` at domain 3).  For each CQ, bound values
+are substituted into the atoms and inequalities.  A fully bound atom
+becomes its tuple's variable gate (``False`` if the tuple is absent), and
+a fully bound inequality is a filter.  The remaining atoms and
+inequalities split into connected components over their free variables,
+and the components are ANDed.  Within a component, the variable occurring
+in the most atoms (ties by name) is eliminated: the component becomes the
+OR, over the domain, of its sub-circuit with that variable bound.  Each
+component's gate is memoized on its substituted atoms and inequalities
+(sorted and deduplicated), and the memo is shared by all disjuncts of a
+UCQ, which is the OR of its CQ circuits.  Every choice is made in sorted
+order, so the gate list does not depend on ``PYTHONHASHSEED``.
+
+The grounded DNF stays where a path needs terms, not a circuit: the
+engine's update diffing and insert delta (:func:`terms_circuit` over the
+added terms), and the references that must not share the builder they
+check — the OBDD compile of :mod:`repro.queries.compile` and
+:func:`lineage_function`.
 """
 
 from __future__ import annotations
@@ -16,8 +39,8 @@ import itertools
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .database import Database, tuple_variable
-from .syntax import Atom, ConjunctiveQuery, UCQ
-from ..circuits.circuit import Circuit
+from .syntax import ConjunctiveQuery, UCQ
+from ..circuits.circuit import AND, OR, VAR, Circuit
 from ..circuits.nnf import NNF, conj, disj, false_node, lit
 
 if TYPE_CHECKING:
@@ -78,32 +101,166 @@ def lineage_terms(
     return sorted(seen, key=lambda t: sorted(t))
 
 
-def lineage_circuit(
-    query: UCQ,
-    db: Database,
-    domain: Sequence | None = None,
-    *,
-    terms: Sequence[frozenset[str]] | None = None,
-) -> Circuit:
-    """The lineage as a DNF-shaped circuit over tuple variables.
+def lineage_circuit(query: UCQ, db: Database, domain: Sequence | None = None) -> Circuit:
+    """The lineage as a factorized circuit over tuple variables (see the
+    module docstring for the elimination rule).
 
     The circuit contains one variable gate per tuple of ``D`` (so the
     lineage is a function of *all* tuples, matching ``L(Q, D)``'s scope),
-    one AND per grounded term, and a top OR.  ``terms`` may pass
-    pre-grounded terms (callers that also need the term sets, e.g. the
-    engine's update diffing) to skip grounding twice.
+    then the AND/OR gates reachable from the output.  Variables range over
+    ``domain`` (default: the active domain), as in :func:`ground_cq`.
     """
-    c = Circuit()
-    for name in db.all_tuple_variables():
-        c.add_var(name)
-    if terms is None:
-        terms = lineage_terms(query, db, domain)
-    ands = []
-    for term in terms:
-        ids = [c.add_var(v) for v in sorted(term)]
-        ands.append(c.add_and(*ids) if ids else c.add_const(True))
-    c.set_output(c.add_or(*ands) if ands else c.add_const(False))
-    return c
+    dom = list(domain) if domain is not None else db.active_domain()
+    f = _Factorizer(db, dom)
+    root = f.gate(OR, (f.conjoin(_cq_items(cq)) for cq in query.disjuncts))
+    return f.emit(root)
+
+
+# Atoms and inequalities are both items ``(head, terms)``: the relation
+# name or ``"!="``, and a tuple of substituted terms, each ``(True,
+# variable name)`` or ``(False, value)``.  Factorizer nodes are indices
+# into ``_Factorizer.nodes``, or one of the two constants:
+_FALSE, _TRUE = -1, -2
+_NEQ = "!="
+
+
+def _cq_items(cq: ConjunctiveQuery) -> tuple:
+    atoms = tuple(
+        (a.relation, tuple((t.is_variable, t.name if t.is_variable else _coerce(t.name))
+                           for t in a.args))
+        for a in cq.atoms
+    )
+    return atoms + tuple((_NEQ, ((True, i.left), (True, i.right))) for i in cq.inequalities)
+
+
+def _free(terms: tuple) -> list[str]:
+    return [name for is_var, name in terms if is_var]
+
+
+def _bind(items: tuple, var: str, value) -> tuple:
+    """Substitute ``value`` for ``var`` in every item."""
+    free, bound = (True, var), (False, value)
+    return tuple(
+        (head, tuple(bound if t == free else t for t in terms)) for head, terms in items
+    )
+
+
+def _components(items: list) -> list[tuple]:
+    """Split items (each with a free variable) into connected components
+    over their free variables.  Each component is a sorted, deduplicated
+    tuple of items (its memo key), and the components come sorted too."""
+    groups: list[tuple[set[str], list]] = []
+    for item in items:
+        names = set(_free(item[1]))
+        merged: tuple[set[str], list] = (set(names), [item])
+        rest = []
+        for g in groups:
+            if g[0] & names:
+                merged[0].update(g[0])
+                merged[1].extend(g[1])
+            else:
+                rest.append(g)
+        groups = rest + [merged]
+    return sorted((tuple(sorted(set(g[1]), key=repr)) for g in groups), key=repr)
+
+
+class _Factorizer:
+    """Builds the factorized lineage as a hash-consed AND/OR DAG, then
+    emits the part reachable from the root as a :class:`Circuit`."""
+
+    def __init__(self, db: Database, dom: list) -> None:
+        self.db = db
+        self.dom = dom
+        self.nodes: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._memo: dict[tuple, int] = {}
+
+    def _node(self, entry: tuple) -> int:
+        nid = self._ids.get(entry)
+        if nid is None:
+            nid = self._ids[entry] = len(self.nodes)
+            self.nodes.append(entry)
+        return nid
+
+    def gate(self, kind: str, children: Iterable[int]) -> int:
+        """AND/OR with constant folding; stops at an absorbing child, so a
+        lazy ``children`` builds nothing past it."""
+        absorbing, neutral = (_FALSE, _TRUE) if kind == AND else (_TRUE, _FALSE)
+        kept: dict[int, None] = {}
+        for ch in children:
+            if ch == absorbing:
+                return absorbing
+            if ch != neutral:
+                kept.setdefault(ch)
+        if not kept:
+            return neutral
+        if len(kept) == 1:
+            return next(iter(kept))
+        return self._node((kind, tuple(kept)))
+
+    def conjoin(self, items: tuple) -> int:
+        """The existential closure of the conjunction of ``items``."""
+        tuples: list[int] = []
+        free = []
+        for head, terms in items:
+            if _free(terms):
+                # Inequalities are symmetric: one key for both orders.
+                free.append((head, tuple(sorted(terms, key=repr)) if head == _NEQ else terms))
+            elif head == _NEQ:
+                if terms[0] == terms[1]:
+                    return _FALSE
+            else:
+                tup = tuple(value for _, value in terms)
+                if not self.db.contains(head, tup):
+                    return _FALSE
+                tuples.append(self._node((VAR, tuple_variable(head, tup))))
+        comps = _components(free)
+        return self.gate(AND, itertools.chain(tuples, (self._eliminate(c) for c in comps)))
+
+    def _eliminate(self, items: tuple) -> int:
+        """One connected component: the OR over the domain of its
+        sub-circuit with its most frequent variable bound."""
+        hit = self._memo.get(items)
+        if hit is not None:
+            return hit
+        freq = {name: 0 for _, terms in items for name in _free(terms)}
+        for head, terms in items:
+            if head != _NEQ:
+                for name in set(_free(terms)):
+                    freq[name] += 1
+        var = min(freq, key=lambda v: (-freq[v], v))
+        out = self._memo[items] = self.gate(
+            OR, (self.conjoin(_bind(items, var, a)) for a in self.dom)
+        )
+        return out
+
+    def emit(self, root: int) -> Circuit:
+        c = Circuit()
+        for name in self.db.all_tuple_variables():
+            c.add_var(name)
+        if root < 0:
+            c.set_output(c.add_const(root == _TRUE))
+            return c
+        reach = {root}
+        stack = [root]
+        while stack:
+            kind, payload = self.nodes[stack.pop()]
+            if kind != VAR:
+                for ch in payload:
+                    if ch not in reach:
+                        reach.add(ch)
+                        stack.append(ch)
+        # Children precede parents in ``nodes``, so index order is topological.
+        gid: dict[int, int] = {}
+        for n in sorted(reach):
+            kind, payload = self.nodes[n]
+            if kind == VAR:
+                gid[n] = c.add_var(payload)
+            else:
+                ids = [gid[ch] for ch in payload]
+                gid[n] = c.add_and(*ids) if kind == AND else c.add_or(*ids)
+        c.set_output(gid[root])
+        return c
 
 
 def terms_circuit(terms: Iterable[frozenset[str]]) -> Circuit:
@@ -135,5 +292,7 @@ def lineage_nnf(query: UCQ, db: Database, domain: Sequence | None = None) -> NNF
 def lineage_function(
     query: UCQ, db: Database, domain: Sequence | None = None
 ) -> BooleanFunction:
-    """Exact lineage function over *all* tuple variables of ``D``."""
-    return lineage_circuit(query, db, domain).function(db.all_tuple_variables())
+    """Exact lineage function over *all* tuple variables of ``D``, from the
+    grounded terms (independent of :func:`lineage_circuit`, which tests
+    check against it)."""
+    return terms_circuit(lineage_terms(query, db, domain)).function(db.all_tuple_variables())

@@ -24,7 +24,7 @@ from repro.graphs.elimination import (
 )
 from repro.graphs.treedecomp import TreeDecomposition
 from repro.queries.database import complete_database
-from repro.queries.lineage import lineage_circuit
+from repro.queries.lineage import lineage_terms, terms_circuit
 from repro.queries.syntax import parse_ucq
 
 
@@ -146,8 +146,10 @@ def test_random_graphs_match_reference(graph):
 
 
 def _lineage_graph(text, domain):
+    # The grounded-DNF circuit: its width-9 graph at domain 3 is the
+    # corpus's only lineage graph wide enough to stress min-fill.
     db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, domain)
-    return lineage_circuit(parse_ucq(text), db).graph()
+    return terms_circuit(lineage_terms(parse_ucq(text), db)).graph()
 
 
 CORPUS = {
