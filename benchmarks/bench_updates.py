@@ -11,10 +11,11 @@ The tentpole bench for the incremental-update layer, two halves:
    probabilities, **zero** recompilations (``update_recompiles == 0``)
    and zero new compiled-cache misses on the live engine.
 
-2. **Structural delta-patch** — inserts disjoin only the new lineage
-   terms onto the cached root, deletes condition the root on the removed
-   tuple's variable; both re-pin through the manager instead of
-   recompiling.  Criterion: every patched answer is bit-identical (float
+2. **Structural delta-patch** — inserts disjoin the factorized lineage
+   with one atom bound to the new tuple onto the cached root, deletes
+   condition the root on the removed tuple's variable; both re-pin
+   through the manager instead of recompiling, and neither grounds the
+   DNF.  Criterion: every patched answer is bit-identical (float
    *and* exact Fractions) to a fresh engine compiled against the updated
    database on the same extended vtree, with ``delta_patched_roots > 0``
    and ``update_recompiles == 0`` across the sequence.
@@ -158,7 +159,7 @@ def run_structural_patch(rounds: int, domain: int) -> dict:
     t0 = time.perf_counter()
     for r in range(rounds):
         # One insert of a brand-new S-tuple, then its deletion: the insert
-        # disjoins the new terms in, the delete conditions them back out.
+        # disjoins the tuple's lineage in, the delete conditions it out.
         delta = db.insert("S", extra + r, 1, p=PROBS[r % len(PROBS)])
         engine.apply_update(delta)
         mid = [engine.probability(q) for q in qs]

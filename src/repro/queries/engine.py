@@ -50,7 +50,13 @@ from typing import Iterable, Sequence
 
 from .compile import compile_lineage_sdd, lineage_vtree
 from .database import ProbabilisticDatabase, UpdateDelta
-from .lineage import lineage_circuit, lineage_terms, terms_circuit
+from .lineage import (
+    has_inequality_only_variable,
+    lineage_circuit,
+    lineage_delta,
+    lineage_terms,  # unused here; perfbench/tracing.py patches this binding
+    unifies,
+)
 from .syntax import UCQ
 from ..core.vtree import Vtree
 from ..sdd.manager import SddManager
@@ -106,6 +112,13 @@ class QueryEngine:
     decomposition.  The artifact's stamped database fingerprint must
     match ``db`` (a mismatched file raises, never silently answers for
     the wrong database).
+
+    :meth:`apply_update` keeps the cached roots current under live
+    weight, insert and delete deltas without recompiling: it patches each
+    SDD root from the factorized lineage (an insert disjoins the part of
+    the lineage that uses the new tuple, a delete conditions the tuple's
+    variable out) and never grounds the DNF.  The only state it needs
+    beyond the roots is the active domain they were compiled against.
     """
 
     _EVICTION_POLICIES = ("size-lru", "lru")
@@ -177,9 +190,11 @@ class QueryEngine:
         self._ddnnf: OrderedDict[UCQ, object] = OrderedDict()
         self._ddnnf_wmc: dict[tuple[UCQ, bool], object] = {}
         self._ddnnf_values: dict[tuple[UCQ, bool], float | Fraction] = {}
-        # Grounded DNF terms per cached SDD query — what apply_update diffs
-        # to delta-patch roots instead of recompiling.
-        self._terms: dict[UCQ, frozenset[frozenset[str]]] = {}
+        # The active domain every cached SDD root was compiled against (set
+        # when a compile fills an empty cache, kept current by structural
+        # updates): a query with an inequality-only variable recompiles
+        # when an update changes it.
+        self._domain: frozenset | None = None
         self._evicted = 0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -344,7 +359,6 @@ class QueryEngine:
             return root
         self._cache_misses += 1
         mgr = self._ensure_manager(query)
-        terms = lineage_terms(query, self.db)
         from ..service.errors import DeadlineExceeded
 
         try:
@@ -353,8 +367,9 @@ class QueryEngine:
             self._deadline_exceeded += 1
             raise
         mgr.pin(root)
+        if not self._roots:
+            self._domain = frozenset(self.db.active_domain())
         self._roots[query] = root
-        self._terms[query] = frozenset(terms)
         self._collect_over_budget(keep=query)
         if (
             self._next_minimize_at is not None
@@ -554,7 +569,6 @@ class QueryEngine:
         root = self._roots.pop(query, None)
         if root is None:
             return False
-        self._terms.pop(query, None)
         assert self._manager is not None
         self._manager.release(root)
         return True
@@ -612,18 +626,33 @@ class QueryEngine:
           point-updates the variable's weight pair and evicts exactly the
           memo entries that depended on it.  Zero recompilations.
         - **insert** — the manager's vtree grows a fresh leaf for the new
-          tuple (no existing node or pin moves), and every cached root is
-          delta-patched: the grounded terms the insert added are compiled
-          as a small DNF and disjoined onto the old root (new root
-          pinned, old released).  Inserting only ever adds satisfiable
-          valuations, so the patch is exact.
-        - **delete** — every cached root is conditioned on the tuple's
-          variable being false (compiled lineages are closed under
-          conditioning); the engine verifies against the re-grounded
-          terms that dropping the variable's terms is the whole story and
-          falls back to an eager recompile for that query otherwise
-          (possible only through inequality-only variables whose active
-          domain shrank).
+          tuple (no existing node or pin moves), and every cached root
+          whose query has an atom that unifies with the tuple is
+          delta-patched: :func:`~repro.queries.lineage.lineage_delta`, the
+          factorized lineage with that atom bound to the tuple, is
+          compiled alone and disjoined onto the old root.
+        - **delete** — every cached root whose query has such an atom is
+          conditioned on the tuple's variable being false (compiled
+          lineages are closed under conditioning).
+
+        Both patches are exact unless the query has a variable that occurs
+        in no atom (an inequality-only variable) and the update changed the
+        active domain: such a variable ranges over the domain, so terms
+        that do not use the tuple can change, and the query recompiles
+        from :func:`~repro.queries.lineage.lineage_circuit` instead.  In
+        every other case each new or vanished domain value sits only in
+        the touched tuple, so the old lineage is the new one with the
+        tuple's variable set to false, and SDD canonicity makes the patched
+        root the node a fresh compile on the same vtree would build.
+        Nothing is ever grounded into DNF terms.  A query no atom of which
+        unifies with the tuple is skipped without any apply.
+
+        Counters: ``delta_patched_roots`` counts the patched roots whose
+        node changed (only those are re-pinned, the old root released);
+        ``update_recompiles`` counts the inequality-only recompiles (every
+        cached query, for the d-DNNF backend).  After a structural update
+        the ``max_nodes`` budget is enforced as after a compile: collect
+        first, and evict only if that is not enough.
 
         Returns this call's counter increments (the same keys
         :meth:`stats` accumulates).
@@ -658,6 +687,7 @@ class QueryEngine:
                     delta.var, None
                 )
                 patched, recompiles = self._patch_roots(delta, insert=False)
+            self._collect_over_budget(keep=None)
         self._memo_invalidations += memo_invalidations
         self._delta_patched += patched
         self._update_recompiles += recompiles
@@ -708,41 +738,35 @@ class QueryEngine:
             self._vtree = Vtree.internal_trusted(self._vtree, Vtree.leaf(var))
 
     def _patch_roots(self, delta: UpdateDelta, *, insert: bool) -> tuple[int, int]:
-        """Delta-patch every cached query for a tuple insert/delete;
-        returns ``(patched, recompiled)``."""
+        """Delta-patch every cached query for a tuple insert/delete (see
+        :meth:`apply_update`); returns ``(patched, recompiled)``."""
         if self.backend == "ddnnf":
             return self._patch_ddnnf(delta)
+        domain = frozenset(self.db.active_domain())
+        domain_moved = domain != self._domain
+        self._domain = domain
         mgr = self._manager
         if mgr is None:
             return 0, 0
         patched = 0
         recompiles = 0
         for query, root in list(self._roots.items()):
-            old_terms = self._terms[query]
-            new_terms = frozenset(lineage_terms(query, self.db))
-            if new_terms == old_terms:
-                continue
-            if insert and old_terms <= new_terms:
-                # Disjoining exactly the added terms is an exact patch.
-                d_root = mgr.compile_circuit(terms_circuit(new_terms - old_terms))
-                new_root = mgr.disjoin(root, d_root)
-                patched += 1
-            elif not insert and {
-                t for t in old_terms if delta.var not in t
-            } == new_terms:
-                # Dropping the tuple's terms is the whole change:
-                # condition the root on its variable being false.
-                new_root = mgr.condition(root, {delta.var: 0})
-                patched += 1
-            else:
-                # Inequality-only variables + a changed active domain can
-                # alter terms that never mention the tuple; recompile.
+            if domain_moved and has_inequality_only_variable(query):
                 new_root = mgr.compile_circuit(lineage_circuit(query, self.db))
                 recompiles += 1
-            mgr.pin(new_root)
-            mgr.release(root)
-            self._roots[query] = new_root
-            self._terms[query] = new_terms
+            elif not unifies(query, delta.relation, delta.values):
+                continue
+            elif insert:
+                added = lineage_delta(query, self.db, delta.relation, delta.values)
+                new_root = mgr.disjoin(root, mgr.compile_circuit(added))
+                patched += new_root != root
+            else:
+                new_root = mgr.condition(root, {delta.var: 0})
+                patched += new_root != root
+            if new_root != root:
+                mgr.pin(new_root)
+                mgr.release(root)
+                self._roots[query] = new_root
         return patched, recompiles
 
     def _patch_ddnnf(self, delta: UpdateDelta) -> tuple[int, int]:
@@ -760,7 +784,7 @@ class QueryEngine:
             recompiles += 1
         return 0, recompiles
 
-    def _eviction_order(self, keep: UCQ) -> list[UCQ]:
+    def _eviction_order(self, keep: UCQ | None) -> list[UCQ]:
         """Victim order for the budget sweep.
 
         ``size-lru`` scores every cached query by ``(exclusive footprint
@@ -798,9 +822,10 @@ class QueryEngine:
         scored.sort()
         return [q for _, _, q in scored]
 
-    def _collect_over_budget(self, keep: UCQ) -> None:
+    def _collect_over_budget(self, keep: UCQ | None) -> None:
         """Evict queries + collect until the ``max_nodes`` budget holds
-        (or only ``keep`` remains cached); victim order set by
+        (or only ``keep`` remains cached; ``None`` keeps nothing back —
+        the sweep after an update); victim order set by
         ``eviction_policy`` (see :meth:`_eviction_order`)."""
         mgr = self._manager
         if mgr is None or self.max_nodes is None:
@@ -870,6 +895,13 @@ class QueryEngine:
         size, the active ``eviction_policy`` (the one non-numeric entry)
         and the minimization counters; use this instead of reading
         private ``_and_cache`` / ``_memo`` attributes.
+
+        Update counters: ``delta_patched_roots`` counts cached roots an
+        insert or delete patched to a different node (a query whose atoms
+        cannot use the tuple costs no apply and counts nothing);
+        ``update_recompiles`` counts queries recompiled instead, because
+        they have an inequality-only variable and the active domain
+        changed (every cached query, for the d-DNNF backend).
         """
         out: dict[str, int | str] = {
             "queries_compiled": (

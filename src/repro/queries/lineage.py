@@ -26,11 +26,16 @@ component's gate is memoized on its substituted atoms and inequalities
 UCQ, which is the OR of its CQ circuits.  Every choice is made in sorted
 order, so the gate list does not depend on ``PYTHONHASHSEED``.
 
-The grounded DNF stays where a path needs terms, not a circuit: the
-engine's update diffing and insert delta (:func:`terms_circuit` over the
-added terms), and the references that must not share the builder they
-check — the OBDD compile of :mod:`repro.queries.compile` and
-:func:`lineage_function`.
+:func:`lineage_delta` is the same builder with one atom bound to one
+tuple: the part of the lineage that uses that tuple, which the engine
+disjoins onto a cached root when the tuple is inserted.
+:func:`unifies` and :func:`has_inequality_only_variable` are the two
+tests the engine runs to decide whether a root needs patching at all.
+
+No SDD-engine path grounds the DNF.  It is ground only by the references
+that must not share the builder they check: the OBDD compile of
+:mod:`repro.queries.compile`, :func:`lineage_function` and
+:func:`lineage_nnf`.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ __all__ = [
     "ground_cq",
     "lineage_terms",
     "lineage_circuit",
+    "lineage_delta",
+    "unifies",
+    "has_inequality_only_variable",
     "terms_circuit",
     "lineage_nnf",
     "lineage_function",
@@ -113,7 +121,50 @@ def lineage_circuit(query: UCQ, db: Database, domain: Sequence | None = None) ->
     dom = list(domain) if domain is not None else db.active_domain()
     f = _Factorizer(db, dom)
     root = f.gate(OR, (f.conjoin(_cq_items(cq)) for cq in query.disjuncts))
-    return f.emit(root)
+    return f.emit(root, every_tuple=True)
+
+
+def lineage_delta(
+    query: UCQ, db: Database, relation: str, values: Sequence, domain: Sequence | None = None
+) -> Circuit:
+    """The part of the lineage that uses the tuple ``relation(values)``.
+
+    For every CQ and every atom that unifies with the tuple, the atom's
+    variables are bound to the tuple's values and the bound CQ is
+    factorized as in :func:`lineage_circuit`; the result is the OR over
+    all of them.  As a function it is the OR of the DNF terms that contain
+    the tuple's variable (``False`` if the tuple is not in ``db``).  Unlike
+    :func:`lineage_circuit`, the circuit has variable gates only for the
+    tuples it uses, sorted by name, so it can be compiled on its own and
+    disjoined onto a cached root.
+    """
+    dom = list(domain) if domain is not None else db.active_domain()
+    f = _Factorizer(db, dom)
+    root = f.gate(OR, (
+        f.conjoin(_bind_all(items, binding))
+        for items, binding in _unifiers(query, relation, tuple(values))
+    ))
+    return f.emit(root, every_tuple=False)
+
+
+def unifies(query: UCQ, relation: str, values: Sequence) -> bool:
+    """Whether some atom of ``query`` unifies with ``relation(values)``:
+    when none does, no lineage term of ``query`` can use the tuple."""
+    return next(_unifiers(query, relation, tuple(values)), None) is not None
+
+
+def has_inequality_only_variable(query: UCQ) -> bool:
+    """Whether a CQ of ``query`` has a variable that occurs in no atom.
+
+    Such a variable ranges over the whole active domain, so the lineage's
+    terms can change with the domain even where they do not use a changed
+    tuple.  Every other variable is bound through an atom to values of the
+    tuples the term uses."""
+    for cq in query.disjuncts:
+        in_atoms = {name for a in cq.atoms for name in a.variables()}
+        if any({i.left, i.right} - in_atoms for i in cq.inequalities):
+            return True
+    return False
 
 
 # Atoms and inequalities are both items ``(head, terms)``: the relation
@@ -131,6 +182,30 @@ def _cq_items(cq: ConjunctiveQuery) -> tuple:
         for a in cq.atoms
     )
     return atoms + tuple((_NEQ, ((True, i.left), (True, i.right))) for i in cq.inequalities)
+
+
+def _unifiers(query: UCQ, relation: str, values: tuple):
+    """Yield ``(items, binding)`` for every CQ of ``query`` (as items) and
+    every atom of it that unifies with ``relation(values)``: ``binding``
+    maps the atom's variables to the tuple's values.  Constants must match,
+    and a repeated variable must meet the same value at every position."""
+    for cq in query.disjuncts:
+        items = _cq_items(cq)
+        for head, terms in items:
+            if head != relation or len(terms) != len(values):
+                continue
+            binding: dict = {}
+            for (is_var, name), value in zip(terms, values):
+                if (binding.setdefault(name, value) if is_var else name) != value:
+                    break
+            else:
+                yield items, binding
+
+
+def _bind_all(items: tuple, binding: dict) -> tuple:
+    for var, value in binding.items():
+        items = _bind(items, var, value)
+    return items
 
 
 def _free(terms: tuple) -> list[str]:
@@ -234,15 +309,12 @@ class _Factorizer:
         )
         return out
 
-    def emit(self, root: int) -> Circuit:
-        c = Circuit()
-        for name in self.db.all_tuple_variables():
-            c.add_var(name)
-        if root < 0:
-            c.set_output(c.add_const(root == _TRUE))
-            return c
-        reach = {root}
-        stack = [root]
+    def emit(self, root: int, every_tuple: bool) -> Circuit:
+        """The part reachable from ``root`` as a :class:`Circuit`.  Variable
+        gates come first: one per tuple of the database if
+        ``every_tuple``, else only the reachable ones, sorted by name."""
+        reach = set() if root < 0 else {root}
+        stack = list(reach)
         while stack:
             kind, payload = self.nodes[stack.pop()]
             if kind != VAR:
@@ -250,6 +322,16 @@ class _Factorizer:
                     if ch not in reach:
                         reach.add(ch)
                         stack.append(ch)
+        c = Circuit()
+        if every_tuple:
+            names = self.db.all_tuple_variables()
+        else:
+            names = sorted(self.nodes[n][1] for n in reach if self.nodes[n][0] == VAR)
+        for name in names:
+            c.add_var(name)
+        if root < 0:
+            c.set_output(c.add_const(root == _TRUE))
+            return c
         # Children precede parents in ``nodes``, so index order is topological.
         gid: dict[int, int] = {}
         for n in sorted(reach):
@@ -266,11 +348,9 @@ class _Factorizer:
 def terms_circuit(terms: Iterable[frozenset[str]]) -> Circuit:
     """A DNF-shaped circuit over exactly the variables the terms mention.
 
-    The delta-patch compile path: the terms an insert added are compiled
-    alone and disjoined onto a cached root, so the circuit must not drag
-    in every database tuple the way :func:`lineage_circuit` does.  Terms
-    are sorted for a deterministic gate order (canonical compilation
-    across parallel workers depends on it).
+    The grounded-DNF side of the references (the OBDD compile and
+    :func:`lineage_function`), kept independent of the factorizing
+    builder they check.  Terms are sorted for a deterministic gate order.
     """
     c = Circuit()
     ands = []

@@ -1,13 +1,15 @@
 """Answer a UCQ along the serving path and check that numpy and networkx
 never load.
 
-Three checks over one complete domain-2 database:
+Four checks over one complete domain-2 database:
 
 - a :class:`~repro.queries.engine.QueryEngine` answers the query exactly,
   and the answer matches its closed form;
 - a thread-mode :class:`~repro.service.QueryService` gives the same answer;
 - the engine's artifact, saved and reloaded, gives it again without
-  compiling.
+  compiling;
+- after one insert and one delete through ``apply_update``, the engine's
+  patched answers equal a fresh engine's on the same vtree, exactly.
 
 Exits non-zero if an answer differs or if numpy, networkx or the
 truth-table and decomposition modules were imported.  It runs in an
@@ -59,6 +61,14 @@ def main() -> int:
 
     failures = [f"{k} answered {v}, expected {EXPECTED}" for k, v in answers.items()
                 if v != EXPECTED]
+    for update in (lambda: db.insert("S", 2, 3, p=0.25), lambda: db.delete("R", 1)):
+        delta = update()
+        engine.apply_update(delta)
+        got = engine.probability(query, exact=True)
+        want = QueryEngine(db, vtree=engine.vtree).probability(query, exact=True)
+        if got != want:
+            failures.append(f"after {delta.kind} {delta.var} the engine answered {got}, "
+                            f"a fresh engine {want}")
     if frozen_hits != 1:
         failures.append(f"reloaded artifact served {frozen_hits} queries, expected 1")
     loaded = [m for m in OFF_PATH if m in sys.modules]
@@ -67,8 +77,8 @@ def main() -> int:
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     if not failures:
-        print(f"serving path OK: P = {EXPECTED} from engine, service and artifact; "
-              f"none of {list(OFF_PATH)} imported")
+        print(f"serving path OK: P = {EXPECTED} from engine, service and artifact, "
+              f"updates match a fresh engine; none of {list(OFF_PATH)} imported")
     return 1 if failures else 0
 
 
