@@ -124,22 +124,21 @@ def lineage_circuit(query: UCQ, db: Database, domain: Sequence | None = None) ->
     return f.emit(root, every_tuple=True)
 
 
-def lineage_delta(
-    query: UCQ, db: Database, relation: str, values: Sequence, domain: Sequence | None = None
-) -> Circuit:
+def lineage_delta(query: UCQ, db: Database, relation: str, values: Sequence) -> Circuit:
     """The part of the lineage that uses the tuple ``relation(values)``.
 
     For every CQ and every atom that unifies with the tuple, the atom's
     variables are bound to the tuple's values and the bound CQ is
     factorized as in :func:`lineage_circuit`; the result is the OR over
-    all of them.  As a function it is the OR of the DNF terms that contain
-    the tuple's variable (``False`` if the tuple is not in ``db``).  Unlike
-    :func:`lineage_circuit`, the circuit has variable gates only for the
-    tuples it uses, sorted by name, so it can be compiled on its own and
-    disjoined onto a cached root.
+    all of them.  Variables range over ``db``'s active domain, the one a
+    fresh :func:`lineage_circuit` would use, so a cached root compiled
+    over that domain patches exactly.  As a function it is the OR of the
+    DNF terms that contain the tuple's variable (``False`` if the tuple is
+    not in ``db``).  Unlike :func:`lineage_circuit`, the circuit has
+    variable gates only for the tuples it uses, sorted by name, so it can
+    be compiled on its own and disjoined onto a cached root.
     """
-    dom = list(domain) if domain is not None else db.active_domain()
-    f = _Factorizer(db, dom)
+    f = _Factorizer(db, db.active_domain())
     root = f.gate(OR, (
         f.conjoin(_bind_all(items, binding))
         for items, binding in _unifiers(query, relation, tuple(values))

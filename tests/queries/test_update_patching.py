@@ -208,8 +208,8 @@ def test_unrelated_relation_costs_no_apply(monkeypatch):
         raise AssertionError("an update on S compiled a circuit for a query over R")
 
     monkeypatch.setattr(SddManager, "compile_circuit", refuse)
-    for delta in (db.insert("S", 7, 1, p=0.4), db.delete("S", 7, 1)):
-        inc = engine.apply_update(delta)
+    for update in (lambda: db.insert("S", 7, 1, p=0.4), lambda: db.delete("S", 7, 1)):
+        inc = engine.apply_update(update())
         assert inc["delta_patched_roots"] == 0
         assert inc["update_recompiles"] == 0
     assert engine.cached_root(query) == root
@@ -226,8 +226,8 @@ def test_updates_respect_max_nodes():
     compiled = engine.stats()["cache_misses"]
     for i in range(60):
         tup = (1 + i % 4, 2)
-        for delta in (db.delete("S", *tup), db.insert("S", *tup, p=0.5)):
-            engine.apply_update(delta)
+        for update in (lambda: db.delete("S", *tup), lambda: db.insert("S", *tup, p=0.5)):
+            engine.apply_update(update())
             assert engine.live_nodes() <= engine.max_nodes
     assert engine.stats()["cache_misses"] == compiled
     assert_matches_fresh(engine, db, [q for q in queries if engine.cached_root(q) is not None])
