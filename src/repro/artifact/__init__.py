@@ -4,8 +4,9 @@
   version, CRC, section directory) and :class:`ArtifactError`.
 - :mod:`~repro.artifact.store` — :class:`FrozenSdd` /
   :class:`FrozenDdnnf` / :class:`FrozenObdd`: immutable array-backed node
-  stores with evaluators bit-identical to the live ones, freezable from
-  managers or wrapped around an mmap-ed file read-only.
+  tables that the live evaluators and structure queries run over
+  unchanged, freezable from managers or wrapped around an mmap-ed file
+  read-only.
 - :mod:`~repro.artifact.format` — per-kind schemas, ``Compiled`` save/
   load, vtree/NNF/circuit codecs, and pysdd ``.sdd``/``.vtree`` interop.
 """
@@ -44,14 +45,7 @@ from .format import (
     vtree_to_bytes,
     write_pysdd,
 )
-from .store import (
-    FrozenCompiled,
-    FrozenDdnnf,
-    FrozenDdnnfWmc,
-    FrozenObdd,
-    FrozenSdd,
-    FrozenSddWmc,
-)
+from .store import FrozenCompiled, FrozenDdnnf, FrozenObdd, FrozenSdd
 
 __all__ = [
     "Artifact",
@@ -67,9 +61,7 @@ __all__ = [
     "KIND_NNF",
     "KIND_CIRCUIT",
     "FrozenSdd",
-    "FrozenSddWmc",
     "FrozenDdnnf",
-    "FrozenDdnnfWmc",
     "FrozenObdd",
     "FrozenCompiled",
     "save_compiled",

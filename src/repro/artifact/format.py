@@ -62,6 +62,7 @@ from .store import (
     FrozenSdd,
     _i32,
     _meta_bytes,
+    _open_store,
 )
 
 __all__ = [
@@ -248,19 +249,13 @@ def save_compiled(compiled, path) -> None:
 def load_store(path, *, use_mmap: bool = True):
     """Open any SDD/DDNNF/OBDD artifact as its frozen store."""
     art = open_artifact(path, use_mmap=use_mmap)
-    try:
-        if art.kind == KIND_SDD:
-            return FrozenSdd.from_artifact(art)
-        if art.kind == KIND_DDNNF:
-            return FrozenDdnnf.from_artifact(art)
-        if art.kind == KIND_OBDD:
-            return FrozenObdd.from_artifact(art)
+    cls = {KIND_SDD: FrozenSdd, KIND_DDNNF: FrozenDdnnf, KIND_OBDD: FrozenObdd}.get(art.kind)
+    if cls is None:
+        art.close()
         raise ArtifactError(
             f"artifact kind {art.kind} is not a compiled store", path=art.path
         )
-    except ArtifactError:
-        art.close()
-        raise
+    return _open_store(cls, art)
 
 
 def load_compiled(path, *, use_mmap: bool = True) -> FrozenCompiled:
@@ -344,12 +339,10 @@ def export_sdd_text(frozen: FrozenSdd, root: int | None = None) -> str:
             code = frozen.lits[u - 2]
             var_no = (code >> 1) + 1
             lit = var_no if code & 1 else -var_no
-            lines.append(f"L {fid[u]} {frozen.leaf_pos[code >> 1]} {lit}")
+            lines.append(f"L {fid[u]} {frozen.node_vnode[u]} {lit}")
         else:
-            j = u - frozen.dec_base
-            parts = [f"D {fid[u]} {frozen.dec_vnode[j]}",
-                     str(frozen.dec_off[j + 1] - frozen.dec_off[j])]
-            for p, s in frozen.elements(u):
+            parts = [f"D {fid[u]} {frozen.node_vnode[u]}", str(frozen.element_count(u))]
+            for p, s in frozen.node_elements[u]:
                 parts.append(f"{fid[p]} {fid[s]}")
             lines.append(" ".join(parts))
     # Root-last convention: move the root's line to the end if it is not

@@ -11,23 +11,23 @@ Each holds nothing but integer tables (node kinds, element pairs, child
 lists, vtree shape) plus a variable-name table — exactly the sections of
 the on-disk artifact format, so a store can either be **frozen** from a
 live manager (``from_manager`` / ``from_dag``) or **wrap an mmap-ed file
-read-only** with zero copying (:meth:`load`): the evaluators below index
-straight into the mapped page cache, and N worker processes opening the
-same path share one physical copy of the compiled circuit.
+read-only** with zero copying (:meth:`load`): element and child lists are
+served as ``zip``s and slices straight over the mapped page cache, and N
+worker processes opening the same path share one physical copy of the
+compiled circuit.
 
-The queries a store answers — WMC, model count, evaluate, size/width —
-run as iterative sweeps over the arrays and are **op-for-op replicas** of
-the live evaluators (:class:`repro.sdd.wmc.SddWmcEvaluator`,
-:class:`repro.dnnf.wmc.DnnfWmcEvaluator`, the ``ObddManager`` sweeps):
-same child iteration order, same gap-product climb order, same initial
-``int`` accumulators, and the same scaled-integer encoding of exact
-weights (:func:`repro.sdd.wmc.scaled_weights`).  Exact-``Fraction``
-results are equal by mathematics; **float results are equal
-bit-for-bit**, which is what lets a warm-started worker pool assert
-answers identical to the process that compiled the artifact.  (The OBDD
-store's :meth:`FrozenObdd.weighted_count` stays on ``Fraction``, like the
-live OBDD sweeps it mirrors: they are the independent reference exact
-answers are checked against.)
+One evaluator, two node tables.  Each store exposes the read-only node
+table its live twin has (:class:`repro.sdd.wmc.SddNodeTable`,
+:class:`repro.dnnf.nodes.DnnfNodeTable`,
+:class:`repro.obdd.obdd.ObddNodeTable`) and inherits every query from
+it: WMC through the unchanged :class:`repro.sdd.wmc.SddWmcEvaluator` and
+:class:`repro.dnnf.wmc.DnnfWmcEvaluator`, model count, evaluate,
+size/width.  Only the per-node ``kind`` and ``vnode`` columns and the
+literals' variables and signs become per-process lists.  Live and frozen
+answers therefore run the same code —
+float results are equal **bit-for-bit** by construction, which is what
+lets a warm-started worker pool assert answers identical to the process
+that compiled the artifact.
 
 Freezing renumbers nodes into a canonical dense id space (constants,
 then literals sorted by ``(var, sign)``, then decisions in creation-stamp
@@ -40,13 +40,16 @@ structures for sessions that need apply/minimize on a loaded artifact.
 from __future__ import annotations
 
 import json
+import traceback
 from array import array
 from fractions import Fraction
-from math import lcm
+from itertools import islice
 from typing import Mapping, Sequence
 
 from ..core.vtree import Vtree
-from ..sdd.wmc import exact_weights, float_weights, scaled_weights
+from ..dnnf.nodes import DnnfDag, DnnfNodeTable
+from ..obdd.obdd import ObddNodeTable
+from ..sdd.wmc import SddNodeTable, exact_weights
 from .encoding import (
     DTYPE_BYTES,
     DTYPE_I32,
@@ -64,9 +67,7 @@ from .encoding import (
 
 __all__ = [
     "FrozenSdd",
-    "FrozenSddWmc",
     "FrozenDdnnf",
-    "FrozenDdnnfWmc",
     "FrozenObdd",
     "FrozenCompiled",
 ]
@@ -96,6 +97,19 @@ def _read_meta(art: Artifact) -> dict:
         raise ArtifactError("corrupt meta section", path=art.path) from None
 
 
+def _open_store(cls, art: Artifact):
+    """``cls.from_artifact(art)``; a rejected artifact is closed before the
+    :class:`ArtifactError` propagates."""
+    try:
+        return cls.from_artifact(art)
+    except ArtifactError as exc:
+        # The rejected constructor's frames, kept alive by the traceback,
+        # still hold views into the mapping: clear them, or unmapping fails.
+        traceback.clear_frames(exc.__traceback__)
+        art.close()
+        raise
+
+
 def _release_views(obj, names: Sequence[str]) -> None:
     # Zero-copy stores keep casted memoryviews into the mmap as their
     # table attributes; those views pin the mapping, so they must be
@@ -107,17 +121,37 @@ def _release_views(obj, names: Sequence[str]) -> None:
             setattr(obj, name, None)
 
 
+class _ElementPairs:
+    """``node_elements`` of a frozen SDD: decision ``u``'s ``(prime, sub)``
+    pairs as a ``zip`` over its slice of the element table (no copy, no
+    per-access tuples)."""
+
+    __slots__ = ("elems", "off", "base")
+
+    def __init__(self, elems: Sequence[int], off: Sequence[int], base: int):
+        self.elems = elems
+        self.off = off
+        self.base = base
+
+    def __getitem__(self, u: int):
+        j = u - self.base
+        a, b = 2 * self.off[j], 2 * self.off[j + 1]
+        return zip(self.elems[a:b:2], self.elems[a + 1:b:2])
+
+
 # ======================================================================
 # FrozenSdd
 # ======================================================================
-class FrozenSdd:
+class FrozenSdd(SddNodeTable):
     """An immutable compiled SDD: vtree + node tables + named roots.
 
     Node id space: ``0`` = FALSE, ``1`` = TRUE, then ``n_lits`` literals,
     then ``n_decs`` decision nodes; decision children always have smaller
-    ids, so ascending id order is topological.  The vtree is stored as
-    postfix codes over positions ``0..m-1`` (leaf → index into the
-    variable table, internal → ``-1``); position ``m-1`` is the root.
+    ids, so ascending id order is topological (``node_stamp`` is
+    ``range``).  The vtree is stored as postfix codes over positions
+    ``0..m-1`` (leaf → index into the variable table, internal → ``-1``);
+    position ``m-1`` is the root, and postfix order is the postorder
+    :class:`~repro.sdd.wmc.SddWmcEvaluator` sweeps.
     """
 
     def __init__(
@@ -146,28 +180,29 @@ class FrozenSdd:
         self.meta = dict(meta) if meta else {}
         self._artifact = _artifact
         # --- derive + validate the vtree shape ------------------------
-        m = len(self.vt)
+        m = len(vt)
         n_vars = len(self.vars)
         if m != 2 * n_vars - 1 or n_vars == 0:
             raise ArtifactError(
                 f"vtree postfix of {m} codes does not fit {n_vars} variables",
                 path=path,
             )
-        v_left = [-1] * m
-        v_right = [-1] * m
-        v_parent = [-1] * m
+        v_left: list[int | None] = [None] * m
+        v_right: list[int | None] = [None] * m
+        v_parent: list[int | None] = [None] * m
+        # The subtree of postfix position k spans positions v_first[k]..k.
+        v_first = list(range(m))
         leaf_pos = [-1] * n_vars
         stack: list[int] = []
-        for k in range(m):
-            c = self.vt[k]
+        for k, c in enumerate(vt):
             if c == -1:
                 if len(stack) < 2:
                     raise ArtifactError("malformed vtree postfix", path=path)
                 r = stack.pop()
                 left = stack.pop()
                 v_left[k], v_right[k] = left, r
-                v_parent[left] = k
-                v_parent[r] = k
+                v_parent[left] = v_parent[r] = k
+                v_first[k] = v_first[left]
             else:
                 if not 0 <= c < n_vars or leaf_pos[c] != -1:
                     raise ArtifactError(
@@ -177,49 +212,84 @@ class FrozenSdd:
             stack.append(k)
         if len(stack) != 1:
             raise ArtifactError("malformed vtree postfix", path=path)
-        self.v_left = v_left
-        self.v_right = v_right
-        self.v_parent = v_parent
-        self.leaf_pos = leaf_pos
-        self.root_vnode = m - 1
-        self.variables = frozenset(self.vars)
+        names = self.vars
+        leaf_of_var = dict(zip(names, leaf_pos))
+        if len(leaf_of_var) != n_vars:
+            raise ArtifactError("duplicate variable names", path=path)
         # --- validate node tables -------------------------------------
-        self.n_lits = len(self.lits)
-        self.n_decs = len(self.dec_vnode)
-        self.dec_base = 2 + self.n_lits
-        self.node_count_total = self.dec_base + self.n_decs
-        for i in range(self.n_lits):
-            if not 0 <= self.lits[i] < 2 * n_vars:
-                raise ArtifactError(f"bad literal code at index {i}", path=path)
-        if len(self.dec_off) != self.n_decs + 1 or (
-            self.n_decs >= 0 and len(self.dec_off) and self.dec_off[0] != 0
-        ):
+        self.n_lits = len(lits)
+        self.n_decs = len(dec_vnode)
+        self.dec_base = base = 2 + self.n_lits
+        self.node_count_total = base + self.n_decs
+        if self.n_lits and not (min(lits) >= 0 and max(lits) < 2 * n_vars):
+            i = next(i for i, code in enumerate(lits) if not 0 <= code < 2 * n_vars)
+            raise ArtifactError(f"bad literal code at index {i}", path=path)
+        node_vnode = [-1, -1] + [leaf_pos[code >> 1] for code in lits]
+        if len(dec_off) != self.n_decs + 1 or dec_off[0] != 0:
             raise ArtifactError("bad decision offset table", path=path)
-        for j in range(self.n_decs):
-            if self.dec_off[j] > self.dec_off[j + 1]:
-                raise ArtifactError(
-                    f"decision offsets not monotone at {j}", path=path
-                )
-            vn = self.dec_vnode[j]
-            if not 0 <= vn < m or v_left[vn] == -1:
-                raise ArtifactError(
-                    f"decision {j} at invalid vtree position {vn}", path=path
-                )
-            uid = self.dec_base + j
-            for i in range(2 * self.dec_off[j], 2 * self.dec_off[j + 1]):
-                child = self.elems[i]
-                if not 0 <= child < uid:
-                    raise ArtifactError(
-                        f"decision {j} references child {child} (not topological)",
-                        path=path,
-                    )
-        if len(self.elems) != 2 * self.dec_off[self.n_decs]:
+        if len(elems) != 2 * dec_off[self.n_decs]:
             raise ArtifactError("element table length mismatch", path=path)
+        pairs = zip(elems[::2], elems[1::2])
+        decisions = zip(dec_vnode, dec_off, islice(dec_off, 1, None))
+        for uid, (vn, a, b) in enumerate(decisions, base):
+            if a > b:
+                raise ArtifactError(
+                    f"decision offsets not monotone at {uid - base}", path=path
+                )
+            if not 0 <= vn < m or (vl := v_left[vn]) is None:
+                raise ArtifactError(
+                    f"decision {uid - base} at invalid vtree position {vn}", path=path
+                )
+            # Primes sit under the left child, subs under the right one
+            # (constants anywhere): the WMC gap climb relies on it.
+            first = v_first[vn]
+            for p, s in islice(pairs, b - a):
+                if not (0 <= p < uid and 0 <= s < uid):
+                    bad = s if 0 <= p < uid else p
+                    raise ArtifactError(
+                        f"decision {uid - base} references child {bad} "
+                        "(not topological)", path=path,
+                    )
+                if p > 1 and not first <= node_vnode[p] <= vl:
+                    raise ArtifactError(
+                        f"decision {uid - base}: prime {p} is not under the left "
+                        f"vtree child of position {vn}", path=path,
+                    )
+                if s > 1 and not vl < node_vnode[s] < vn:
+                    raise ArtifactError(
+                        f"decision {uid - base}: sub {s} is not under the right "
+                        f"vtree child of position {vn}", path=path,
+                    )
+            node_vnode.append(vn)
         for r in self.roots:
             if not 0 <= r < self.node_count_total:
                 raise ArtifactError(f"root id {r} out of range", path=path)
         if self.root_names is not None and len(self.root_names) != len(self.roots):
             raise ArtifactError("root name count mismatch", path=path)
+        # --- the node-table protocol (SddNodeTable) ---------------------
+        self.node_kind = ["false", "true"] + ["lit"] * self.n_lits + ["dec"] * self.n_decs
+        self.node_var = [None, None] + [names[code >> 1] for code in lits]
+        self.node_sign = [None, None] + [code & 1 == 1 for code in lits]
+        self.node_vnode = node_vnode
+        self.node_elements = _ElementPairs(elems, dec_off, base)
+        self.node_stamp = range(self.node_count_total)
+        self.v_left = v_left
+        self.v_right = v_right
+        self.v_parent = v_parent
+        self.v_root = m - 1
+        self.leaf_of_var = leaf_of_var
+        self.variables = frozenset(self.vars)
+
+    def vtree_postorder(self) -> range:
+        return range(len(self.vt))
+
+    def register_wmc_cache(self, cache) -> None:
+        """Nothing to register: frozen node ids never die and the vtree
+        never rotates, so an evaluator's memo never goes stale."""
+
+    def element_count(self, u: int) -> int:
+        j = u - self.dec_base
+        return self.dec_off[j + 1] - self.dec_off[j]
 
     # ------------------------------------------------------------------
     # construction
@@ -320,11 +390,7 @@ class FrozenSdd:
     def load(cls, path, *, use_mmap: bool = True) -> "FrozenSdd":
         """mmap an artifact file read-only and wrap it (zero copy)."""
         art = open_artifact(path, expect_kind=KIND_SDD, use_mmap=use_mmap)
-        try:
-            return cls.from_artifact(art)
-        except ArtifactError:
-            art.close()
-            raise
+        return _open_store(cls, art)
 
     def sections(self) -> list[tuple[str, int, bytes]]:
         out = [
@@ -352,7 +418,7 @@ class FrozenSdd:
             self._artifact = None
 
     # ------------------------------------------------------------------
-    # structure queries
+    # vtree and roots
     # ------------------------------------------------------------------
     def vtree(self) -> Vtree:
         return Vtree.from_postfix(
@@ -363,109 +429,6 @@ class FrozenSdd:
         if self.root_names is None:
             raise KeyError(name)
         return self.roots[self.root_names.index(name)]
-
-    def is_dec(self, u: int) -> bool:
-        return u >= self.dec_base
-
-    def elements(self, u: int):
-        """Element pairs of decision node ``u``, in stored order."""
-        j = u - self.dec_base
-        elems = self.elems
-        for i in range(self.dec_off[j], self.dec_off[j + 1]):
-            yield elems[2 * i], elems[2 * i + 1]
-
-    def reachable(self, root: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if w >= self.dec_base:
-                for p, s in self.elements(w):
-                    stack.append(p)
-                    stack.append(s)
-        return seen
-
-    def size(self, root: int) -> int:
-        base = self.dec_base
-        off = self.dec_off
-        total = 0
-        for w in self.reachable(root):
-            if w >= base:
-                j = w - base
-                total += off[j + 1] - off[j]
-        return total
-
-    def node_count(self, root: int) -> int:
-        return len(self.reachable(root))
-
-    def width(self, root: int) -> int:
-        per: dict[int, int] = {}
-        base = self.dec_base
-        off = self.dec_off
-        for w in self.reachable(root):
-            if w >= base:
-                j = w - base
-                vn = self.dec_vnode[j]
-                per[vn] = per.get(vn, 0) + off[j + 1] - off[j]
-        return max(per.values(), default=0)
-
-    # ------------------------------------------------------------------
-    # semantics (mirrors of the live evaluators)
-    # ------------------------------------------------------------------
-    def weighted_count(self, root: int, weights: Mapping[str, tuple]):
-        return FrozenSddWmc(self, weights).value(root)
-
-    def model_count(self, root: int, scope=None) -> int:
-        weights = {v: (1, 1) for v in self.variables}
-        base = FrozenSddWmc(self, weights).value(root)
-        missing = len(set(scope) - self.variables) if scope is not None else 0
-        return base << missing
-
-    def probability(self, root: int, prob: Mapping[str, float], *, exact: bool = False):
-        if exact:
-            return Fraction(self.weighted_count(root, exact_weights(prob)))
-        return float(self.weighted_count(root, float_weights(prob)))
-
-    def evaluate(self, root: int, assignment: Mapping[str, int]) -> bool:
-        # Lazy short-circuit evaluation, mirroring SddManager.evaluate:
-        # only the taken branches need their variables assigned.
-        val: dict[int, bool] = {_FALSE: False, _TRUE: True}
-        stack = [root]
-        base = self.dec_base
-        while stack:
-            w = stack[-1]
-            if w in val:
-                stack.pop()
-                continue
-            if w < base:
-                code = self.lits[w - 2]
-                b = bool(assignment[self.vars[code >> 1]])
-                val[w] = b if code & 1 else not b
-                stack.pop()
-                continue
-            needed: int | None = None
-            res = False
-            for p, s in self.elements(w):
-                pv = val.get(p)
-                if pv is None:
-                    needed = p
-                    break
-                if pv:
-                    sv = val.get(s)
-                    if sv is None:
-                        needed = s
-                    else:
-                        res = sv
-                    break
-            if needed is not None:
-                stack.append(needed)
-            else:
-                val[w] = res
-                stack.pop()
-        return val[root]
 
     # ------------------------------------------------------------------
     # thaw
@@ -489,7 +452,7 @@ class FrozenSdd:
         for j in range(self.n_decs):
             uid = self.dec_base + j
             elems = tuple(
-                (idmap[p], idmap[s]) for p, s in self.elements(uid)
+                (idmap[p], idmap[s]) for p, s in self.node_elements[uid]
             )
             idmap[uid] = mgr.intern_decision(self.dec_vnode[j], elems)
         roots = [idmap[r] for r in self.roots]
@@ -513,134 +476,28 @@ class FrozenSdd:
         )
 
 
-class FrozenSddWmc:
-    """Array-backed twin of :class:`repro.sdd.wmc.SddWmcEvaluator`.
-
-    Same ring choice (``int`` weights count, weights containing a
-    ``Fraction`` sweep in scaled integers and divide once by the product
-    of the denominators, floats run as given), same amortized gap
-    products, the same stop-at-memo sweep, and — deliberately — the same
-    operation order everywhere, so float results match the live evaluator
-    bit-for-bit.  Reusable across roots of one store.
-    """
-
-    def __init__(self, frozen: FrozenSdd, weights: Mapping[str, tuple]):
-        self.frozen = frozen
-        missing = frozen.variables - set(weights)
-        if missing:
-            raise ValueError(f"weights missing for variables: {sorted(missing)[:5]}")
-        self.weights = {v: weights[v] for v in frozen.variables}
-        self._scaled = scaled_weights(self.weights)
-        pairs = self.weights if self._scaled is None else self._scaled.pairs
-        den = {} if self._scaled is None else self._scaled.den
-        fz = frozen
-        prod: list = [1] * len(fz.vt)
-        scale: list[int] = [1] * len(fz.vt)
-        for k in range(len(fz.vt)):
-            c = fz.vt[k]
-            if c >= 0:
-                w0, w1 = pairs[fz.vars[c]]
-                prod[k] = w0 + w1
-                scale[k] = den.get(fz.vars[c], 1)
-            else:
-                prod[k] = prod[fz.v_left[k]] * prod[fz.v_right[k]]
-                scale[k] = scale[fz.v_left[k]] * scale[fz.v_right[k]]
-        self._pairs = pairs
-        self._subtree_prod = prod
-        self._scale = scale
-        self._gap_cache: dict[tuple[int, int], object] = {}
-        self._memo: dict[int, object] = {}
-        self._swept = 0
-
-    def _gap(self, outer: int, inner: int):
-        if outer == inner:
-            return 1
-        key = (outer, inner)
-        got = self._gap_cache.get(key)
-        if got is not None:
-            return got
-        fz = self.frozen
-        g = 1
-        x = inner
-        while x != outer:
-            p = fz.v_parent[x]
-            sib = fz.v_left[p] if fz.v_right[p] == x else fz.v_right[p]
-            g = g * self._subtree_prod[sib]
-            x = p
-        self._gap_cache[key] = g
-        return g
-
-    def _lift(self, u: int, target_vnode: int):
-        if u == _FALSE:
-            return 0
-        if u == _TRUE:
-            return self._subtree_prod[target_vnode]
-        fz = self.frozen
-        vn = (
-            fz.dec_vnode[u - fz.dec_base]
-            if u >= fz.dec_base
-            else fz.leaf_pos[fz.lits[u - 2] >> 1]
-        )
-        return self._memo[u] * self._gap(target_vnode, vn)
-
-    def _sweep(self, root: int) -> None:
-        fz = self.frozen
-        memo = self._memo
-        if root <= _TRUE or root in memo:
-            return
-        base = fz.dec_base
-        seen = {root}
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            if w < base:
-                continue
-            for p, s in fz.elements(w):
-                if p > _TRUE and p not in memo and p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-                if s > _TRUE and s not in memo and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        todo = sorted(seen)  # ascending frozen id == creation-stamp order
-        self._swept += len(todo)
-        pairs = self._pairs
-        for u in todo:
-            if u < base:
-                code = fz.lits[u - 2]
-                w0, w1 = pairs[fz.vars[code >> 1]]
-                memo[u] = w1 if code & 1 else w0
-            else:
-                vn = fz.dec_vnode[u - base]
-                vl, vr = fz.v_left[vn], fz.v_right[vn]
-                acc = 0
-                for p, s in fz.elements(u):
-                    acc = acc + self._lift(p, vl) * self._lift(s, vr)
-                memo[u] = acc
-
-    def value(self, root: int):
-        self._sweep(root)
-        root_vnode = self.frozen.root_vnode
-        value = self._lift(root, root_vnode)
-        if self._scaled is None:
-            return value
-        return Fraction(value, self._scale[root_vnode])
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "memo_entries": len(self._memo),
-            "gap_cache_entries": len(self._gap_cache),
-            "nodes_swept": self._swept,
-        }
-
-
 # ======================================================================
 # FrozenDdnnf
 # ======================================================================
 _K_FALSE, _K_TRUE, _K_LIT, _K_AND, _K_OR = 0, 1, 2, 3, 4
+_KIND_NAMES = ("const", "const", "lit", "and", "or")
 
 
-class FrozenDdnnf:
+class _ChildSlices:
+    """``node_children`` of a frozen d-DNNF: node ``u``'s slice of the
+    child table (a view, no copy, when the table is mmap-ed)."""
+
+    __slots__ = ("children", "off")
+
+    def __init__(self, children: Sequence[int], off: Sequence[int]):
+        self.children = children
+        self.off = off
+
+    def __getitem__(self, u: int):
+        return self.children[self.off[u]:self.off[u + 1]]
+
+
+class FrozenDdnnf(DnnfNodeTable):
     """An immutable smooth d-DNNF DAG: kinds, literal codes, child lists.
 
     Ids ``0``/``1`` are FALSE/TRUE; children always have smaller ids
@@ -671,33 +528,48 @@ class FrozenDdnnf:
         self.root_names = list(root_names) if root_names is not None else None
         self.meta = dict(meta) if meta else {}
         self._artifact = _artifact
-        n = len(self.kinds)
-        if n < 2 or self.kinds[0] != _K_FALSE or self.kinds[1] != _K_TRUE:
+        n = len(kinds)
+        if n < 2 or kinds[0] != _K_FALSE or kinds[1] != _K_TRUE:
             raise ArtifactError("d-DNNF store missing constant nodes", path=path)
-        if len(self.litv) != n or len(self.ch_off) != n + 1 or self.ch_off[0] != 0:
+        if len(litv) != n or len(ch_off) != n + 1 or ch_off[0] != 0:
             raise ArtifactError("d-DNNF table length mismatch", path=path)
-        for u in range(n):
-            k = self.kinds[u]
-            if k not in (_K_FALSE, _K_TRUE, _K_LIT, _K_AND, _K_OR):
+        if len(children) != ch_off[n]:
+            raise ArtifactError("child table length mismatch", path=path)
+        if ch_off[1] or ch_off[2]:
+            raise ArtifactError("constant nodes have children", path=path)
+        # The node-table protocol (DnnfNodeTable): kinds as a per-process
+        # list, literal variables and signs keyed by literal id.
+        node_kind = list(_KIND_NAMES[:2])
+        node_var: dict[int, str] = {}
+        node_sign: dict[int, bool] = {}
+        for u in range(2, n):
+            k = kinds[u]
+            if k not in (_K_LIT, _K_AND, _K_OR):
                 raise ArtifactError(f"bad node kind {k} at id {u}", path=path)
-            if self.ch_off[u] > self.ch_off[u + 1]:
+            a, b = ch_off[u], ch_off[u + 1]
+            if a > b:
                 raise ArtifactError(f"child offsets not monotone at {u}", path=path)
             if k == _K_LIT:
-                if not 0 <= self.litv[u] < 2 * len(self.vars):
+                code = litv[u]
+                if not 0 <= code < 2 * len(self.vars) or a != b:
                     raise ArtifactError(f"bad literal code at id {u}", path=path)
-            for i in range(self.ch_off[u], self.ch_off[u + 1]):
-                if not 0 <= self.children[i] < u:
+                node_var[u] = self.vars[code >> 1]
+                node_sign[u] = bool(code & 1)
+            for c in children[a:b]:
+                if not 0 <= c < u:
                     raise ArtifactError(
-                        f"node {u} references child {self.children[i]} "
-                        "(not topological)", path=path,
+                        f"node {u} references child {c} (not topological)", path=path
                     )
-        if len(self.children) != self.ch_off[n]:
-            raise ArtifactError("child table length mismatch", path=path)
+            node_kind.append(_KIND_NAMES[k])
         for r in self.roots:
             if not 0 <= r < n:
                 raise ArtifactError(f"root id {r} out of range", path=path)
         if self.root_names is not None and len(self.root_names) != len(self.roots):
             raise ArtifactError("root name count mismatch", path=path)
+        self.node_kind = node_kind
+        self.node_var = node_var
+        self.node_sign = node_sign
+        self.node_children = _ChildSlices(children, ch_off)
         self.variables = frozenset(self.vars)
 
     # ------------------------------------------------------------------
@@ -771,11 +643,7 @@ class FrozenDdnnf:
     @classmethod
     def load(cls, path, *, use_mmap: bool = True) -> "FrozenDdnnf":
         art = open_artifact(path, expect_kind=KIND_DDNNF, use_mmap=use_mmap)
-        try:
-            return cls.from_artifact(art)
-        except ArtifactError:
-            art.close()
-            raise
+        return _open_store(cls, art)
 
     def sections(self) -> list[tuple[str, int, bytes]]:
         out = [
@@ -802,77 +670,6 @@ class FrozenDdnnf:
             self._artifact = None
 
     # ------------------------------------------------------------------
-    def node_children(self, u: int):
-        for i in range(self.ch_off[u], self.ch_off[u + 1]):
-            yield self.children[i]
-
-    def reachable(self, root: int) -> list[int]:
-        seen = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for c in self.node_children(u):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return sorted(seen)
-
-    def size(self, root: int) -> int:
-        return sum(1 for u in self.reachable(root) if u > _TRUE)
-
-    def width(self, root: int) -> int:
-        return max(
-            (self.ch_off[u + 1] - self.ch_off[u] for u in self.reachable(root)),
-            default=0,
-        )
-
-    def scope(self, root: int) -> frozenset[str]:
-        """Variables mentioned under ``root`` (mirrors ``DnnfDag.scopes``)."""
-        out: dict[int, frozenset[str]] = {}
-        for u in self.reachable(root):
-            k = self.kinds[u]
-            if k in (_K_FALSE, _K_TRUE):
-                out[u] = frozenset()
-            elif k == _K_LIT:
-                out[u] = frozenset((self.vars[self.litv[u] >> 1],))
-            else:
-                acc: frozenset[str] = frozenset()
-                for c in self.node_children(u):
-                    acc |= out[c]
-                out[u] = acc
-        return out[root]
-
-    def weighted_count(self, root: int, weights: Mapping[str, tuple]):
-        return FrozenDdnnfWmc(self, weights).value(root)
-
-    def model_count(self, root: int, scope=None) -> int:
-        mentioned = self.scope(root)
-        weights = {v: (1, 1) for v in mentioned}
-        base = FrozenDdnnfWmc(self, weights).value(root)
-        missing = len(set(scope) - mentioned) if scope is not None else 0
-        return base << missing
-
-    def probability(self, root: int, prob: Mapping[str, float], *, exact: bool = False):
-        if exact:
-            return Fraction(self.weighted_count(root, exact_weights(prob)))
-        return float(self.weighted_count(root, float_weights(prob)))
-
-    def evaluate(self, root: int, assignment: Mapping[str, int]) -> bool:
-        vals: dict[int, bool] = {}
-        for u in self.reachable(root):
-            k = self.kinds[u]
-            if k in (_K_FALSE, _K_TRUE):
-                vals[u] = u == _TRUE
-            elif k == _K_LIT:
-                code = self.litv[u]
-                vals[u] = bool(assignment[self.vars[code >> 1]]) == bool(code & 1)
-            elif k == _K_AND:
-                vals[u] = all(vals[c] for c in self.node_children(u))
-            else:
-                vals[u] = any(vals[c] for c in self.node_children(u))
-        return vals[root]
-
-    # ------------------------------------------------------------------
     def to_dag(self):
         """Rebuild a live :class:`DnnfDag`; returns ``(dag, roots)``.
 
@@ -880,8 +677,6 @@ class FrozenDdnnf:
         single-child gates, AND children sorted), so re-interning them in
         ascending order reproduces the structure exactly.
         """
-        from ..dnnf.nodes import DnnfDag
-
         dag = DnnfDag()
         idmap = {_FALSE: _FALSE, _TRUE: _TRUE}
         for u in range(2, len(self.kinds)):
@@ -890,9 +685,9 @@ class FrozenDdnnf:
                 code = self.litv[u]
                 idmap[u] = dag.literal(self.vars[code >> 1], bool(code & 1))
             elif k == _K_AND:
-                idmap[u] = dag.conjoin([idmap[c] for c in self.node_children(u)])
+                idmap[u] = dag.conjoin([idmap[c] for c in self.node_children[u]])
             else:
-                idmap[u] = dag.disjoin([idmap[c] for c in self.node_children(u)])
+                idmap[u] = dag.disjoin([idmap[c] for c in self.node_children[u]])
         return dag, [idmap[r] for r in self.roots]
 
     def stats(self) -> dict[str, int]:
@@ -907,82 +702,10 @@ class FrozenDdnnf:
         return f"FrozenDdnnf(nodes={len(self.kinds)}, roots={len(self.roots)})"
 
 
-class FrozenDdnnfWmc:
-    """Array-backed twin of :class:`repro.dnnf.wmc.DnnfWmcEvaluator`:
-    the same ring choice, per-node scales and stop-at-memo sweep, and
-    identical operation order, so float results match bit-for-bit."""
-
-    def __init__(self, frozen: FrozenDdnnf, weights: Mapping[str, tuple]):
-        self.frozen = frozen
-        self.weights = dict(weights)
-        self._scaled = scaled_weights(self.weights)
-        self._memo: dict[int, object] = {_FALSE: 0, _TRUE: 1}
-        # Per-node denominators of the memo values (all 1 unless scaled).
-        self._scale: dict[int, int] = {_FALSE: 1, _TRUE: 1}
-        self._swept = 0
-
-    def _sweep(self, root: int) -> None:
-        fz = self.frozen
-        memo = self._memo
-        seen = {root}
-        stack = [root]
-        while stack:
-            for c in fz.node_children(stack.pop()):
-                if c not in memo and c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        todo = sorted(seen)  # ascending id = children first
-        self._swept += len(todo)
-        scaled = self._scaled
-        pairs = self.weights if scaled is None else scaled.pairs
-        den = {} if scaled is None else scaled.den
-        scale = self._scale
-        for u in todo:
-            k = fz.kinds[u]
-            if k == _K_LIT:
-                code = fz.litv[u]
-                var = fz.vars[code >> 1]
-                w0, w1 = pairs[var]
-                memo[u] = w1 if code & 1 else w0
-                scale[u] = den.get(var, 1)
-            elif k == _K_AND:
-                acc = sc = 1
-                for c in fz.node_children(u):
-                    acc = acc * memo[c]
-                    sc *= scale[c]
-                memo[u] = acc
-                scale[u] = sc
-            else:
-                acc, sc = 0, 1
-                for c in fz.node_children(u):
-                    v, cs = memo[c], scale[c]
-                    if cs == sc or not v:  # a zero (FALSE) adds at any scale
-                        acc = acc + v
-                    elif not acc:
-                        acc, sc = v, cs
-                    else:  # a non-smooth OR: put both terms over the lcm
-                        m = lcm(sc, cs)
-                        acc = acc * (m // sc) + v * (m // cs)
-                        sc = m
-                memo[u] = acc
-                scale[u] = sc
-
-    def value(self, root: int):
-        memo = self._memo
-        if root not in memo:
-            self._sweep(root)
-        if self._scaled is None:
-            return memo[root]
-        return Fraction(memo[root], self._scale[root])
-
-    def stats(self) -> dict[str, int]:
-        return {"memo_entries": len(self._memo), "nodes_swept": self._swept}
-
-
 # ======================================================================
 # FrozenObdd
 # ======================================================================
-class FrozenObdd:
+class FrozenObdd(ObddNodeTable):
     """An immutable reduced OBDD: variable order + level/lo/hi tables.
 
     Ids ``0``/``1`` are the terminals (stored at level ``n`` with child
@@ -1012,6 +735,7 @@ class FrozenObdd:
         self.meta = dict(meta) if meta else {}
         self._artifact = _artifact
         n = len(self.vars)
+        self.order = tuple(self.vars)
         self.n = n
         m = len(self.level)
         if m < 2 or len(self.lo) != m or len(self.hi) != m:
@@ -1080,11 +804,7 @@ class FrozenObdd:
     @classmethod
     def load(cls, path, *, use_mmap: bool = True) -> "FrozenObdd":
         art = open_artifact(path, expect_kind=KIND_OBDD, use_mmap=use_mmap)
-        try:
-            return cls.from_artifact(art)
-        except ArtifactError:
-            art.close()
-            raise
+        return _open_store(cls, art)
 
     def sections(self) -> list[tuple[str, int, bytes]]:
         out = [
@@ -1108,81 +828,6 @@ class FrozenObdd:
             _release_views(self, ("level", "lo", "hi"))
             self._artifact.close()
             self._artifact = None
-
-    # ------------------------------------------------------------------
-    def reachable(self, root: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if w > 1:
-                stack.extend((self.lo[w], self.hi[w]))
-        return seen
-
-    def size(self, root: int) -> int:
-        return len(self.reachable(root))
-
-    def width(self, root: int) -> int:
-        counts: dict[int, int] = {}
-        for w in self.reachable(root):
-            if w > 1:
-                counts[self.level[w]] = counts.get(self.level[w], 0) + 1
-        return max(counts.values(), default=0)
-
-    def count_models(self, root: int, scope=None) -> int:
-        scope_set = set(scope) if scope is not None else set(self.vars)
-        missing = len(scope_set - set(self.vars))
-        memo: dict[int, int] = {0: 0, 1: 1}
-        level = self.level
-        for u in sorted(self.reachable(root)):
-            if u <= 1:
-                continue
-            lvl = level[u]
-            lo, hi = self.lo[u], self.hi[u]
-            lo_count = memo[lo] << (level[lo] - lvl - 1)
-            hi_count = memo[hi] << (level[hi] - lvl - 1)
-            memo[u] = lo_count + hi_count
-        total = memo[root] << level[root]
-        return total << missing
-
-    def weighted_count(self, root: int, weights: Mapping[str, tuple]):
-        # Iterative mirror of ObddManager.weighted_count: same per-node
-        # expression, same sequential (uncached) gap products.
-        sums = [weights[v][0] + weights[v][1] for v in self.vars]
-
-        def gap(from_level: int, to_level: int):
-            f = 1
-            for i in range(from_level, to_level):
-                f = f * sums[i]
-            return f
-
-        memo: dict[int, object] = {0: 0, 1: 1}
-        level = self.level
-        for u in sorted(self.reachable(root)):
-            if u <= 1:
-                continue
-            lvl = level[u]
-            w0, w1 = weights[self.vars[lvl]]
-            lo, hi = self.lo[u], self.hi[u]
-            lo_val = memo[lo] * gap(lvl + 1, level[lo])
-            hi_val = memo[hi] * gap(lvl + 1, level[hi])
-            memo[u] = w0 * lo_val + w1 * hi_val
-        return memo[root] * gap(0, level[root])
-
-    def probability(self, root: int, prob: Mapping[str, float], *, exact: bool = False):
-        weights = exact_weights(prob) if exact else float_weights(prob)
-        value = self.weighted_count(root, weights)
-        return Fraction(value) if exact else float(value)
-
-    def evaluate(self, root: int, assignment: Mapping[str, int]) -> bool:
-        w = root
-        while w > 1:
-            v = self.vars[self.level[w]]
-            w = self.hi[w] if assignment[v] else self.lo[w]
-        return bool(w)
 
     # ------------------------------------------------------------------
     def to_manager(self):
@@ -1268,12 +913,12 @@ class FrozenCompiled:
         if self.backend == "canonical":
             return self._fn().count_models()
         if self.backend == "ddnnf":
-            return self.store.model_count(self.root, self.circuit.variables)
+            return self.store.count_models(self.root, self.circuit.variables)
         if self.backend == "obdd":
             base = self.store.count_models(self.root)
-            extra = set(self.store.vars) - self.circuit_variables
+            extra = set(self.store.order) - self.circuit_variables
             return base >> len(extra)
-        base = self.store.model_count(self.root, self.circuit.variables)
+        base = self.store.count_models(self.root, self.circuit.variables)
         extra = self.vtree.variables - self.circuit_variables
         return base >> len(extra)
 
@@ -1288,11 +933,9 @@ class FrozenCompiled:
         if self.backend == "ddnnf":
             return self.store.probability(self.root, prob, exact=exact)
         if self.backend == "obdd":
-            full = self._fill_extra(prob, set(self.store.vars))
-            weights = exact_weights(full) if exact else float_weights(full)
-            value = self.store.weighted_count(self.root, weights)
-            return Fraction(value) if exact else float(value)
-        full = self._fill_extra(prob, self.vtree.variables)
+            full = self._fill_extra(prob, set(self.store.order))
+        else:
+            full = self._fill_extra(prob, self.vtree.variables)
         return self.store.probability(self.root, full, exact=exact)
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:

@@ -37,7 +37,7 @@ from ..circuits.circuit import Circuit
 from ..core.vtree import Vtree
 from ..obdd.obdd import ObddManager
 from ..sdd.manager import SddManager
-from ..sdd.wmc import exact_weights, float_weights
+from ..sdd.wmc import exact_weights
 
 __all__ = [
     "Compiled",
@@ -287,10 +287,8 @@ class ApplyCompiled(_CompiledBase):
         return base >> len(extra)
 
     def probability(self, prob, *, exact: bool = False):
-        from ..sdd.wmc import probability as sdd_probability
-
         full = _fill_extra(prob, self.manager.vtree.variables)
-        return sdd_probability(self.manager, self.root, full, exact=exact)
+        return self.manager.probability(self.root, full, exact=exact)
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         return self.manager.evaluate(self.root, assignment)
@@ -325,9 +323,7 @@ class ObddCompiled(_CompiledBase):
 
     def probability(self, prob, *, exact: bool = False):
         full = _fill_extra(prob, set(self.manager.order))
-        weights = exact_weights(full) if exact else float_weights(full)
-        value = self.manager.weighted_count(self.root, weights)
-        return Fraction(value) if exact else float(value)
+        return self.manager.probability(self.root, full, exact=exact)
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         # A reduced OBDD of the circuit never tests variables the circuit
@@ -355,7 +351,6 @@ class DdnnfCompiled(_CompiledBase):
         self.result = result
         self.dag = result.dag
         self.root = result.root
-        self._evaluator = None
 
     @property
     def size(self) -> int:
@@ -366,20 +361,16 @@ class DdnnfCompiled(_CompiledBase):
         return self.result.width
 
     def model_count(self) -> int:
-        from ..dnnf.wmc import model_count as dnnf_model_count
-
         # Smoothness makes the root mention exactly the circuit's
         # variables, so no extras shifting is needed (the scope argument
         # covers degenerate circuits whose output ignores some variable
         # gate — those still count free, matching the other backends).
-        return dnnf_model_count(self.dag, self.root, self.circuit.variables)
+        return self.dag.count_models(self.root, self.circuit.variables)
 
     def probability(self, prob, *, exact: bool = False):
-        from ..dnnf.wmc import probability as dnnf_probability
-
         # Variables beyond the root's scope marginalize out for free; no
         # _fill_extra needed.
-        return dnnf_probability(self.dag, self.root, prob, exact=exact)
+        return self.dag.probability(self.root, prob, exact=exact)
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         return self.dag.evaluate(self.root, assignment)

@@ -29,9 +29,12 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .wmc import model_count, probability, weighted_model_count
+
 __all__ = [
     "FALSE",
     "TRUE",
+    "DnnfNodeTable",
     "DnnfDag",
     "check_decomposable",
     "check_deterministic",
@@ -48,7 +51,90 @@ _AND = "and"
 _OR = "or"
 
 
-class DnnfDag:
+class DnnfNodeTable:
+    """Read-only queries over a d-DNNF node table, shared by the live
+    :class:`DnnfDag` and the frozen
+    :class:`~repro.artifact.store.FrozenDdnnf`.
+
+    A subclass provides the table these methods and
+    :class:`~repro.dnnf.wmc.DnnfWmcEvaluator` read: ``node_kind[u]``
+    (``"const"``/``"lit"``/``"and"``/``"or"``), ``node_var[u]`` /
+    ``node_sign[u]`` for a literal, and ``node_children[u]``, a sized
+    iterable of child ids (empty for constants and literals).  Children
+    have smaller ids than their parents, so ascending id order is
+    topological.
+    """
+
+    def reachable(self, root: int) -> list[int]:
+        """Ids reachable from ``root`` in ascending (= topological) order."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for c in self.node_children[u]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return sorted(seen)
+
+    def size(self, root: int) -> int:
+        """Number of non-constant nodes reachable from ``root``."""
+        return sum(1 for u in self.reachable(root) if u > TRUE)
+
+    def edge_count(self, root: int) -> int:
+        """Number of wires reachable from ``root`` (the NNF size measure)."""
+        return sum(len(self.node_children[u]) for u in self.reachable(root))
+
+    def width(self, root: int) -> int:
+        """Max fanin over reachable AND/OR nodes (0 for literal/const roots)."""
+        return max(
+            (len(self.node_children[u]) for u in self.reachable(root)), default=0
+        )
+
+    def scopes(self, root: int) -> dict[int, frozenset[str]]:
+        """Variables mentioned under each reachable node (children first)."""
+        out: dict[int, frozenset[str]] = {}
+        for u in self.reachable(root):
+            kind = self.node_kind[u]
+            if kind == _CONST:
+                out[u] = frozenset()
+            elif kind == _LIT:
+                out[u] = frozenset((self.node_var[u],))
+            else:
+                acc: frozenset[str] = frozenset()
+                for c in self.node_children[u]:
+                    acc |= out[c]
+                out[u] = acc
+        return out
+
+    def evaluate(self, root: int, assignment: Mapping[str, int]) -> bool:
+        """Evaluate under a total assignment of the mentioned variables."""
+        vals: dict[int, bool] = {}
+        for u in self.reachable(root):
+            kind = self.node_kind[u]
+            if kind == _CONST:
+                vals[u] = u == TRUE
+            elif kind == _LIT:
+                vals[u] = bool(assignment[self.node_var[u]]) == self.node_sign[u]
+            elif kind == _AND:
+                vals[u] = all(vals[c] for c in self.node_children[u])
+            else:
+                vals[u] = any(vals[c] for c in self.node_children[u])
+        return vals[root]
+
+    def count_models(self, root: int, scope: Iterable[str] | None = None) -> int:
+        """Exact model count over ``scope`` (default: the root's own)."""
+        return model_count(self, root, scope)
+
+    def weighted_count(self, root: int, weights: Mapping[str, tuple]):
+        """WMC over the root's own scope; exact with Fractions."""
+        return weighted_model_count(self, root, weights)
+
+    def probability(self, root: int, prob: Mapping[str, float], *, exact: bool = False):
+        return probability(self, root, prob, exact=exact)
+
+
+class DnnfDag(DnnfNodeTable):
     """A growing d-DNNF DAG; nodes are integer ids into parallel arrays.
 
     ``node_kind[u]`` is one of ``"const"``/``"lit"``/``"and"``/``"or"``;
@@ -126,66 +212,6 @@ class DnnfDag:
             return kept[0]
         key_children = tuple(kept)
         return self._intern((_OR, key_children), _OR, key_children)
-
-    # ------------------------------------------------------------------
-    # traversal and measures
-    # ------------------------------------------------------------------
-    def reachable(self, root: int) -> list[int]:
-        """Ids reachable from ``root`` in ascending (= topological) order."""
-        seen = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for c in self.node_children[u]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return sorted(seen)
-
-    def size(self, root: int) -> int:
-        """Number of non-constant nodes reachable from ``root``."""
-        return sum(1 for u in self.reachable(root) if u > TRUE)
-
-    def edge_count(self, root: int) -> int:
-        """Number of wires reachable from ``root`` (the NNF size measure)."""
-        return sum(len(self.node_children[u]) for u in self.reachable(root))
-
-    def width(self, root: int) -> int:
-        """Max fanin over reachable AND/OR nodes (0 for literal/const roots)."""
-        return max(
-            (len(self.node_children[u]) for u in self.reachable(root)), default=0
-        )
-
-    def scopes(self, root: int) -> dict[int, frozenset[str]]:
-        """Variables mentioned under each reachable node (children first)."""
-        out: dict[int, frozenset[str]] = {}
-        for u in self.reachable(root):
-            kind = self.node_kind[u]
-            if kind == _CONST:
-                out[u] = frozenset()
-            elif kind == _LIT:
-                out[u] = frozenset((self.node_var[u],))
-            else:
-                acc: frozenset[str] = frozenset()
-                for c in self.node_children[u]:
-                    acc |= out[c]
-                out[u] = acc
-        return out
-
-    def evaluate(self, root: int, assignment: Mapping[str, int]) -> bool:
-        """Evaluate under a total assignment of the mentioned variables."""
-        vals: dict[int, bool] = {}
-        for u in self.reachable(root):
-            kind = self.node_kind[u]
-            if kind == _CONST:
-                vals[u] = u == TRUE
-            elif kind == _LIT:
-                vals[u] = bool(assignment[self.node_var[u]]) == self.node_sign[u]
-            elif kind == _AND:
-                vals[u] = all(vals[c] for c in self.node_children[u])
-            else:
-                vals[u] = any(vals[c] for c in self.node_children[u])
-        return vals[root]
 
     def freeze(self, roots, *, names=None, meta=None):
         """Freeze ``roots`` into an immutable array-backed

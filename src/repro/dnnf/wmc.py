@@ -30,16 +30,26 @@ Same conventions as the SDD evaluator:
 - **Reusable memo.**  One evaluator serves many roots of the same DAG;
   shared subgraphs are paid for once, and each sweep walks down from the
   root only as far as the first memoized nodes.
+- **One evaluator, two node tables.**  The sweep reads only the
+  :class:`~repro.dnnf.nodes.DnnfNodeTable` protocol, which the live
+  :class:`~repro.dnnf.nodes.DnnfDag` and the frozen, mmap-backed
+  :class:`~repro.artifact.store.FrozenDdnnf` both expose, so live and
+  frozen answers are equal — floats bit-for-bit — by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..sdd.wmc import exact_weights, float_weights, scaled_weights
-from .nodes import FALSE, TRUE, DnnfDag
+
+if TYPE_CHECKING:
+    from .nodes import DnnfNodeTable
+
+_FALSE = 0
+_TRUE = 1
 
 __all__ = [
     "DnnfWmcEvaluator",
@@ -60,13 +70,13 @@ class DnnfWmcEvaluator:
     in ``w_neg + w_pos`` per absent variable (see :func:`model_count`).
     """
 
-    def __init__(self, dag: DnnfDag, weights: Mapping[str, tuple]):
+    def __init__(self, dag: DnnfNodeTable, weights: Mapping[str, tuple]):
         self.dag = dag
         self.weights = dict(weights)
         self._scaled = scaled_weights(self.weights)
-        self._memo: dict[int, object] = {FALSE: 0, TRUE: 1}
+        self._memo: dict[int, object] = {_FALSE: 0, _TRUE: 1}
         # Per-node denominators of the memo values (all 1 unless scaled).
-        self._scale: dict[int, int] = {FALSE: 1, TRUE: 1}
+        self._scale: dict[int, int] = {_FALSE: 1, _TRUE: 1}
         self._swept = 0
 
     def _sweep(self, root: int) -> None:
@@ -141,7 +151,7 @@ class DnnfWmcEvaluator:
         if self._scaled is not None and not self._scaled.update(changed):
             # A float joined exact weights: the integer memo is void.
             self._scaled = None
-            stale = [u for u in memo if u > TRUE]
+            stale = [u for u in memo if u > _TRUE]
         else:
             vars_changed = set(changed)
             dag = self.dag
@@ -156,7 +166,7 @@ class DnnfWmcEvaluator:
                         if dirty[c]:
                             dirty[u] = 1
                             break
-            stale = [u for u in memo if u > TRUE and dirty[u]]
+            stale = [u for u in memo if u > _TRUE and dirty[u]]
         for u in stale:
             del memo[u]
             del scale[u]
@@ -176,12 +186,12 @@ class DnnfWmcEvaluator:
 # ----------------------------------------------------------------------
 # functional entry points (same surface as repro.sdd.wmc)
 # ----------------------------------------------------------------------
-def weighted_model_count(dag: DnnfDag, root: int, weights: Mapping[str, tuple]):
+def weighted_model_count(dag: DnnfNodeTable, root: int, weights: Mapping[str, tuple]):
     """One-shot WMC; see :class:`DnnfWmcEvaluator` for the reusable form."""
     return DnnfWmcEvaluator(dag, weights).value(root)
 
 
-def model_count(dag: DnnfDag, root: int, scope: Sequence[str] | None = None) -> int:
+def model_count(dag: DnnfNodeTable, root: int, scope: Iterable[str] | None = None) -> int:
     """Exact model count over ``scope`` (default: the root's own scope).
 
     The builder's smoothness guarantee makes the root mention exactly the
@@ -197,7 +207,7 @@ def model_count(dag: DnnfDag, root: int, scope: Sequence[str] | None = None) -> 
 
 
 def probability(
-    dag: DnnfDag, root: int, prob: Mapping[str, float], *, exact: bool = False
+    dag: DnnfNodeTable, root: int, prob: Mapping[str, float], *, exact: bool = False
 ):
     """Probability of ``root`` under independent literal probabilities.
 

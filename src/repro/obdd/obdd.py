@@ -15,18 +15,117 @@ per variable order; ``apply``/``negate``/``exists`` are memoized.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
 from ..circuits.nnf import NNF, conj, disj, false_node, lit, true_node
+from ..sdd.wmc import exact_weights, float_weights
 
 if TYPE_CHECKING:
     from ..core.boolfunc import BooleanFunction
 
-__all__ = ["ObddManager", "obdd_from_function", "obdd_width_of_function"]
+__all__ = ["ObddManager", "ObddNodeTable", "obdd_from_function", "obdd_width_of_function"]
 
 
-class ObddManager:
+class ObddNodeTable:
+    """Read-only queries over an OBDD node table, shared by the live
+    :class:`ObddManager` and the frozen
+    :class:`~repro.artifact.store.FrozenObdd`.
+
+    A subclass provides ``order`` (the variables by level), ``n`` (their
+    number) and the per-node tables ``level`` / ``lo`` / ``hi``: nodes
+    ``0``/``1`` are the terminals at level ``n``, and every other node's
+    children have smaller ids, so ascending id order is topological.  The
+    counts are iterative sweeps over the weights as given — no scaled
+    integers — so with ``Fraction`` weights they are the independent
+    reference the SDD and d-DNNF kernels are checked against.
+    """
+
+    def reachable(self, u: int) -> set[int]:
+        lo, hi = self.lo, self.hi
+        seen: set[int] = set()
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            if w > 1:
+                stack.extend((lo[w], hi[w]))
+        return seen
+
+    def size(self, u: int) -> int:
+        """Number of nodes of the diagram rooted at ``u`` (incl. terminals)."""
+        return len(self.reachable(u))
+
+    def width(self, u: int) -> int:
+        """The paper's OBDD width: the largest number of nodes labelled by
+        the same variable."""
+        return max(self.level_profile(u), default=0)
+
+    def level_profile(self, u: int) -> list[int]:
+        counts = [0] * self.n
+        for w in self.reachable(u):
+            if w > 1:
+                counts[self.level[w]] += 1
+        return counts
+
+    def count_models(self, u: int, scope: Iterable[str] | None = None) -> int:
+        # memo[w] counts models over the variables at levels >= level(w);
+        # terminals sit at level n, so memo[1] == 1 == 2^0.
+        level, lo, hi = self.level, self.lo, self.hi
+        memo: dict[int, int] = {0: 0, 1: 1}
+        for w in sorted(self.reachable(u)):
+            if w > 1:
+                lvl = level[w]
+                lo_count = memo[lo[w]] << (level[lo[w]] - lvl - 1)
+                hi_count = memo[hi[w]] << (level[hi[w]] - lvl - 1)
+                memo[w] = lo_count + hi_count
+        # Scale by the free variables above the root, then by scope padding.
+        missing = len(set(scope) - set(self.order)) if scope is not None else 0
+        return memo[u] << level[u] << missing
+
+    def weighted_count(self, u: int, weights: Mapping[str, tuple]):
+        """WMC with weights ``(w_neg, w_pos)`` per variable."""
+        order, level, lo, hi = self.order, self.level, self.lo, self.hi
+        sums = [weights[v][0] + weights[v][1] for v in order]
+
+        def gap(from_level: int, to_level: int):
+            f = 1
+            for i in range(from_level, to_level):
+                f = f * sums[i]
+            return f
+
+        memo: dict[int, object] = {0: 0, 1: 1}
+        for w in sorted(self.reachable(u)):
+            if w > 1:
+                lvl = level[w]
+                w0, w1 = weights[order[lvl]]
+                lo_val, hi_val = memo[lo[w]], memo[hi[w]]
+                # A zero (the FALSE terminal) stays zero under any gap: skip
+                # the product, or every edge to FALSE costs O(levels).
+                if lo_val:
+                    lo_val = lo_val * gap(lvl + 1, level[lo[w]])
+                if hi_val:
+                    hi_val = hi_val * gap(lvl + 1, level[hi[w]])
+                memo[w] = w0 * lo_val + w1 * hi_val
+        return memo[u] * gap(0, level[u])
+
+    def probability(self, u: int, prob: Mapping[str, float], *, exact: bool = False):
+        weights = exact_weights(prob) if exact else float_weights(prob)
+        value = self.weighted_count(u, weights)
+        return Fraction(value) if exact else float(value)
+
+    def evaluate(self, u: int, assignment: Mapping[str, int]) -> bool:
+        w = u
+        while w > 1:
+            v = self.order[self.level[w]]
+            w = self.hi[w] if assignment[v] else self.lo[w]
+        return bool(w)
+
+
+class ObddManager(ObddNodeTable):
     """An OBDD manager for a fixed variable order.
 
     Node 0 is the ``False`` terminal and node 1 the ``True`` terminal; every
@@ -255,107 +354,6 @@ class ObddManager:
             "unique_table_entries": len(self._unique),
             "apply_cache_entries": len(self._apply_cache),
         }
-
-    def reachable(self, u: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if w > 1:
-                stack.extend((self.lo[w], self.hi[w]))
-        return seen
-
-    def size(self, u: int) -> int:
-        """Number of nodes of the diagram rooted at ``u`` (incl. terminals)."""
-        return len(self.reachable(u))
-
-    def width(self, u: int) -> int:
-        """The paper's OBDD width: the largest number of nodes labelled by
-        the same variable."""
-        counts: dict[int, int] = {}
-        for w in self.reachable(u):
-            if w > 1:
-                counts[self.level[w]] = counts.get(self.level[w], 0) + 1
-        return max(counts.values(), default=0)
-
-    def level_profile(self, u: int) -> list[int]:
-        counts = [0] * self.n
-        for w in self.reachable(u):
-            if w > 1:
-                counts[self.level[w]] += 1
-        return counts
-
-    def count_models(self, u: int, scope: Iterable[str] | None = None) -> int:
-        scope_set = set(scope) if scope is not None else set(self.order)
-        missing = len(scope_set - set(self.order))
-        memo: dict[int, int] = {}
-
-        # rec(w) counts models over the variables at levels >= level(w);
-        # terminals sit at level n so rec(1) == 1 == 2^0.
-        def rec(w: int) -> int:
-            if w == 0:
-                return 0
-            if w == 1:
-                return 1
-            got = memo.get(w)
-            if got is not None:
-                return got
-            lvl = self.level[w]
-            lo_count = rec(self.lo[w]) << (self.level_or_n(self.lo[w]) - lvl - 1)
-            hi_count = rec(self.hi[w]) << (self.level_or_n(self.hi[w]) - lvl - 1)
-            res = lo_count + hi_count
-            memo[w] = res
-            return res
-
-        # Scale by the free variables above the root, then by scope padding.
-        total = rec(u) << self.level_or_n(u)
-        return total << missing
-
-    def level_or_n(self, w: int) -> int:
-        return self.level[w] if w > 1 else self.n
-
-    def weighted_count(self, u: int, weights: Mapping[str, tuple[float, float]]):
-        """WMC with weights ``(w_neg, w_pos)`` per variable."""
-        memo: dict[int, object] = {}
-        sums = [weights[v][0] + weights[v][1] for v in self.order]
-
-        def gap(from_level: int, to_level: int):
-            f = 1
-            for i in range(from_level, to_level):
-                f = f * sums[i]
-            return f
-
-        def rec(w: int):
-            if w == 0:
-                return 0
-            if w == 1:
-                return 1
-            got = memo.get(w)
-            if got is not None:
-                return got
-            lvl = self.level[w]
-            w0, w1 = weights[self.order[lvl]]
-            lo_val = rec(self.lo[w]) * gap(lvl + 1, self.level_or_n(self.lo[w]))
-            hi_val = rec(self.hi[w]) * gap(lvl + 1, self.level_or_n(self.hi[w]))
-            res = w0 * lo_val + w1 * hi_val
-            memo[w] = res
-            return res
-
-        return rec(u) * gap(0, self.level_or_n(u))
-
-    def probability(self, u: int, prob: Mapping[str, float]) -> float:
-        weights = {v: (1.0 - float(p), float(p)) for v, p in prob.items()}
-        return float(self.weighted_count(u, weights))
-
-    def evaluate(self, u: int, assignment: Mapping[str, int]) -> bool:
-        w = u
-        while w > 1:
-            v = self.order[self.level[w]]
-            w = self.hi[w] if assignment[v] else self.lo[w]
-        return bool(w)
 
     def function(self, u: int, variables: Sequence[str] | None = None) -> BooleanFunction:
         from ..core.boolfunc import BooleanFunction

@@ -171,7 +171,7 @@ class QueryEngine:
             if vtree is None:
                 vtree = frozen.vtree()
         self._frozen = frozen
-        self._frozen_wmc: dict[bool, object] = {}
+        self._frozen_wmc: dict[bool, SddWmcEvaluator] = {}
         self._frozen_hits = 0
         self.db = db
         self.backend = backend
@@ -224,20 +224,25 @@ class QueryEngine:
             self._manager = SddManager(self._vtree)
         return self._manager
 
+    def _session_weights(self, variables, exact: bool) -> dict[str, tuple]:
+        """Weight pairs for every vtree variable: the database's tuple
+        probabilities, and for vtree variables without one (possible with
+        a hand-built vtree) pairs summing to 1, which marginalize them out
+        of every query."""
+        prob = self.db.probability_map()
+        weights = exact_weights(prob) if exact else float_weights(prob)
+        missing = variables - set(weights)
+        if missing:
+            half = Fraction(1, 2) if exact else 0.5
+            weights.update({v: (half, half) for v in missing})
+        return weights
+
     def _evaluator(self, exact: bool) -> SddWmcEvaluator:
         assert self._manager is not None, "compile a query first"
         ev = self._evaluators.get(exact)
         if ev is None:
-            prob = self.db.probability_map()
-            weights = exact_weights(prob) if exact else float_weights(prob)
-            missing = self._manager.vtree.variables - set(weights)
-            if missing:
-                # Vtree variables without a tuple probability (possible with
-                # a hand-built vtree): weight pairs summing to 1 marginalize
-                # them out of every query.
-                half = Fraction(1, 2) if exact else 0.5
-                weights.update({v: (half, half) for v in missing})
-            ev = SddWmcEvaluator(self._manager, weights)
+            mgr = self._manager
+            ev = SddWmcEvaluator(mgr, self._session_weights(mgr.variables, exact))
             self._evaluators[exact] = ev
         return ev
 
@@ -276,22 +281,15 @@ class QueryEngine:
         except (KeyError, ValueError):
             return None
 
-    def _frozen_evaluator(self, exact: bool):
-        """A :class:`~repro.artifact.store.FrozenSddWmc` over the frozen
-        base, weights built exactly like :meth:`_evaluator` (database
-        probabilities plus half-weights for vtree-only variables) so
-        frozen answers are bit-identical to live ones."""
+    def _frozen_evaluator(self, exact: bool) -> SddWmcEvaluator:
+        """The same :class:`~repro.sdd.wmc.SddWmcEvaluator` as
+        :meth:`_evaluator`, run over the frozen base's node tables with
+        weights from the same helper, so frozen answers are bit-identical
+        to live ones."""
         ev = self._frozen_wmc.get(exact)
         if ev is None:
-            from ..artifact.store import FrozenSddWmc
-
-            prob = self.db.probability_map()
-            weights = exact_weights(prob) if exact else float_weights(prob)
-            missing = self._frozen.variables - set(weights)
-            if missing:
-                half = Fraction(1, 2) if exact else 0.5
-                weights.update({v: (half, half) for v in missing})
-            ev = FrozenSddWmc(self._frozen, weights)
+            frozen = self._frozen
+            ev = SddWmcEvaluator(frozen, self._session_weights(frozen.variables, exact))
             self._frozen_wmc[exact] = ev
         return ev
 
@@ -712,20 +710,17 @@ class QueryEngine:
         return (1.0 - float(p), float(p))
 
     def _update_weight_caches(self, var: str, p: float | None) -> int:
-        """Point-update ``var``'s weight in every live evaluator; returns
-        the total memo entries evicted."""
+        """Point-update ``var``'s weight in every evaluator, live or over
+        the frozen base; returns the total memo entries evicted."""
         invalidated = 0
-        for exact, ev in self._evaluators.items():
-            invalidated += ev.update_weights({var: self._weight_pair(p, exact)})
+        for evaluators in (self._evaluators, self._frozen_wmc):
+            for exact, ev in evaluators.items():
+                invalidated += ev.update_weights({var: self._weight_pair(p, exact)})
         for (query, exact), ev in self._ddnnf_wmc.items():
             invalidated += ev.update_weights({var: self._weight_pair(p, exact)})
             result = self._ddnnf.get(query)
             if result is not None and not ev.memoized(result.root):
                 self._ddnnf_values.pop((query, exact), None)
-        if self._frozen_wmc:
-            # Frozen evaluators have no point-update; rebuilding them is
-            # still compilation-free (weights re-read from the database).
-            self._frozen_wmc = {}
         return invalidated
 
     def _extend_vtree(self, var: str) -> None:
@@ -943,6 +938,8 @@ class QueryEngine:
             out["collected_nodes"] = m["collected_nodes"]
             out["vtree_moves"] = m["vtree_moves"]
         out["wmc_memo_entries"] = sum(
-            ev.stats()["memo_entries"] for ev in self._evaluators.values()
+            ev.stats()["memo_entries"]
+            for evaluators in (self._evaluators, self._frozen_wmc)
+            for ev in evaluators.values()
         )
         return out

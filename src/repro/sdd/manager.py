@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from ..core.vtree import Vtree
 from ..circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
 from ..circuits.nnf import NNF, false_node, lit, true_node
+from .wmc import SddNodeTable
 
 if TYPE_CHECKING:
     from ..core.boolfunc import BooleanFunction
@@ -68,7 +69,7 @@ class CompilationBudgetExceeded(RuntimeError):
     abandon candidates that blow up)."""
 
 
-class SddManager:
+class SddManager(SddNodeTable):
     """SDD manager over a vtree that :meth:`minimize` may rewrite in place.
 
     ``auto_gc_nodes`` arms :meth:`maybe_gc`: when the live node count
@@ -175,6 +176,10 @@ class SddManager:
 
     def vnode_of(self, u: int) -> int:
         return self.node_vnode[u]
+
+    @property
+    def variables(self) -> frozenset[str]:
+        return self.vtree.variables
 
     def add_variable(self, var: str) -> int:
         """Extend the vtree with a fresh variable; returns its leaf index.
@@ -1751,102 +1756,6 @@ class SddManager:
             "apply_cache_entries": len(self._and_cache) + len(self._or_cache),
             "apply_trampoline_handoffs": self._trampoline_handoffs,
         }
-
-    def reachable(self, u: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if w > 1 and self.node_kind[w] == "dec":
-                elems = self.node_elements[w]
-                assert elems is not None
-                for p, s in elems:
-                    stack.extend((p, s))
-        return seen
-
-    def size(self, u: int) -> int:
-        """Standard SDD size: total element count over decision nodes."""
-        total = 0
-        for w in self.reachable(u):
-            if w > 1 and self.node_kind[w] == "dec":
-                total += len(self.node_elements[w])  # type: ignore[arg-type]
-        return total
-
-    def node_count(self, u: int) -> int:
-        return len(self.reachable(u))
-
-    def width(self, u: int) -> int:
-        """The paper's SDD width: max, over vtree nodes, of the number of
-        elements (AND gates) structured there."""
-        per: dict[int, int] = {}
-        for w in self.reachable(u):
-            if w > 1 and self.node_kind[w] == "dec":
-                vn = self.node_vnode[w]
-                per[vn] = per.get(vn, 0) + len(self.node_elements[w])  # type: ignore[arg-type]
-        return max(per.values(), default=0)
-
-    def count_models(self, u: int, scope: Iterable[str] | None = None) -> int:
-        """Exact model count via the linear sweep of :mod:`repro.sdd.wmc`."""
-        from .wmc import model_count
-
-        return model_count(self, u, list(scope) if scope is not None else None)
-
-    def weighted_count(self, u: int, weights: Mapping[str, tuple[float, float]]):
-        """WMC with weights ``(w_neg, w_pos)``; exact with Fractions.
-
-        Delegates to the iterative linear-time sweep of
-        :mod:`repro.sdd.wmc` (no recursion, amortized gap products).
-        """
-        from .wmc import weighted_model_count
-
-        return weighted_model_count(self, u, weights)
-
-    def probability(self, u: int, prob: Mapping[str, float]) -> float:
-        from .wmc import probability
-
-        return float(probability(self, u, prob))
-
-    def evaluate(self, u: int, assignment: Mapping[str, int]) -> bool:
-        # Lazy short-circuit evaluation (only the taken branches need their
-        # variables assigned), iterative: a node stays on the stack until
-        # the one child value it is waiting on has been computed.
-        val: dict[int, bool] = {_FALSE: False, _TRUE: True}
-        stack = [u]
-        while stack:
-            w = stack[-1]
-            if w in val:
-                stack.pop()
-                continue
-            if self.node_kind[w] == "lit":
-                b = bool(assignment[self.node_var[w]])  # type: ignore[index]
-                val[w] = b if self.node_sign[w] else not b
-                stack.pop()
-                continue
-            elems = self.node_elements[w]
-            assert elems is not None
-            needed: int | None = None
-            res = False
-            for p, s in elems:
-                pv = val.get(p)
-                if pv is None:
-                    needed = p
-                    break
-                if pv:
-                    sv = val.get(s)
-                    if sv is None:
-                        needed = s
-                    else:
-                        res = sv
-                    break
-            if needed is not None:
-                stack.append(needed)
-            else:
-                val[w] = res
-                stack.pop()
-        return val[u]
 
     def function(self, u: int, variables: Sequence[str] | None = None) -> BooleanFunction:
         vs = tuple(sorted(variables if variables is not None else self.vtree.variables))

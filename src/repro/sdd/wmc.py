@@ -1,4 +1,4 @@
-"""Linear-time (weighted) model counting over :class:`SddManager` node ids.
+"""Linear-time (weighted) model counting over SDD node tables.
 
 The manager's SDDs are hash-consed, so every node id is created *after* the
 ids it references.  That makes a single ascending-id sweep a topological
@@ -39,15 +39,24 @@ sharing sub-lineages pays for each shared node once (this is what
 :meth:`repro.queries.QueryEngine.evaluate` leans on).  Each sweep walks
 down from the root and stops at memoized nodes, so after a weight update
 it touches only the evicted cone.
+
+One evaluator, two node tables.  The evaluator and the structure queries
+of :class:`SddNodeTable` read nothing but the node-table protocol that
+class documents, which both the live
+:class:`~repro.sdd.manager.SddManager` and the frozen, mmap-backed
+:class:`~repro.artifact.store.FrozenSdd` expose.  The same code runs on
+either side, so live and frozen answers are equal — floats bit-for-bit —
+by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 __all__ = [
+    "SddNodeTable",
     "SddWmcEvaluator",
     "ScaledWeights",
     "scaled_weights",
@@ -125,8 +134,116 @@ def scaled_weights(weights: Mapping[str, tuple]) -> ScaledWeights | None:
     return None
 
 
+class SddNodeTable:
+    """Read-only queries over an SDD node table, shared by the live
+    :class:`~repro.sdd.manager.SddManager` and the frozen
+    :class:`~repro.artifact.store.FrozenSdd`.
+
+    A subclass provides the node-table protocol these methods and
+    :class:`SddWmcEvaluator` read:
+
+    - ``node_kind[u]`` — ``"false"``, ``"true"``, ``"lit"`` or ``"dec"``;
+    - ``node_var[u]`` / ``node_sign[u]`` for a literal, ``node_vnode[u]``
+      (its vtree node) for a literal or decision, and
+      ``node_elements[u]``, an iterable of ``(prime, sub)`` pairs, for a
+      decision;
+    - ``node_stamp``, a sort key under which children precede parents;
+    - the vtree: ``v_left`` / ``v_right`` / ``v_parent`` (``None`` at a
+      leaf, and above the root), ``v_root``, ``leaf_of_var``,
+      ``variables`` and ``vtree_postorder()`` (children before parents);
+    - ``register_wmc_cache(evaluator)``, so a manager whose node ids can
+      die or whose vtree can rotate keeps its evaluators' memos coherent.
+    """
+
+    def element_count(self, u: int) -> int:
+        """Number of elements of decision ``u``."""
+        return len(self.node_elements[u])
+
+    def reachable(self, u: int) -> set[int]:
+        node_kind, node_elements = self.node_kind, self.node_elements
+        seen: set[int] = set()
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            if w > _TRUE and node_kind[w] == "dec":
+                for p, s in node_elements[w]:
+                    stack.extend((p, s))
+        return seen
+
+    def size(self, u: int) -> int:
+        """Standard SDD size: total element count over decision nodes."""
+        node_kind, count = self.node_kind, self.element_count
+        return sum(count(w) for w in self.reachable(u) if node_kind[w] == "dec")
+
+    def node_count(self, u: int) -> int:
+        return len(self.reachable(u))
+
+    def width(self, u: int) -> int:
+        """The paper's SDD width: max, over vtree nodes, of the number of
+        elements (AND gates) structured there."""
+        node_kind, node_vnode = self.node_kind, self.node_vnode
+        per: dict[int, int] = {}
+        for w in self.reachable(u):
+            if node_kind[w] == "dec":
+                vn = node_vnode[w]
+                per[vn] = per.get(vn, 0) + self.element_count(w)
+        return max(per.values(), default=0)
+
+    def count_models(self, u: int, scope: Iterable[str] | None = None) -> int:
+        """Exact model count via the linear sweep of :class:`SddWmcEvaluator`."""
+        return model_count(self, u, scope)
+
+    def weighted_count(self, u: int, weights: Mapping[str, tuple]):
+        """WMC with weights ``(w_neg, w_pos)``; exact with Fractions."""
+        return weighted_model_count(self, u, weights)
+
+    def probability(self, u: int, prob: Mapping[str, float], *, exact: bool = False):
+        return probability(self, u, prob, exact=exact)
+
+    def evaluate(self, u: int, assignment: Mapping[str, int]) -> bool:
+        # Lazy short-circuit evaluation (only the taken branches need their
+        # variables assigned), iterative: a node stays on the stack until
+        # the one child value it is waiting on has been computed.
+        node_kind, node_elements = self.node_kind, self.node_elements
+        val: dict[int, bool] = {_FALSE: False, _TRUE: True}
+        stack = [u]
+        while stack:
+            w = stack[-1]
+            if w in val:
+                stack.pop()
+                continue
+            if node_kind[w] == "lit":
+                b = bool(assignment[self.node_var[w]])
+                val[w] = b if self.node_sign[w] else not b
+                stack.pop()
+                continue
+            needed: int | None = None
+            res = False
+            for p, s in node_elements[w]:
+                pv = val.get(p)
+                if pv is None:
+                    needed = p
+                    break
+                if pv:
+                    sv = val.get(s)
+                    if sv is None:
+                        needed = s
+                    else:
+                        res = sv
+                    break
+            if needed is not None:
+                stack.append(needed)
+            else:
+                val[w] = res
+                stack.pop()
+        return val[u]
+
+
 class SddWmcEvaluator:
-    """Weighted model counting over one manager, reusable across roots.
+    """Weighted model counting over one node table, reusable across roots.
 
     ``weights`` maps every vtree variable to ``(w_neg, w_pos)``.  Values may
     be ``int``, ``float`` or :class:`~fractions.Fraction`: ``int`` weights
@@ -135,12 +252,12 @@ class SddWmcEvaluator:
     ``float``.
     """
 
-    def __init__(self, mgr, weights: Mapping[str, tuple]):
+    def __init__(self, mgr: SddNodeTable, weights: Mapping[str, tuple]):
         self.mgr = mgr
-        missing = mgr.vtree.variables - set(weights)
+        missing = mgr.variables - set(weights)
         if missing:
             raise ValueError(f"weights missing for variables: {sorted(missing)[:5]}")
-        self.weights = {v: weights[v] for v in mgr.vtree.variables}
+        self.weights = {v: weights[v] for v in mgr.variables}
         self._scaled = scaled_weights(self.weights)
         self._rebuild_vtree_tables()
         self._memo: dict[int, object] = {}
@@ -148,9 +265,7 @@ class SddWmcEvaluator:
         # The memo is keyed by node id; register for eviction (and for
         # vtree refresh after in-place rotations) so the manager can keep
         # this cache coherent across gc and minimization.
-        register = getattr(mgr, "register_wmc_cache", None)
-        if register is not None:
-            register(self)
+        mgr.register_wmc_cache(self)
 
     def _rebuild_vtree_tables(self) -> None:
         """Product of (w_neg + w_pos) over the variables under each vtree
@@ -160,29 +275,29 @@ class SddWmcEvaluator:
         scale).  Uses the manager's current postorder — index order itself
         stops being topological once in-place vtree rotations have run."""
         mgr = self.mgr
-        postorder = getattr(mgr, "vtree_postorder", None)
-        order = postorder() if postorder is not None else range(len(mgr.v_nodes))
         scaled = self._scaled
         pairs = self.weights if scaled is None else scaled.pairs
         den = {} if scaled is None else scaled.den
-        prod: list = [1] * len(mgr.v_nodes)
-        scale: list[int] = [1] * len(mgr.v_nodes)
-        for i in order:
-            v = mgr.v_nodes[i]
-            if v.is_leaf:
-                # A variable just appended by SddManager.add_variable may
-                # not have weights yet (update_weights supplies them next);
-                # the multiplicative identity keeps the tables usable.
-                w = pairs.get(v.var)
-                prod[i] = 1 if w is None else w[0] + w[1]
-                scale[i] = den.get(v.var, 1)
-            else:
-                prod[i] = prod[mgr.v_left[i]] * prod[mgr.v_right[i]]
-                scale[i] = scale[mgr.v_left[i]] * scale[mgr.v_right[i]]
+        v_left, v_right = mgr.v_left, mgr.v_right
+        prod: list = [1] * len(v_left)
+        scale: list[int] = [1] * len(v_left)
+        for var, i in mgr.leaf_of_var.items():
+            # A variable just appended by SddManager.add_variable may not
+            # have weights yet (update_weights supplies them next); the
+            # multiplicative identity keeps the tables usable.
+            w = pairs.get(var)
+            prod[i] = 1 if w is None else w[0] + w[1]
+            scale[i] = den.get(var, 1)
+        for i in mgr.vtree_postorder():
+            left = v_left[i]
+            if left is not None:
+                right = v_right[i]
+                prod[i] = prod[left] * prod[right]
+                scale[i] = scale[left] * scale[right]
         self._pairs = pairs
         self._subtree_prod = prod
         self._scale = scale
-        self._root_vnode = getattr(mgr, "v_root", len(mgr.v_nodes) - 1)
+        self._root_vnode = mgr.v_root
         self._gap_cache: dict[tuple[int, int], object] = {}
 
     def refresh_vtree(self) -> None:
@@ -329,24 +444,26 @@ class SddWmcEvaluator:
 # ----------------------------------------------------------------------
 # functional entry points
 # ----------------------------------------------------------------------
-def weighted_model_count(mgr, root: int, weights: Mapping[str, tuple]):
+def weighted_model_count(mgr: SddNodeTable, root: int, weights: Mapping[str, tuple]):
     """One-shot WMC; see :class:`SddWmcEvaluator` for the reusable form."""
     return SddWmcEvaluator(mgr, weights).value(root)
 
 
-def model_count(mgr, root: int, scope: Sequence[str] | None = None) -> int:
+def model_count(mgr: SddNodeTable, root: int, scope: Iterable[str] | None = None) -> int:
     """Exact model count over the vtree variables (integer weights 1/1).
 
     ``scope`` may name extra variables outside the vtree; each contributes a
     free factor of 2, matching :meth:`SddManager.count_models`.
     """
-    weights = {v: (1, 1) for v in mgr.vtree.variables}
+    weights = {v: (1, 1) for v in mgr.variables}
     base = SddWmcEvaluator(mgr, weights).value(root)
-    missing = len(set(scope) - mgr.vtree.variables) if scope is not None else 0
+    missing = len(set(scope) - mgr.variables) if scope is not None else 0
     return base << missing
 
 
-def probability(mgr, root: int, prob: Mapping[str, float], *, exact: bool = False):
+def probability(
+    mgr: SddNodeTable, root: int, prob: Mapping[str, float], *, exact: bool = False
+):
     """Probability of ``root`` under independent literal probabilities.
 
     ``exact=True`` returns the exact rational (swept in scaled integers);

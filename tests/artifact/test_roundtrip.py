@@ -5,7 +5,7 @@ circuit, ``compile → save → load`` preserves model count, bit-identical
 float WMC, exact WMC, and every total-assignment evaluation, on all four
 backends.  For UCQ lineage, an engine warm-started from a saved artifact
 answers every frozen query bit-identically with **zero** compilations,
-before and after a weight update.
+before and after a weight update, which evicts only the stale memo cone.
 """
 
 from __future__ import annotations
@@ -97,7 +97,11 @@ class TestUcqLineageRoundTrip:
         # its exact and float answers equal the live session's.
         delta = db.set_probability("S", 1, 2, p=round(p / 3, 6))
         live.apply_update(delta)
+        frozen_memo = warm.stats()["wmc_memo_entries"]
         warm.apply_update(delta)
+        # A point update of the evaluators over the frozen base: it evicts
+        # the cone above the tuple's vtree leaf, not the whole memo.
+        assert 0 < warm.stats()["memo_invalidations"] < frozen_memo
         exact = [live.probability(q, exact=True) for q in qs]
         assert [warm.probability(q, exact=True) for q in qs] == exact
         assert [repr(warm.probability(q)) for q in qs] == [

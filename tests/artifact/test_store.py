@@ -2,9 +2,9 @@
 
 The tentpole contract under test: a store frozen from a live manager and
 read back through an mmap-ed file answers **bit-identically** to the live
-structure — float WMC included, because the frozen sweeps replicate the
-live evaluators op-for-op — and thaws back into a live manager/DAG whose
-answers match again.
+structure — float WMC included, because the frozen store runs the live
+evaluators and structure queries over its mapped tables — and thaws back
+into a live manager/DAG whose answers match again.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from repro.artifact.encoding import ArtifactError
+from repro.artifact.format import export_sdd_text, export_vtree_text, import_sdd_text
 from repro.artifact.store import FrozenDdnnf, FrozenObdd, FrozenSdd
 from repro.circuits.parse import parse_formula
 from repro.circuits.random_circuits import random_circuit
 from repro.compiler import Compiler
 from repro.core.vtree import Vtree
+from repro.sdd.manager import SddManager
 
 pytestmark = pytest.mark.artifact
 
@@ -97,6 +99,49 @@ class TestFrozenSdd:
             FrozenSdd.load(path)
 
 
+class TestSddLoadValidation:
+    """Every decision's primes must sit under the left child of its vtree
+    node and its subs under the right child; a store that breaks this is
+    rejected at load, before any WMC gap climb can leave the vtree."""
+
+    def test_pysdd_decision_moved_to_the_wrong_vtree_node(self):
+        mgr = SddManager(Vtree.balanced(["a", "b", "c", "d"]))
+        frozen = mgr.freeze([mgr.compile_circuit(parse_formula("(a & b) | (c & d)"))])
+        vtree_text = export_vtree_text(frozen.vtree())
+        sdd_text = export_sdd_text(frozen)
+        assert import_sdd_text(sdd_text, vtree_text).count_models(frozen.roots[0]) == 7
+        # Move the root decision down to the root's right vtree child
+        # ({c, d}), where its primes (functions of a and b) cannot sit.
+        lines = sdd_text.splitlines()
+        toks = lines[-1].split()
+        assert toks[0] == "D" and int(toks[2]) == frozen.v_root
+        toks[2] = str(frozen.v_right[frozen.v_root])
+        lines[-1] = " ".join(toks)
+        with pytest.raises(ArtifactError, match="prime"):
+            import_sdd_text("\n".join(lines) + "\n", vtree_text)
+
+    # vars a, b; vtree (a b): a at 0, b at 1, root 2.  Literal ids:
+    # 2 = ~a, 3 = a, 4 = ~b, 5 = b; decision 6 at the root, a & b.
+    TABLES = (["a", "b"], [0, 1, -1], [0, 1, 2, 3], [2], [0, 2])
+    A_AND_B = [3, 5, 2, 0]
+
+    def test_direct_construction_with_swapped_prime_and_sub(self):
+        good = FrozenSdd(*self.TABLES, self.A_AND_B, [6])
+        assert good.probability(6, {"a": 0.5, "b": 0.5}) == 0.25
+        with pytest.raises(ArtifactError, match="prime"):
+            FrozenSdd(*self.TABLES, [5, 3, 2, 0], [6])
+        with pytest.raises(ArtifactError, match="sub"):
+            FrozenSdd(*self.TABLES, [3, 2, 2, 0], [6])
+
+    def test_mmap_load_rejects_and_unmaps(self, tmp_path):
+        store = FrozenSdd(*self.TABLES, self.A_AND_B, [6])
+        store.elems = [5, 3, 2, 0]  # written as is: prime and sub swapped
+        path = tmp_path / "swapped.rpaf"
+        store.write(path)
+        with pytest.raises(ArtifactError, match="prime"):
+            FrozenSdd.load(path)
+
+
 class TestFrozenDdnnf:
     @pytest.mark.parametrize("formula", FORMULAS)
     def test_freeze_write_load_bit_identical(self, formula, tmp_path):
@@ -110,14 +155,14 @@ class TestFrozenDdnnf:
         loaded = FrozenDdnnf.load(path)
         r = loaded.roots[0]
         assert loaded.size(r) == dag.size(root)
-        assert loaded.scope(r) == dag.scopes(root)[root]
-        prob = _prob_for(loaded.scope(r) or {"a"})
+        assert loaded.scopes(r)[r] == dag.scopes(root)[root]
+        prob = _prob_for(loaded.scopes(r)[r] or {"a"})
         from repro.dnnf.wmc import probability as dnnf_probability
 
         assert repr(loaded.probability(r, prob)) == repr(
             dnnf_probability(dag, root, prob)
         )
-        for a in _assignments(loaded.scope(r)):
+        for a in _assignments(loaded.scopes(r)[r]):
             assert loaded.evaluate(r, a) == dag.evaluate(root, a)
         loaded.close()
 

@@ -154,6 +154,25 @@ class TestCountingWMC:
         w = {"x": (Fraction(1, 2), Fraction(1, 2)), "y": (Fraction(1, 2), Fraction(1, 2))}
         assert mgr.weighted_count(root, w) == Fraction(3, 4)
 
+    def test_counts_on_a_chain_deeper_than_the_recursion_limit(self):
+        """The counts are iterative sweeps: a 1500-variable conjunction
+        chain (one OBDD level per variable) counts without recursion."""
+        order = [f"x{i}" for i in range(1500)]
+        mgr = ObddManager(order)
+        # Conjoin bottom-up so apply itself stays shallow.
+        root = mgr.conjoin(*(mgr.var(v) for v in reversed(order)))
+        assert mgr.size(root) == len(order) + 2
+        assert mgr.count_models(root) == 1
+        assert mgr.count_models(root, order + ["y", "z"]) == 4
+        weights = {v: (Fraction(1, i + 2), Fraction(1, i + 3)) for i, v in enumerate(order)}
+        expect = Fraction(1)
+        for i in range(len(order)):
+            expect *= Fraction(1, i + 3)
+        assert mgr.weighted_count(root, weights) == expect
+        frozen = mgr.freeze([root])
+        assert frozen.count_models(frozen.roots[0]) == 1
+        assert frozen.weighted_count(frozen.roots[0], weights) == expect
+
 
 class TestToNNF:
     @settings(max_examples=20, deadline=None)

@@ -1,9 +1,9 @@
-"""The scaled-integer exact WMC kernel, across all four evaluators.
+"""The scaled-integer exact WMC kernel, on live and frozen node tables.
 
 Exact weights (any pair holding a ``Fraction``) are swept in Python ints
 over per-variable denominators and divided once at the end.  These tests
 pin that the quotient is exactly the brute-force ``Fraction`` enumeration
-for the live and frozen SDD and d-DNNF evaluators — on random circuits
+for the SDD and d-DNNF evaluators over live and frozen tables — on random circuits
 over right-linear, left-linear and balanced vtrees, with weights whose
 denominators differ per variable and pairs that do not sum to 1 — and
 that it stays exact when a weight update changes a denominator, after
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.artifact.store import FrozenDdnnf, FrozenDdnnfWmc, FrozenSddWmc
+from repro.artifact.store import FrozenDdnnf
 from repro.circuits.build import chain_and_or
 from repro.circuits.random_circuits import random_circuit
 from repro.core.vtree import Vtree
@@ -103,8 +103,8 @@ class Compiled:
         fz_sdd = self.mgr.freeze([self.root])
         fz_dag = FrozenDdnnf.from_dag(self.ddnnf.dag, [self.ddnnf.root])
         return [
-            FrozenSddWmc(fz_sdd, weights).value(fz_sdd.roots[0]),
-            self.full(FrozenDdnnfWmc(fz_dag, weights).value(fz_dag.roots[0]), weights),
+            SddWmcEvaluator(fz_sdd, weights).value(fz_sdd.roots[0]),
+            self.full(DnnfWmcEvaluator(fz_dag, weights).value(fz_dag.roots[0]), weights),
         ]
 
     def values(self, weights) -> list:
@@ -203,7 +203,7 @@ class TestUpdatesGcMinimize:
             truth = brute_wmc(c, weights)
             assert ev.value(root) == truth
             fz = mgr.freeze([root])
-            assert FrozenSddWmc(fz, weights).value(fz.roots[0]) == truth
+            assert SddWmcEvaluator(fz, weights).value(fz.roots[0]) == truth
 
     def test_ring_switch_on_update(self):
         """A Fraction joining int weights stays exact; a float joining
@@ -257,7 +257,7 @@ class TestDdnnfShapes:
         }
         live = DnnfWmcEvaluator(dag, self.W)
         frozen_store = FrozenDdnnf.from_dag(dag, list(roots.values()))
-        frozen = FrozenDdnnfWmc(frozen_store, self.W)
+        frozen = DnnfWmcEvaluator(frozen_store, self.W)
         for (name, root), froot in zip(roots.items(), frozen_store.roots):
             for got in (live.value(root), frozen.value(froot)):
                 assert got == expect[name], name
@@ -270,7 +270,7 @@ class TestDdnnfShapes:
             total *= w0 + w1
         ev = SddWmcEvaluator(mgr, self.W)
         fz = mgr.freeze([mgr.true, mgr.false])
-        fev = FrozenSddWmc(fz, self.W)
+        fev = SddWmcEvaluator(fz, self.W)
         for got, want in [
             (ev.value(mgr.true), total),
             (ev.value(mgr.false), 0),

@@ -7,7 +7,8 @@ Four checks over one complete domain-2 database:
   and the answer matches its closed form;
 - a thread-mode :class:`~repro.service.QueryService` gives the same answer;
 - the engine's artifact, saved and reloaded, gives it again without
-  compiling;
+  compiling, and still matches the engine exactly after one weight update
+  (the same evaluator point-updates over the frozen tables);
 - after one insert and one delete through ``apply_update``, the engine's
   patched answers equal a fresh engine's on the same vtree, exactly.
 
@@ -56,11 +57,19 @@ def main() -> int:
         try:
             answers["artifact"] = warm.probability(query, exact=True)
             frozen_hits = warm.stats()["frozen_hits"]
+            delta = db.set_probability("S", 1, 2, p=0.3)
+            engine.apply_update(delta)
+            warm.apply_update(delta)
+            reweighted = (warm.probability(query, exact=True),
+                          engine.probability(query, exact=True))
         finally:
             warm.frozen.close()
 
     failures = [f"{k} answered {v}, expected {EXPECTED}" for k, v in answers.items()
                 if v != EXPECTED]
+    if reweighted[0] != reweighted[1]:
+        failures.append(f"after a weight update the artifact answered {reweighted[0]}, "
+                        f"the engine {reweighted[1]}")
     for update in (lambda: db.insert("S", 2, 3, p=0.25), lambda: db.delete("R", 1)):
         delta = update()
         engine.apply_update(delta)
@@ -78,6 +87,7 @@ def main() -> int:
         print(f"FAIL: {line}", file=sys.stderr)
     if not failures:
         print(f"serving path OK: P = {EXPECTED} from engine, service and artifact, "
+              f"the artifact matches the engine after a weight update, "
               f"updates match a fresh engine; none of {list(OFF_PATH)} imported")
     return 1 if failures else 0
 

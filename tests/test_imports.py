@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OFF_PATH = ("numpy", "networkx", "repro.core.boolfunc", "repro.graphs")
 LAZY_PACKAGES = ("repro", "repro.core", "repro.circuits", "repro.sdd", "repro.queries",
-                 "repro.obdd", "repro.service")
+                 "repro.obdd", "repro.service", "repro.dnnf")
 SUBCOMMANDS = ("compile", "ctw", "query", "batch", "engine", "serve", "isa")
 
 
@@ -32,7 +32,7 @@ def run_python(*args: str) -> str:
 
 
 @pytest.mark.parametrize("module", ["repro.queries.engine", "repro.service",
-                                    "repro.artifact", "repro.cli"])
+                                    "repro.artifact", "repro.dnnf.wmc", "repro.cli"])
 def test_serving_modules_skip_numpy_and_networkx(module):
     out = run_python("-c", f"import sys, {module}\n"
                            f"print([m for m in {OFF_PATH!r} if m in sys.modules])")
@@ -52,8 +52,11 @@ def test_lazy_exports_resolve_bind_and_reject_unknown(package):
         for name in pkg.__all__:
             value = getattr(pkg, name)
             # The defining module's own object, not a submodule that
-            # shares its name (repro.core.factors).
-            assert value is getattr(sys.modules[value.__module__], name), name
+            # shares its name (repro.core.factors).  Plain int constants
+            # (repro.dnnf's FALSE/TRUE) name no defining module.
+            owner = getattr(value, "__module__", None)
+            if owner is not None:
+                assert value is getattr(sys.modules[owner], name), name
             assert name in listing, name
         star = {{}}
         exec("from {package} import *", star)
@@ -135,3 +138,15 @@ def test_retired_front_doors_are_gone():
         print("gone", rejected)
     """))
     assert out.strip() == "gone 5"
+
+
+def test_frozen_evaluator_copies_are_gone():
+    """Frozen stores run the live evaluators over their mapped tables, so
+    the array-backed evaluator copies stay deleted."""
+    import repro.artifact
+    import repro.artifact.store
+
+    for mod in (repro.artifact, repro.artifact.store):
+        for name in ("FrozenSddWmc", "FrozenDdnnfWmc"):
+            assert not hasattr(mod, name), (mod.__name__, name)
+            assert name not in getattr(mod, "__all__", ()), (mod.__name__, name)
