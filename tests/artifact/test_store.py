@@ -166,6 +166,19 @@ class TestFrozenDdnnf:
             assert loaded.evaluate(r, a) == dag.evaluate(root, a)
         loaded.close()
 
+    def test_malformed_node_kinds_rejected(self):
+        # var a; ids 0/1 constants, 2 = a, 3 = ~a, 4 = OR(a, ~a).
+        kinds, litv = [0, 1, 2, 2, 4], [-1, -1, 1, 0, -1]
+        ch_off, children = [0, 0, 0, 0, 0, 2], [2, 3]
+        good = FrozenDdnnf(["a"], kinds, litv, ch_off, children, [4])
+        assert good.count_models(4) == 2
+        with pytest.raises(ArtifactError, match="kind"):  # a constant at id 2
+            FrozenDdnnf(["a"], [0, 1, 1, 2, 4], litv, ch_off, children, [4])
+        with pytest.raises(ArtifactError, match="literal"):  # ~a with a child
+            FrozenDdnnf(["a"], kinds, litv, [0, 0, 0, 0, 1, 3], [0, 2, 3], [4])
+        with pytest.raises(ArtifactError, match="constant"):  # FALSE with a child
+            FrozenDdnnf(["a"], kinds, litv, [0, 1, 1, 1, 1, 3], [0, 2, 3], [4])
+
     def test_thaw_round_trip(self):
         compiled = Compiler(backend="ddnnf", strategy="natural").compile(
             parse_formula(FORMULAS[1])
