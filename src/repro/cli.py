@@ -11,18 +11,20 @@ Usage::
     python -m repro.cli batch "R(x),S(x,y); S(x,y)" --domain 3 [--prob 0.5] [--exact]
     python -m repro.cli engine "R(x),S(x,y); S(x,y)" --domain 3 [--prob 0.5] [--exact]
                                                     [--max-nodes 50000]
-                                                    [--auto-minimize 30000]
                                                     [--workers 4] [--parallel-mode auto]
     python -m repro.cli isa 2 4
 
-Each subcommand prints a small report; exit code 0 on success.
+Each subcommand prints a small report; exit code 0 on success, 2 (with a
+one-line ``error:`` message) when a formula or query does not parse.
 
 ``compile --strategy ...`` routes through the unified
 :class:`repro.compiler.Compiler` facade (any registered backend × any
 registered vtree strategy).  Without a strategy, ``--vtree`` picks the
 vtree: ``--backend apply`` compiles over it through the same facade
 (``search`` is the Lemma-1 strategy), and the canonical backend prints its
-truth-table report.  ``batch`` evaluates a workload through one
+truth-table report.  ``compile --minimize`` runs the ``dynamic``
+strategy seeded by ``--strategy`` (``best-of`` by default): it compiles,
+then sifts the vtree in place.  ``batch`` evaluates a workload through one
 :class:`repro.queries.QueryEngine`.  ``engine`` evaluates a workload
 through one :class:`repro.queries.QueryEngine` session and prints its
 public ``stats()``.
@@ -35,7 +37,7 @@ import sys
 from typing import Sequence
 
 from .circuits.parse import parse_formula
-from .compiler import Compiler, available_backends, available_strategies
+from .compiler import Compiler, DynamicStrategy, available_backends, available_strategies
 from .core.vtree import Vtree
 from .queries.analysis import find_inversion
 from .queries.compile import compile_lineage_obdd, compile_lineage_sdd
@@ -59,8 +61,19 @@ def _named_vtree(shape: str, variables: list[str]) -> Vtree | None:
     return builders[shape](variables) if shape in builders else None
 
 
+def _parse(parse, text: str):
+    """``parse(text)`` for a command's formula or query; malformed input
+    prints a one-line ``error:`` and exits with status 2, as a bad
+    option does."""
+    try:
+        return parse(text)
+    except SyntaxError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
-    circuit = parse_formula(args.formula)
+    circuit = _parse(parse_formula, args.formula)
     vs = sorted(map(str, circuit.variables))
     if not vs:
         f = circuit.function()
@@ -88,7 +101,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.strategy is not None or args.minimize or vtree is not None:
         strategy = args.strategy if args.strategy is not None else "best-of"
         compiled = Compiler(
-            backend=args.backend, strategy=strategy, minimize=args.minimize
+            backend=args.backend,
+            strategy=DynamicStrategy(seed=strategy) if args.minimize else strategy,
         ).compile(circuit, vtree=vtree)
         chosen = f"{args.vtree} vtree" if vtree is not None else f"{strategy} strategy"
         via = compiled.strategy or (chosen if vtree is not None else strategy)
@@ -143,7 +157,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_ctw(args: argparse.Namespace) -> int:
     from .core.computability import ctw_upper_bound, exact_circuit_treewidth
 
-    f = parse_formula(args.formula).function()
+    f = _parse(parse_formula, args.formula).function()
     res = exact_circuit_treewidth(f, max_gates=args.max_gates)
     upper = ctw_upper_bound(f)
     if res.exhausted:
@@ -167,7 +181,9 @@ def _parse_workload(args: argparse.Namespace):
     """Parse a ';'-separated UCQ workload and build the complete database
     for its union schema.  Returns ``(queries, db)``; ``queries`` is empty
     when nothing parses (callers report and bail)."""
-    queries = [parse_ucq(part.strip()) for part in args.queries.split(";") if part.strip()]
+    queries = [
+        _parse(parse_ucq, part.strip()) for part in args.queries.split(";") if part.strip()
+    ]
     if not queries:
         return [], None
     schema: dict[str, int] = {}
@@ -177,7 +193,7 @@ def _parse_workload(args: argparse.Namespace):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    q = parse_ucq(args.query)
+    q = _parse(parse_ucq, args.query)
     inv = find_inversion(q)
     db = complete_database(_schema_of(q), args.domain, p=args.prob)
     if (args.load is not None or args.save is not None) and args.backend != "sdd":
@@ -323,10 +339,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         return 0
 
     if args.workers > 1:
-        if args.auto_minimize is not None:
-            print("--auto-minimize applies to the serial session "
-                  "(--workers 1)", file=sys.stderr)
-            return 1
         with ParallelQueryEngine(
             db, workers=args.workers, max_nodes=args.max_nodes,
             mode=args.parallel_mode,
@@ -356,9 +368,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                     ]
                 return run_updates(par, evaluate)
             return 0
-    engine = QueryEngine(
-        db, max_nodes=args.max_nodes, auto_minimize_nodes=args.auto_minimize
-    )
+    engine = QueryEngine(db, max_nodes=args.max_nodes)
 
     def evaluate():
         rows = []
@@ -529,8 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(any backend x any strategy)")
     c.add_argument("--minimize", action="store_true",
                    help="after compiling, minimize the vtree in place with "
-                        "live SDD rotations/swaps (apply backend; defaults "
-                        "the strategy to best-of when none is given)")
+                        "live SDD rotations/swaps: the dynamic strategy "
+                        "seeded by --strategy (default best-of; apply "
+                        "backend)")
     c.add_argument("--save", metavar="PATH", default=None,
                    help="write the compiled result as a flat binary artifact "
                         "(reload with Compiler.load / 'query --load'; routes "
@@ -575,13 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--exact", action="store_true",
                    help="exact Fraction probabilities")
     e.add_argument("--max-nodes", type=int, default=None,
-                   help="session node budget: evict LRU compiled queries and "
+                   help="session node budget: evict compiled queries (largest "
+                        "footprint x staleness first) and "
                         "garbage-collect the manager past this many live nodes "
                         "(per worker when --workers > 1)")
-    e.add_argument("--auto-minimize", type=int, default=None,
-                   help="dynamic vtree minimization watermark: when the "
-                        "session manager outgrows this many live nodes, sift "
-                        "the vtree in place (serial sessions)")
     e.add_argument("--workers", type=int, default=1,
                    help="shard the workload across N worker engines sharing "
                         "one base vtree (deterministic: results bit-identical "

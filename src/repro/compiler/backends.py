@@ -233,10 +233,9 @@ class ApplyCompiled(_CompiledBase):
     ``manager`` and ``root`` for callers that want the raw handles.
 
     The result owns its root: the backend pins it in the manager, so
-    callers that run :meth:`SddManager.gc` (directly or through a
-    watermark) can never collect a compilation result out from under a
-    live ``Compiled``.  Call :meth:`release` to hand the root back to the
-    collector when done."""
+    callers that run :meth:`SddManager.gc` can never collect a
+    compilation result out from under a live ``Compiled``.  Call
+    :meth:`release` to hand the root back to the collector when done."""
 
     backend = "apply"
 
@@ -250,26 +249,6 @@ class ApplyCompiled(_CompiledBase):
         this ``Compiled`` after a post-release collection is undefined
         (the root id may be recycled — see :meth:`SddManager.pin`)."""
         self.manager.release(self.root)
-
-    def minimize(
-        self,
-        *,
-        budget: int | None = None,
-        max_growth: float = 1.5,
-        rounds: int = 2,
-    ) -> dict[int, int]:
-        """Run in-place dynamic vtree minimization
-        (:meth:`SddManager.minimize`) on the compiled SDD and re-anchor
-        this result — ``root`` and ``vtree`` track the transformation, so
-        every uniform accessor keeps answering about the same function on
-        the (now smaller) SDD.  Returns the move mapping for callers
-        holding additional node ids of their own."""
-        mapping = self.manager.minimize(
-            budget=budget, max_growth=max_growth, rounds=rounds
-        )
-        self.root = mapping.get(self.root, self.root)
-        self.vtree = self.manager.vtree
-        return mapping
 
     @property
     def size(self) -> int:

@@ -19,7 +19,7 @@ without touching the facade.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..circuits.circuit import Circuit
 from ..core.vtree import Vtree
@@ -42,15 +42,11 @@ class Compiler:
     ``best-of`` then races vtrees while the backend race races
     representations.
 
-    ``minimize`` runs in-place dynamic vtree minimization on every
-    compilation result after the backend finishes: ``True`` with the
-    defaults, or a mapping of keyword options forwarded to the result's
-    ``minimize()`` (``budget``/``max_growth``/``rounds``).  Only backends
-    whose results support in-place minimization (``apply``) accept it —
-    anything else raises at construction-time use.  Prefer the
-    ``"dynamic"`` *strategy* when the minimized vtree should come out of
-    the strategy registry; ``minimize=`` is the post-compile hook for an
-    explicitly chosen vtree or strategy.
+    To minimize the vtree after a compile, use the ``"dynamic"`` strategy
+    (:class:`~repro.compiler.strategies.DynamicStrategy`, seeded by any
+    other strategy): it sifts the compiled SDD in place with vtree
+    rotations and swaps, and the apply backend takes over the minimized
+    result.
 
     Note: the ``best-of`` strategy trial-compiles with the apply backend's
     manager and only ``backend="apply"`` can reuse its winning trial; other
@@ -62,8 +58,6 @@ class Compiler:
         self,
         backend: str | CompilationBackend | Sequence[str] = "apply",
         strategy: str | VtreeStrategy = "lemma1",
-        *,
-        minimize: bool | Mapping[str, object] = False,
     ):
         if isinstance(backend, str):
             self.backend: CompilationBackend = get_backend(backend)
@@ -73,12 +67,6 @@ class Compiler:
         else:
             self.backend = backend
         self.strategy = get_strategy(strategy) if isinstance(strategy, str) else strategy
-        if minimize is False or minimize is None:
-            self.minimize_options: dict[str, object] | None = None
-        elif minimize is True:
-            self.minimize_options = {}
-        else:
-            self.minimize_options = dict(minimize)
 
     def compile(self, circuit: Circuit, *, vtree: Vtree | None = None) -> Compiled:
         """Compile ``circuit``; an explicit ``vtree`` bypasses the strategy.
@@ -92,23 +80,13 @@ class Compiler:
             choice = VtreeChoice(vtree, strategy="")
         else:
             choice = self.strategy(circuit)
-        compiled = self.backend.compile(
+        return self.backend.compile(
             circuit,
             choice.vtree,
             decomposition_width=choice.decomposition_width,
             strategy=choice.strategy,
             trial=choice.trial,
         )
-        if self.minimize_options is not None:
-            minimize = getattr(compiled, "minimize", None)
-            if minimize is None:
-                raise ValueError(
-                    f"backend {self.backend.name!r} does not support in-place "
-                    "vtree minimization (its results are not manager-backed); "
-                    "use backend='apply'"
-                )
-            minimize(**self.minimize_options)
-        return compiled
 
     @staticmethod
     def load(path, *, use_mmap: bool = True) -> Compiled:
@@ -135,7 +113,6 @@ def compile_with(
     backend: str | CompilationBackend | Sequence[str] = "apply",
     strategy: str | VtreeStrategy = "lemma1",
     vtree: Vtree | None = None,
-    minimize: bool | Mapping[str, object] = False,
 ) -> Compiled:
     """One-shot convenience: ``Compiler(backend, strategy).compile(circuit)``."""
-    return Compiler(backend, strategy, minimize=minimize).compile(circuit, vtree=vtree)
+    return Compiler(backend, strategy).compile(circuit, vtree=vtree)

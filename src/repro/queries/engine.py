@@ -19,24 +19,20 @@ The engine is also the *policy home* for the manager's garbage collector:
 every compiled root is pinned, :meth:`forget` releases one, and a
 ``max_nodes`` session budget evicts compiled queries and collects whenever
 the manager outgrows it — so a session can serve an unbounded stream of
-queries in bounded memory.  Victims are picked size-aware by default
-(exclusive node footprint × staleness, so one huge cold lineage goes
-before five small warm ones); ``eviction_policy="lru"`` restores the pure
-recency order.
+queries in bounded memory.  Victims are picked size-aware (exclusive node
+footprint × staleness, so one huge cold lineage goes before five small
+warm ones).
 
-It is the policy home for dynamic vtree minimization too:
-:meth:`minimize` runs the manager's in-place rotation/swap search and
-re-anchors every cached query root across the transformation, and
-``auto_minimize_nodes`` arms the same search as a watermark after
-compilations.
+The session vtree is never re-shaped once chosen (an insert only hangs a
+new leaf above it): every query compiles against the hierarchy-order
+vtree of the first query, or the one supplied.
 
 Example::
 
-    engine = QueryEngine(db, max_nodes=50_000, auto_minimize_nodes=30_000)
+    engine = QueryEngine(db, max_nodes=50_000)
     engine.probability(parse_ucq("R(x),S(x,y)"))
     engine.probability(parse_ucq("S(x,y)"), exact=True)
     batch = engine.evaluate(queries, exact=True)
-    engine.minimize()                  # sift the vtree under the session
     engine.forget(old_query)           # release one pinned lineage
     engine.gc()                        # collect everything unpinned now
     engine.stats()                     # public counters, no private pokes
@@ -78,16 +74,8 @@ class QueryEngine:
     (their roots released) and the manager collected until the budget
     holds again — the query just asked for is never evicted.  ``None``
     (the default) keeps every query forever, the pre-GC behaviour.
-    ``eviction_policy`` picks the victims: ``"size-lru"`` (default) scores
-    each cached query by its exclusive node footprint × staleness and
-    evicts the most-expensive-least-recent first; ``"lru"`` is pure
-    recency order.
-
-    ``auto_minimize_nodes`` arms dynamic vtree minimization as a session
-    watermark: when a compilation leaves the manager above it, the engine
-    runs one :meth:`minimize` round (with 2× hysteresis).  Set it below
-    ``max_nodes`` so the vtree gets repaired before eviction starts
-    paying for it.
+    Victims are scored by exclusive node footprint × staleness, the
+    most-expensive-least-recent first (see :meth:`_eviction_order`).
 
     ``backend`` picks the compiled representation: ``"sdd"`` (default) is
     the apply-based :class:`SddManager` path described above; ``"ddnnf"``
@@ -96,10 +84,9 @@ class QueryEngine:
     no vtree).  d-DNNF roots participate in the compiled-query cache and
     the ``max_nodes`` budget exactly like SDD roots: the budget bounds
     the total d-DNNF nodes of all cached queries and evicts with the same
-    ``eviction_policy`` scoring (each query's footprint is exclusive —
-    separate DAGs share nothing).  Manager-specific services
-    (``auto_minimize_nodes``, :meth:`minimize`, explicit ``vtree``) do
-    not apply to ``"ddnnf"`` and raise at construction.
+    footprint × staleness scoring (each query's footprint is exclusive —
+    separate DAGs share nothing).  An explicit ``vtree`` does not apply to
+    ``"ddnnf"`` and raises at construction.
 
     ``frozen`` preloads a compiled artifact base (a
     :class:`~repro.artifact.store.FrozenSdd` or a path to one written by
@@ -121,7 +108,6 @@ class QueryEngine:
     beyond the roots is the active domain they were compiled against.
     """
 
-    _EVICTION_POLICIES = ("size-lru", "lru")
     _BACKENDS = ("sdd", "ddnnf")
 
     def __init__(
@@ -130,28 +116,19 @@ class QueryEngine:
         *,
         vtree: Vtree | None = None,
         max_nodes: int | None = None,
-        auto_minimize_nodes: int | None = None,
-        eviction_policy: str = "size-lru",
         backend: str = "sdd",
         frozen=None,
     ):
         if max_nodes is not None and max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if auto_minimize_nodes is not None and auto_minimize_nodes <= 0:
-            raise ValueError("auto_minimize_nodes must be positive")
-        if eviction_policy not in self._EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction_policy {eviction_policy!r}; "
-                f"choose from {self._EVICTION_POLICIES}"
-            )
         if backend not in self._BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {self._BACKENDS}"
             )
-        if backend == "ddnnf" and (vtree is not None or auto_minimize_nodes is not None):
+        if backend == "ddnnf" and vtree is not None:
             raise ValueError(
                 "backend='ddnnf' compiles from tree decompositions: "
-                "vtree and auto_minimize_nodes do not apply"
+                "a vtree does not apply"
             )
         if frozen is not None and backend != "sdd":
             raise ValueError("frozen artifact bases require backend='sdd'")
@@ -176,10 +153,6 @@ class QueryEngine:
         self.db = db
         self.backend = backend
         self.max_nodes = max_nodes
-        self.auto_minimize_nodes = auto_minimize_nodes
-        self.eviction_policy = eviction_policy
-        self._next_minimize_at = auto_minimize_nodes
-        self._minimize_runs = 0
         self._vtree = vtree
         self._manager: SddManager | None = SddManager(vtree) if vtree is not None else None
         self._roots: OrderedDict[UCQ, int] = OrderedDict()
@@ -369,16 +342,7 @@ class QueryEngine:
             self._domain = frozenset(self.db.active_domain())
         self._roots[query] = root
         self._collect_over_budget(keep=query)
-        if (
-            self._next_minimize_at is not None
-            and mgr.live_node_count > self._next_minimize_at
-        ):
-            self.minimize(rounds=1)
-            assert self.auto_minimize_nodes is not None
-            self._next_minimize_at = max(
-                self.auto_minimize_nodes, 2 * mgr.live_node_count
-            )
-        return self._roots[query]
+        return root
 
     def _compile_ddnnf(self, query: UCQ, *, deadline=None):
         """The ``backend="ddnnf"`` compile path: cache
@@ -572,40 +536,12 @@ class QueryEngine:
         return True
 
     def gc(self) -> dict[str, int]:
-        """Collect everything unreachable from the still-pinned roots.
-
-        Runs a *full* collection (no aging grace): the engine pins every
-        root it hands out, so nothing the session can still name is at
-        risk."""
+        """Collect everything unreachable from the still-pinned roots:
+        the engine pins every root it hands out, so nothing the session
+        can still name is at risk."""
         if self._manager is None:
-            return {"collected": 0, "live": 0, "free": 0, "generation": 0}
-        return self._manager.gc(full=True)
-
-    def minimize(
-        self,
-        *,
-        budget: int | None = None,
-        max_growth: float = 1.5,
-        rounds: int = 2,
-    ) -> dict[int, int]:
-        """In-place dynamic vtree minimization for the whole session.
-
-        Runs :meth:`SddManager.minimize` (sifting rotations/swaps on the
-        live SDD — the objective is the union footprint of every cached
-        query, all of which the engine pins) and re-anchors the cached
-        roots across the transformation, so later :meth:`probability` /
-        :meth:`forget` / eviction calls keep working on the same queries.
-        Returns the move mapping (old→new node ids)."""
-        mgr = self._manager
-        if mgr is None:
-            return {}
-        mapping = mgr.minimize(budget=budget, max_growth=max_growth, rounds=rounds)
-        if mapping:
-            for q, r in self._roots.items():
-                self._roots[q] = mapping.get(r, r)
-        self._vtree = mgr.vtree
-        self._minimize_runs += 1
-        return mapping
+            return {"collected": 0, "live": 0, "free": 0}
+        return self._manager.gc()
 
     # ------------------------------------------------------------------
     # live updates
@@ -780,16 +716,16 @@ class QueryEngine:
         return 0, recompiles
 
     def _eviction_order(self, keep: UCQ | None) -> list[UCQ]:
-        """Victim order for the budget sweep.
+        """Victim order for the budget sweep (size-lru).
 
-        ``size-lru`` scores every cached query by ``(exclusive footprint
-        + 1) × staleness rank``: *exclusive* counts the decision nodes
-        reachable from that query's root and from no other cached root
-        (shared sub-lineages are free to keep, so they shouldn't condemn
-        their owners), staleness makes the oldest of equal-footprint
-        queries go first.  ``lru`` is insertion order (oldest first)."""
+        Every cached query is scored by ``(exclusive footprint + 1) ×
+        staleness rank``: *exclusive* counts the decision nodes reachable
+        from that query's root and from no other cached root (shared
+        sub-lineages are free to keep, so they shouldn't condemn their
+        owners), staleness makes the oldest of equal-footprint queries go
+        first."""
         victims = [q for q in self._roots if q != keep]
-        if self.eviction_policy == "lru" or len(victims) <= 1:
+        if len(victims) <= 1:
             return victims
         mgr = self._manager
         assert mgr is not None
@@ -820,8 +756,7 @@ class QueryEngine:
     def _collect_over_budget(self, keep: UCQ | None) -> None:
         """Evict queries + collect until the ``max_nodes`` budget holds
         (or only ``keep`` remains cached; ``None`` keeps nothing back —
-        the sweep after an update); victim order set by
-        ``eviction_policy`` (see :meth:`_eviction_order`)."""
+        the sweep after an update); victims in :meth:`_eviction_order`."""
         mgr = self._manager
         if mgr is None or self.max_nodes is None:
             return
@@ -831,7 +766,7 @@ class QueryEngine:
         # gate results) often pays the whole bill without evicting anyone
         # — and the size-aware victim scoring (a reachability sweep over
         # every cached root) is only worth computing when it didn't.
-        mgr.gc(full=True)
+        mgr.gc()
         if mgr.live_node_count <= self.max_nodes:
             return
         # Then evict in geometrically growing batches (one mark-sweep per
@@ -846,25 +781,23 @@ class QueryEngine:
                 self._evicted += 1
             i += batch
             batch *= 2
-            mgr.gc(full=True)
+            mgr.gc()
 
     def _collect_over_budget_ddnnf(self, keep: UCQ) -> None:
         """The d-DNNF counterpart of :meth:`_collect_over_budget`: evict
         cached queries until the total d-DNNF node footprint fits
         ``max_nodes`` (or only ``keep`` remains).  Footprints are exact
-        and exclusive (each query owns its DAG), so ``size-lru`` scores
+        and exclusive (each query owns its DAG), so victims are scored
         ``size × staleness`` directly — no reachability sweep needed."""
         if self.max_nodes is None or self.live_nodes() <= self.max_nodes:
             return
         victims = [q for q in self._ddnnf if q != keep]
-        if self.eviction_policy == "size-lru" and len(victims) > 1:
-            n = len(victims)
-            scored = sorted(
-                (-(self._ddnnf[q].size + 1) * (n - age), age, q)
-                for age, q in enumerate(victims)
-            )
-            victims = [q for _, _, q in scored]
-        for q in victims:
+        n = len(victims)
+        scored = sorted(
+            (-(self._ddnnf[q].size + 1) * (n - age), age, q)
+            for age, q in enumerate(victims)
+        )
+        for _, _, q in scored:
             if self.live_nodes() <= self.max_nodes:
                 break
             self.forget(q)
@@ -887,9 +820,8 @@ class QueryEngine:
 
         Includes the manager's table/cache/GC counters (prefixed as
         reported by :meth:`SddManager.stats`), the combined WMC memo
-        size, the active ``eviction_policy`` (the one non-numeric entry)
-        and the minimization counters; use this instead of reading
-        private ``_and_cache`` / ``_memo`` attributes.
+        size and the ``backend`` (the one non-numeric entry); use this
+        instead of reading private ``_and_cache`` / ``_memo`` attributes.
 
         Update counters: ``delta_patched_roots`` counts cached roots an
         insert or delete patched to a different node (a query whose atoms
@@ -907,8 +839,6 @@ class QueryEngine:
             "cache_misses": self._cache_misses,
             "cache_evictions": self._evicted,
             "backend": self.backend,
-            "eviction_policy": self.eviction_policy,
-            "minimize_runs": self._minimize_runs,
             "tuples": self.db.size,
             "frozen_queries": (
                 0
@@ -936,7 +866,6 @@ class QueryEngine:
             out["pinned_roots"] = m["pinned_roots"]
             out["gc_runs"] = m["gc_runs"]
             out["collected_nodes"] = m["collected_nodes"]
-            out["vtree_moves"] = m["vtree_moves"]
         out["wmc_memo_entries"] = sum(
             ev.stats()["memo_entries"]
             for evaluators in (self._evaluators, self._frozen_wmc)

@@ -357,7 +357,7 @@ class ParallelQueryEngine:
         for stats in worker_stats:
             for k, v in stats.items():
                 if isinstance(v, str):
-                    # Non-numeric stats (e.g. eviction_policy) don't sum;
+                    # Non-numeric stats (the backend name) don't sum;
                     # workers are configured identically, pass one through.
                     merged[k] = v
                 else:

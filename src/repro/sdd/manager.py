@@ -31,9 +31,8 @@ Two operational properties matter for long-running sessions:
   list, and coherently evicts every cache keyed by node id — the apply and
   negation caches here, and any registered
   :class:`~repro.sdd.wmc.SddWmcEvaluator` memo (id reuse without eviction
-  would silently corrupt results).  Nodes born since the previous
-  collection are spared by default (*aging*), so callers holding fresh
-  intermediate results get one grace generation.
+  would silently corrupt results).  Every collection sweeps everything
+  unpinned, however recently it was built.
 - **Dynamic vtree minimization.**  :meth:`rotate_left`, :meth:`rotate_right`
   and :meth:`swap` transform the vtree *in place*: only the SDD nodes
   normalized at the affected vtree nodes are re-partitioned (through the
@@ -72,25 +71,12 @@ class CompilationBudgetExceeded(RuntimeError):
 class SddManager(SddNodeTable):
     """SDD manager over a vtree that :meth:`minimize` may rewrite in place.
 
-    ``auto_gc_nodes`` arms :meth:`maybe_gc`: when the live node count
-    exceeds the watermark, the next ``maybe_gc()`` call (a *safe point* —
-    callers invoke it only when every root they care about is pinned)
-    collects garbage.
-
-    ``auto_minimize_nodes`` arms mid-compilation dynamic vtree
-    minimization: when :meth:`compile_circuit` crosses the watermark it
-    pins its live intermediates, runs one :meth:`minimize` round, and
-    re-anchors them — with a 2× hysteresis so one compilation cannot
-    thrash the search.
+    Compilation never moves the vtree: it stays as given until a caller
+    runs :meth:`minimize` (or a single move), and :meth:`gc` runs only
+    when a caller asks for it.
     """
 
-    def __init__(
-        self,
-        vtree: Vtree,
-        *,
-        auto_gc_nodes: int | None = None,
-        auto_minimize_nodes: int | None = None,
-    ):
+    def __init__(self, vtree: Vtree):
         self.vtree = vtree
         # --- vtree tables -------------------------------------------------
         self.v_nodes: list[Vtree] = list(vtree.nodes())  # postorder
@@ -154,15 +140,10 @@ class SddManager(SddNodeTable):
         self._apply_depth = 0
         self._trampoline_handoffs = 0
         # --- garbage collection -------------------------------------------
-        self.auto_gc_nodes = auto_gc_nodes
-        self.auto_minimize_nodes = auto_minimize_nodes
-        self._next_minimize_at = auto_minimize_nodes
         self._minimize_runs = 0
         self._moves_applied = 0
         self._free_ids: list[int] = []
         self._pins: dict[int, int] = {}
-        self._generation = 0
-        self.node_gen: list[int] = [0, 0]
         self._gc_runs = 0
         self._collected_total = 0
         self._wmc_caches: weakref.WeakSet = weakref.WeakSet()
@@ -273,7 +254,6 @@ class SddManager(SddNodeTable):
             self.node_sign[nid] = sign
             self.node_elements[nid] = elements
             self.node_stamp[nid] = self._next_stamp
-            self.node_gen[nid] = self._generation
         else:
             nid = len(self.node_kind)
             self.node_kind.append(kind)
@@ -282,7 +262,6 @@ class SddManager(SddNodeTable):
             self.node_sign.append(sign)
             self.node_elements.append(elements)
             self.node_stamp.append(self._next_stamp)
-            self.node_gen.append(self._generation)
         self._next_stamp += 1
         if kind == "dec":
             assert elements is not None
@@ -718,7 +697,6 @@ class SddManager(SddNodeTable):
         is_and: bool,
         *,
         node_budget: int | None = None,
-        safepoint=None,
         deadline=None,
     ) -> int:
         """Balanced pairwise fold — on k operands whose supports form a
@@ -729,10 +707,7 @@ class SddManager(SddNodeTable):
         ``node_budget`` keeps :meth:`compile_circuit`'s budget binding even
         when chain absorption folds a whole circuit into one reduce call:
         it is re-checked before every pairwise apply (matching the old
-        per-gate granularity).  ``safepoint`` is the ``auto_minimize``
-        hook at the same granularity: when the watermark trips it receives
-        every in-flight operand, may collect and rewrite the vtree, and
-        returns the operands re-anchored.  ``deadline`` is a
+        per-gate granularity).  ``deadline`` is a
         :class:`~repro.service.errors.Deadline`-like token checked at the
         same points (cooperative wall-clock cancellation)."""
         if not items:
@@ -748,14 +723,6 @@ class SddManager(SddNodeTable):
                     )
                 if deadline is not None:
                     deadline.check("apply compilation")
-                if (
-                    safepoint is not None
-                    and self._next_minimize_at is not None
-                    and self.live_node_count > self._next_minimize_at
-                ):
-                    pending = safepoint(nxt + items[i:])
-                    nxt = pending[: len(nxt)]
-                    items[i:] = pending[len(nxt):]
                 nxt.append(ap(items[i], items[i + 1], is_and))
             if len(items) % 2:
                 nxt.append(items[-1])
@@ -849,13 +816,6 @@ class SddManager(SddNodeTable):
         at exactly the budget safepoints (per gate, and per pairwise
         apply inside folded chains), making wall-clock cancellation
         cooperative and the cancellation points deterministic.
-
-        With ``auto_minimize_nodes`` set, crossing the watermark between
-        gates triggers one in-place :meth:`minimize` round: the live
-        intermediate gate results are pinned, the vtree search runs, and
-        the intermediates are re-anchored through the move mapping — so a
-        compilation that starts blowing up under a bad vtree can repair
-        the vtree mid-flight instead of paying the blow-up to the end.
         """
         if circuit.output is None:
             raise ValueError("circuit has no output")
@@ -879,10 +839,6 @@ class SddManager(SddNodeTable):
         ]
         absorbed[circuit.output] = False
         vals: dict[int, int] = {}
-        safepoint = None
-        if self._next_minimize_at is not None:
-            def safepoint(extra: list[int]) -> list[int]:
-                return self._compile_safepoint(vals, extra)
         for gid in order:
             if absorbed[gid]:
                 continue
@@ -892,12 +848,6 @@ class SddManager(SddNodeTable):
                 )
             if deadline is not None:
                 deadline.check("apply compilation")
-            if (
-                safepoint is not None
-                and self._next_minimize_at is not None
-                and self.live_node_count > self._next_minimize_at
-            ):
-                safepoint([])
             gate = gates[gid]
             if gate.kind == VAR:
                 vals[gid] = self.literal(gate.payload, True)  # type: ignore[arg-type]
@@ -915,9 +865,7 @@ class SddManager(SddNodeTable):
                     else:
                         ops.append(vals[i])
                 vals[gid] = self._reduce(
-                    ops, gate.kind == AND,
-                    node_budget=node_budget, safepoint=safepoint,
-                    deadline=deadline,
+                    ops, gate.kind == AND, node_budget=node_budget, deadline=deadline
                 )
         return vals[circuit.output]
 
@@ -980,13 +928,11 @@ class SddManager(SddNodeTable):
         ids die; held weakly."""
         self._wmc_caches.add(cache)
 
-    def _live_set(self, extra_roots: Iterable[int] = ()) -> set[int]:
-        """Constants, literals, pinned roots (and ``extra_roots``), and
-        everything they reach."""
+    def _live_set(self) -> set[int]:
+        """Constants, literals, pinned roots, and everything they reach."""
         live = {_FALSE, _TRUE}
         stack = [r for r in self._pins if r > _TRUE]
         stack.extend(self._lit_table.values())
-        stack.extend(extra_roots)
         node_kind, node_elements = self.node_kind, self.node_elements
         while stack:
             w = stack.pop()
@@ -1003,15 +949,11 @@ class SddManager(SddNodeTable):
                         stack.append(s)
         return live
 
-    def gc(self, *, full: bool = False) -> dict[str, int]:
+    def gc(self) -> dict[str, int]:
         """Collect every decision node unreachable from the pinned roots.
 
-        Constants and literals are permanent.  With ``full=False`` nodes
-        born in the current generation are spared (*aging*), along with
-        everything they reach: a caller that has just compiled something
-        and not yet pinned it loses nothing — not even older shared
-        substructure — to a concurrent watermark collection.  ``full=True``
-        sweeps the unpinned regardless of age.
+        Constants and literals are permanent; everything else that no
+        pinned root reaches is swept, however recently it was built.
 
         Freed ids go to a free list and are reused by later allocations;
         every cache keyed by node id (apply/negation caches here, the memos
@@ -1023,21 +965,7 @@ class SddManager(SddNodeTable):
         Returns the collection's counters.
         """
         node_kind = self.node_kind
-        gen = self._generation
-        node_gen = self.node_gen
-        # Aging is transitive: a spared young node keeps everything it
-        # reaches alive (young nodes act as additional GC roots), so no
-        # spared node is ever left with dangling element ids.
-        young = (
-            ()
-            if full
-            else [
-                w
-                for w in range(2, len(node_kind))
-                if node_gen[w] == gen and node_kind[w] == "dec"
-            ]
-        )
-        live = self._live_set(young)
+        live = self._live_set()
         # Iterate the unique table, not the id range: every live decision
         # is interned, so this is O(live) — the minimization driver
         # collects after every move and must not pay O(capacity) each time.
@@ -1058,23 +986,13 @@ class SddManager(SddNodeTable):
             self._evict_apply_caches(dead_set)
             for cache in tuple(self._wmc_caches):
                 cache.evict(dead_set)
-        self._generation += 1
         self._gc_runs += 1
         self._collected_total += len(dead)
         return {
             "collected": len(dead),
             "live": self.live_node_count,
             "free": len(self._free_ids),
-            "generation": self._generation,
         }
-
-    def maybe_gc(self) -> dict[str, int] | None:
-        """Run :meth:`gc` iff the live node count exceeds the
-        ``auto_gc_nodes`` watermark.  Call this only at safe points: any
-        root not pinned (or younger than one generation) may be swept."""
-        if self.auto_gc_nodes is not None and self.live_node_count > self.auto_gc_nodes:
-            return self.gc()
-        return None
 
     def _evict_apply_caches(self, dead: set[int]) -> None:
         mask = (1 << 32) - 1
@@ -1514,11 +1432,10 @@ class SddManager(SddNodeTable):
         exploration may pass through worse shapes, but never runs away.
 
         The optimization objective is the footprint of the *pinned*
-        roots: the driver runs a full collection after every move (O(live)
-        — the incremental size counter then *is* the pinned footprint), so
+        roots: the driver collects after every move (O(live) — the
+        incremental size counter then *is* the pinned footprint), so
         anything unpinned is garbage to it.  Pin what you care about
-        first; the managed paths (``QueryEngine``, the apply backend,
-        ``compile_circuit``'s watermark) always do.
+        first; :class:`~repro.compiler.strategies.DynamicStrategy` does.
 
         ``budget`` caps the number of exploration moves (rollback moves
         needed to restore the best shape are always allowed, so the search
@@ -1559,13 +1476,13 @@ class SddManager(SddNodeTable):
             # op caches reset by the move itself this is O(live); a move
             # that allocated and retired nothing made no garbage either.
             if m or self.live_node_count != before:
-                self.gc(full=True)
+                self.gc()
             return True
 
         def can_explore() -> bool:
             return budget is None or moves < budget
 
-        self.gc(full=True)
+        self.gc()
         size = self._total_elements
         if target_size is not None and size <= target_size:
             return composed
@@ -1661,32 +1578,6 @@ class SddManager(SddNodeTable):
                 size = self._total_elements
         return size
 
-    def _compile_safepoint(self, vals: dict[int, int], extra: list[int]) -> list[int]:
-        """One minimization round at the ``auto_minimize_nodes`` watermark:
-        pin every live intermediate (the gate results in ``vals`` and the
-        in-flight reduce operands in ``extra``) so the driver's collections
-        cannot sweep them, search, and re-anchor everything through the
-        move mapping (``vals`` in place, ``extra`` returned).  The
-        watermark then backs off to twice the post-search size so one
-        compilation cannot thrash the search."""
-        for u in vals.values():
-            self.pin(u)
-        for u in extra:
-            self.pin(u)
-        mapping = self.minimize(rounds=1)
-        new_extra = [mapping.get(u, u) for u in extra]
-        for gid, u in list(vals.items()):
-            vals[gid] = mapping.get(u, u)
-        for u in vals.values():
-            self.release(u)
-        for u in new_extra:
-            self.release(u)
-        assert self.auto_minimize_nodes is not None
-        self._next_minimize_at = max(
-            self.auto_minimize_nodes, 2 * self.live_node_count
-        )
-        return new_extra
-
     def check_unique_table(self) -> None:
         """Verify unique-table canonicity after moves/rollbacks: every live
         decision is interned under exactly its ``(vnode, elements)`` key,
@@ -1746,7 +1637,6 @@ class SddManager(SddNodeTable):
             "pinned_roots": len(self._pins),
             "gc_runs": self._gc_runs,
             "collected_nodes": self._collected_total,
-            "generation": self._generation,
             "live_size": self._total_elements,
             "minimize_runs": self._minimize_runs,
             "vtree_moves": self._moves_applied,

@@ -363,8 +363,6 @@ class TestDdnnfBackendEngine:
         with pytest.raises(ValueError):
             QueryEngine(db, backend="ddnnf", vtree=Vtree.balanced(["a", "b"]))
         with pytest.raises(ValueError):
-            QueryEngine(db, backend="ddnnf", auto_minimize_nodes=100)
-        with pytest.raises(ValueError):
             QueryEngine(db, backend="obdd-nope")
 
     def test_evaluate_batch_matches_serial(self):

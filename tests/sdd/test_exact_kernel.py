@@ -178,7 +178,7 @@ class TestUpdatesGcMinimize:
         garbage = mgr.compile_circuit(circuits[1])
         assert ev.value(kept) == brute_wmc(circuits[0], weights)
         assert ev.value(garbage) == brute_wmc(circuits[1], weights)
-        assert mgr.gc(full=True)["collected"] > 0
+        assert mgr.gc()["collected"] > 0
         weights["v0"] = _p(Fraction(1, 20))
         ev.update_weights({"v0": weights["v0"]})
         fresh = mgr.compile_circuit(circuits[2])

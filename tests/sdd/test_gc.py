@@ -8,7 +8,7 @@ The invariants that make GC safe to run mid-session:
   evicted coherently, so recycled ids can never resurrect stale entries;
 - recompiling a collected function reproduces the same canonical node and
   the same probability;
-- aging spares nodes born since the previous collection unless ``full``.
+- a collection sweeps everything unpinned, however recently it was built.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class TestPinRelease:
         mgr.pin(root)
         mgr.pin(root)
         mgr.release(root)
-        mgr.gc(full=True)
+        mgr.gc()
         mgr.validate(root)  # still pinned once
         mgr.release(root)
         with pytest.raises(ValueError):
@@ -50,19 +50,19 @@ class TestPinRelease:
         mgr = fresh_manager()
         assert mgr.pin(mgr.true) == mgr.true
         mgr.release(mgr.false)  # no-op, no error
-        mgr.gc(full=True)
+        mgr.gc()
 
     def test_pin_collected_node_rejected(self):
         mgr = fresh_manager()
         root = mgr.compile_circuit(chain_and_or(40))
-        mgr.gc(full=True)  # nothing pinned: root is swept
+        mgr.gc()  # nothing pinned: root is swept
         with pytest.raises(ValueError):
             mgr.pin(root)
 
     def test_literals_survive_collection(self):
         mgr = fresh_manager()
         a = mgr.literal("x1")
-        mgr.gc(full=True)
+        mgr.gc()
         assert mgr.literal("x1") == a
         assert mgr.stats()["literal_nodes"] == 1
 
@@ -74,7 +74,7 @@ class TestCollectionSafety:
         junk = mgr.compile_circuit(parity(30))  # noqa: F841 — garbage on purpose
         ev = SddWmcEvaluator(mgr, half_weights())
         value_before = ev.value(root)
-        stats = mgr.gc(full=True)
+        stats = mgr.gc()
         assert stats["collected"] > 0
         mgr.validate(root)
         assert ev.value(root) == value_before
@@ -86,7 +86,7 @@ class TestCollectionSafety:
         root = mgr.compile_circuit(parity(40))
         ev = SddWmcEvaluator(mgr, half_weights())
         value = ev.value(root)
-        mgr.gc(full=True)  # root unpinned: collected
+        mgr.gc()  # root unpinned: collected
         root2 = mgr.compile_circuit(parity(40))
         assert ev.value(root2) == value
         mgr.validate(root2)
@@ -100,7 +100,7 @@ class TestCollectionSafety:
         ev = SddWmcEvaluator(mgr, half_weights())
         keep_value = ev.value(keep)
         capacity_before = len(mgr.node_kind)
-        mgr.gc(full=True)
+        mgr.gc()
         assert mgr.stats()["free_nodes"] > 0
         root = mgr.compile_circuit(parity(25))  # refills freed slots
         assert len(mgr.node_kind) <= capacity_before + 5
@@ -116,60 +116,31 @@ class TestCollectionSafety:
         a = mgr.pin(mgr.compile_circuit(chain_and_or(40)))
         b = mgr.pin(mgr.disjoin(a, mgr.compile_circuit(parity(30))))
         mgr.release(a)
-        mgr.gc(full=True)
+        mgr.gc()
         mgr.validate(b)  # b reaches much of a's structure; must be intact
         assert 0 < mgr.count_models(b) < (1 << 40)
 
 
-class TestAgingAndWatermark:
-    def test_aging_spares_young_nodes(self):
+class TestSweep:
+    def test_gc_sweeps_unpinned_fresh_compile(self):
+        """A plain ``gc()`` sweeps a result compiled a moment ago and left
+        unpinned, and keeps every pinned root valid."""
         mgr = fresh_manager()
-        root = mgr.compile_circuit(chain_and_or(40))  # born this generation
-        stats = mgr.gc()  # aging pass: nothing old enough to sweep
-        assert stats["collected"] == 0
-        mgr.validate(root)
-        stats = mgr.gc()  # one generation later the unpinned root goes
-        assert stats["collected"] > 0
-
-    def test_aging_spares_young_nodes_transitively(self):
-        """A spared young node keeps its older substructure alive: the
-        aging pass must never leave a spared node with dangling element
-        ids (regression: old primes under fresh decisions were swept)."""
-        mgr = SddManager(Vtree.from_nested((("a", "b"), ("c", "d"))))
-        f1 = mgr.apply(mgr.literal("a"), mgr.literal("b"), "and")
-        mgr.gc()  # f1 is now one generation old (and unpinned)
-        y = mgr.apply(f1, mgr.literal("c"), "and")  # young, references f1
-        mgr.gc()  # aging: sparing y must spare f1 too
-        mgr.pin(y)
-        mgr.validate(y)
-        assert mgr.count_models(y) == 2  # a ∧ b ∧ c, d free
-
-    def test_full_ignores_aging(self):
-        mgr = fresh_manager()
-        mgr.compile_circuit(chain_and_or(40))
-        assert mgr.gc(full=True)["collected"] > 0
-
-    def test_maybe_gc_watermark(self):
-        mgr = SddManager(
-            Vtree.right_linear([f"x{i}" for i in range(1, 41)]),
-            auto_gc_nodes=200,
-        )
-        root = mgr.pin(mgr.compile_circuit(chain_and_or(40)))
-        assert mgr.live_node_count > 200
-        first = mgr.maybe_gc()  # aging spares generation-0 nodes
-        assert first is not None
-        second = mgr.maybe_gc()
-        assert second is not None and second["collected"] > 0
-        mgr.validate(root)
-        small = SddManager(Vtree.right_linear(["x1", "x2"]))
-        assert small.maybe_gc() is None  # no watermark armed
+        keep = mgr.pin(mgr.compile_circuit(chain_and_or(40)))
+        both = mgr.pin(mgr.conjoin(keep, mgr.compile_circuit(parity(20))))
+        fresh = mgr.compile_circuit(parity(30))
+        assert mgr.gc()["collected"] > 0
+        assert mgr.node_kind[fresh] == "free"
+        assert set(mgr.pinned_roots()) == {keep, both}
+        for root in mgr.pinned_roots():
+            mgr.validate(root)
 
     def test_stats_counters(self):
         mgr = fresh_manager()
         root = mgr.pin(mgr.compile_circuit(chain_and_or(40)))
         mgr.compile_circuit(parity(30))
         before = mgr.stats()
-        mgr.gc(full=True)
+        mgr.gc()
         after = mgr.stats()
         assert after["gc_runs"] == before["gc_runs"] + 1
         assert after["collected_nodes"] > before["collected_nodes"]
@@ -196,7 +167,7 @@ class TestGcProperty:
         r2 = mgr.compile_circuit(c2)
         count1 = mgr.count_models(r1, vs)
         count2 = mgr.count_models(r2, vs)
-        mgr.gc(full=True)
+        mgr.gc()
         mgr.validate(r1)
         assert mgr.count_models(r1, vs) == count1
         r2b = mgr.compile_circuit(c2)

@@ -3,7 +3,7 @@
 Three layers:
 
 - deterministic unit tests for ``rotate_left`` / ``rotate_right`` /
-  ``swap`` / ``minimize`` semantics (mapping, pins, rollback, watermark);
+  ``swap`` / ``minimize`` semantics (mapping, pins, rollback);
 - a hypothesis property suite (marked ``minimize``, own CI job) asserting
   that model count, exact-Fraction WMC and ``evaluate()`` are bit-identical
   across *any* sequence of moves, and that the unique table stays canonical
@@ -130,7 +130,7 @@ class TestSingleMoves:
             assert root not in mgr.pinned_roots()
         assert new_root in mgr.pinned_roots()
         # the pin protects the remapped root across a full collection
-        mgr.gc(full=True)
+        mgr.gc()
         mgr.validate(new_root)
 
     def test_literal_and_constant_roots_survive(self):
@@ -184,27 +184,6 @@ class TestMinimize:
         mgr, root, _ = compiled(c)
         mgr.minimize(rounds=1, node_order=[])
         assert mgr.stats()["vtree_moves"] == 0
-
-    def test_auto_minimize_watermark_fires_mid_compile(self):
-        c = chain_and_or(40)
-        vs = sorted(c.variables)
-        plain = SddManager(Vtree.balanced(vs))
-        r0 = plain.pin(plain.compile_circuit(c))
-        mc = plain.count_models(r0)
-
-        mgr = SddManager(Vtree.balanced(vs), auto_minimize_nodes=400)
-        root = mgr.pin(mgr.compile_circuit(c))
-        stats = mgr.stats()
-        assert stats["minimize_runs"] > 0
-        assert stats["vtree_moves"] > 0
-        assert mgr.count_models(root) == mc
-        mgr.check_unique_table()
-        mgr.validate(root)
-
-    def test_watermark_none_never_fires(self):
-        c = chain_and_or(20)
-        mgr, root, _ = compiled(c)
-        assert mgr.stats()["minimize_runs"] == 0
 
 
 class TestInManagerCircuitSearch:

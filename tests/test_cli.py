@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.circuits.parse import parse_formula
 from repro.cli import build_parser, main
+from repro.compiler import Compiler, DynamicStrategy
 
 
 class TestCompile:
@@ -32,6 +34,17 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "race (via natural)" in out
         assert "models: 5 / 2^3" in out
+
+    def test_compile_minimize_is_the_dynamic_strategy(self, capsys):
+        formula = "(a & b) | (b & c)"
+        assert main(["compile", formula, "--backend", "apply", "--minimize"]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("apply (via"))
+        assert "via dynamic:best-of" in row
+        expected = Compiler("apply", DynamicStrategy(seed="best-of")).compile(
+            parse_formula(formula)
+        )
+        assert row.split()[-2:] == [str(expected.size), str(expected.width)]
 
 
 class TestCtw:
@@ -90,6 +103,22 @@ class TestEngineUpdates:
         with pytest.raises(ValueError, match="unknown kind"):
             main(["engine", "R(x)", "--domain", "2",
                   "--update", "upsert:R:1:0.5"])
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["query", "R(x,,S(", "--domain", "2"],
+        ["engine", "R(x),S(x,y); R(x,,S(", "--domain", "2"],
+        ["compile", "(a & b"],
+    ])
+    def test_parse_error_exits_2_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestServe:

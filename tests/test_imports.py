@@ -150,3 +150,33 @@ def test_frozen_evaluator_copies_are_gone():
         for name in ("FrozenSddWmc", "FrozenDdnnfWmc"):
             assert not hasattr(mod, name), (mod.__name__, name)
             assert name not in getattr(mod, "__all__", ()), (mod.__name__, name)
+
+
+def test_session_watermark_knobs_are_gone():
+    """The session vtree is fixed before compilation and collection runs
+    only when asked, so the auto-minimize, aging-GC, eviction-policy and
+    post-compile minimize options stay deleted."""
+    from repro.circuits.parse import parse_formula
+    from repro.cli import main
+    from repro.compiler import Compiler, compile_with
+    from repro.core.vtree import Vtree
+    from repro.queries import QueryEngine, complete_database
+    from repro.sdd.manager import SddManager
+
+    db = complete_database({"R": 1}, 2)
+    vtree = Vtree.right_linear(["a", "b"])
+    for call in (lambda: SddManager(vtree, auto_minimize_nodes=1),
+                 lambda: SddManager(vtree, auto_gc_nodes=1),
+                 lambda: SddManager(vtree).gc(full=True),
+                 lambda: QueryEngine(db, auto_minimize_nodes=1),
+                 lambda: QueryEngine(db, eviction_policy="lru"),
+                 lambda: Compiler(minimize=True),
+                 lambda: compile_with(parse_formula("a & b"), minimize=True)):
+        with pytest.raises(TypeError):
+            call()
+    assert not hasattr(QueryEngine, "minimize")
+    for name in ("maybe_gc", "_compile_safepoint"):
+        assert not hasattr(SddManager, name)
+    with pytest.raises(SystemExit) as exc:
+        main(["engine", "R(x)", "--domain", "2", "--auto-minimize", "5"])
+    assert exc.value.code == 2
