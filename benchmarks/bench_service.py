@@ -226,6 +226,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "QueryService warm pool + admission control vs classic spawn",
         "smoke": args.smoke,
+        "cpus": os.cpu_count(),
         "warm_vs_cold_spawn": warm,
         "concurrent_sessions": sessions,
     }

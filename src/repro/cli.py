@@ -24,7 +24,9 @@ vtree: ``--backend apply`` compiles over it through the same facade
 (``search`` is the Lemma-1 strategy), and the canonical backend prints its
 truth-table report.  ``compile --minimize`` runs the ``dynamic``
 strategy seeded by ``--strategy`` (``best-of`` by default): it compiles,
-then sifts the vtree in place.  ``batch`` evaluates a workload through one
+then sifts the vtree in place; an explicit ``--vtree`` is rejected with
+it (exit 2).  A malformed or refused ``engine --update`` spec also exits
+2.  ``batch`` evaluates a workload through one
 :class:`repro.queries.QueryEngine`.  ``engine`` evaluates a workload
 through one :class:`repro.queries.QueryEngine` session and prints its
 public ``stats()``.
@@ -73,6 +75,11 @@ def _parse(parse, text: str):
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    if args.minimize and args.vtree is not None:
+        # --minimize picks its seed vtree through --strategy.
+        print("error: --vtree cannot be combined with --minimize; "
+              "seed the search with --strategy", file=sys.stderr)
+        raise SystemExit(2)
     circuit = _parse(parse_formula, args.formula)
     vs = sorted(map(str, circuit.variables))
     if not vs:
@@ -83,6 +90,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print("--minimize requires --backend apply (in-place vtree "
               "minimization is manager-backed)", file=sys.stderr)
         return 1
+    shape = args.vtree or "balanced"
     if args.strategy is None and args.backend in ("ddnnf", "race"):
         # The d-DNNF build is decomposition-driven (the vtree is recorded
         # but unused) and the race only needs one cheap vtree choice, so
@@ -95,7 +103,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     vtree = None
     if args.backend == "apply" and args.strategy is None and not args.minimize:
         # --vtree names the vtree; "search" is the Lemma-1 extraction.
-        vtree = _named_vtree(args.vtree, vs)
+        vtree = _named_vtree(shape, vs)
         if vtree is None:
             args.strategy = "lemma1"
     if args.strategy is not None or args.minimize or vtree is not None:
@@ -104,7 +112,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             backend=args.backend,
             strategy=DynamicStrategy(seed=strategy) if args.minimize else strategy,
         ).compile(circuit, vtree=vtree)
-        chosen = f"{args.vtree} vtree" if vtree is not None else f"{strategy} strategy"
+        chosen = f"{shape} vtree" if vtree is not None else f"{strategy} strategy"
         via = compiled.strategy or (chosen if vtree is not None else strategy)
         report(
             f"compile ({args.backend} backend, {chosen}"
@@ -135,7 +143,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .obdd.obdd import obdd_from_function
 
     f = circuit.function()
-    t = _named_vtree(args.vtree, vs)
+    t = _named_vtree(shape, vs)
     if t is None:
         _, t = minimize_vtree(f, max_rounds=6)
     sdd = compile_canonical_sdd(f, t)
@@ -283,11 +291,11 @@ def _apply_update_spec(db, spec: str):
     parts = spec.split(":")
     kind = parts[0]
     if kind in ("weight", "insert") and len(parts) != 4:
-        raise ValueError(f"--update {spec!r}: expected {kind}:REL:VALUES:P")
+        raise ValueError(f"expected {kind}:REL:VALUES:P")
     if kind == "delete" and len(parts) != 3:
-        raise ValueError(f"--update {spec!r}: expected delete:REL:VALUES")
+        raise ValueError("expected delete:REL:VALUES")
     if kind not in ("weight", "insert", "delete"):
-        raise ValueError(f"--update {spec!r}: unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}")
     relation = parts[1]
 
     def coerce(token: str):
@@ -302,6 +310,22 @@ def _apply_update_spec(db, spec: str):
     if kind == "insert":
         return db.insert(relation, *values, p=float(parts[3]))
     return db.delete(relation, *values)
+
+
+def _check_update_specs(db, specs: Sequence[str]) -> None:
+    """Replay ``specs`` in order on a copy of ``db``.  A malformed spec,
+    or one the database refuses (an absent or duplicate tuple, a
+    probability outside [0, 1]), prints a one-line ``error:`` and exits
+    with status 2 before anything is evaluated."""
+    import copy
+
+    scratch = copy.deepcopy(db)
+    for spec in specs:
+        try:
+            _apply_update_spec(scratch, spec)
+        except (ValueError, KeyError) as exc:
+            print(f"error: --update {spec!r}: {exc.args[0]}", file=sys.stderr)
+            raise SystemExit(2) from None
 
 
 def _cmd_engine(args: argparse.Namespace) -> int:
@@ -319,6 +343,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be positive", file=sys.stderr)
         return 1
+    _check_update_specs(db, args.update)
 
     def run_updates(target, evaluate) -> int:
         merged: dict[str, int] = {}
@@ -528,9 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a formula into SDD/NNF/OBDD")
     c.add_argument("formula")
     c.add_argument("--vtree", choices=["balanced", "right", "left", "search"],
-                   default="balanced",
-                   help="vtree shape when no --strategy is given ('search': "
-                        "local search for canonical, Lemma-1 for apply)")
+                   default=None,
+                   help="vtree shape when no --strategy is given (default "
+                        "balanced; 'search': local search for canonical, "
+                        "Lemma-1 for apply); not with --minimize")
     c.add_argument("--backend", choices=available_backends(), default="canonical",
                    help="'apply' compiles bottom-up without a truth table "
                         "(scales past 20 variables); 'obdd' needs --strategy")

@@ -149,6 +149,9 @@ class QueryEngine:
                 vtree = frozen.vtree()
         self._frozen = frozen
         self._frozen_wmc: dict[bool, SddWmcEvaluator] = {}
+        # Frozen root id -> its size; the store never changes, so entries
+        # live until the base is dropped.
+        self._frozen_sizes: dict[int, int] = {}
         self._frozen_hits = 0
         self.db = db
         self.backend = backend
@@ -156,6 +159,11 @@ class QueryEngine:
         self._vtree = vtree
         self._manager: SddManager | None = SddManager(vtree) if vtree is not None else None
         self._roots: OrderedDict[UCQ, int] = OrderedDict()
+        # Query -> size of its cached root, filled on the first ask.  A
+        # pinned root is never collected and the session vtree never moves,
+        # so the size holds until :meth:`forget` drops the root or
+        # :meth:`_patch_roots` replaces it.
+        self._sizes: dict[UCQ, int] = {}
         self._evaluators: dict[bool, SddWmcEvaluator] = {}
         # backend="ddnnf": per-query compiled DAGs + one WMC evaluator per
         # (query, ring) + memoized root values (each DdnnfResult owns its
@@ -421,18 +429,30 @@ class QueryEngine:
         otherwise.  Never compiles and never touches the hit/miss
         counters — the sibling of :meth:`cached_root` used by the worker
         pool and parallel paths to report sizes without inflating the
-        cache statistics."""
+        cache statistics.  Each root is walked once; the size is kept
+        until the root is forgotten, evicted or patched."""
         if self.backend == "ddnnf":
             result = self._ddnnf.get(query)
             return None if result is None else result.size
-        root = self._roots.get(query)
-        if root is None:
-            froot = self._frozen_root(query)
-            if froot is not None:
-                return self._frozen.size(froot)
-            return None
-        assert self._manager is not None
-        return self._manager.size(root)
+        if query in self._roots:
+            return self._root_size(query)
+        froot = self._frozen_root(query)
+        return None if froot is None else self._frozen_size(froot)
+
+    def _root_size(self, query: UCQ) -> int:
+        """Size of ``query``'s cached root, walked once per root."""
+        size = self._sizes.get(query)
+        if size is None:
+            assert self._manager is not None
+            size = self._sizes[query] = self._manager.size(self._roots[query])
+        return size
+
+    def _frozen_size(self, froot: int) -> int:
+        """Size of a frozen-base root, walked once per root."""
+        size = self._frozen_sizes.get(froot)
+        if size is None:
+            size = self._frozen_sizes[froot] = self._frozen.size(froot)
+        return size
 
     def lineage_size(self, query: UCQ) -> int:
         """Compiled size of the lineage of ``query`` (SDD size or d-DNNF
@@ -442,9 +462,9 @@ class QueryEngine:
         froot = self._frozen_root(query)
         if froot is not None and query not in self._roots:
             self._frozen_hits += 1
-            return self._frozen.size(froot)
-        mgr = self._ensure_manager(query)
-        return mgr.size(self.compile(query))
+            return self._frozen_size(froot)
+        self.compile(query)
+        return self._root_size(query)
 
     def evaluate(
         self,
@@ -495,12 +515,8 @@ class QueryEngine:
         sizes = []
         for q in qs:
             probabilities.append(self.probability(q, exact=exact, timeout=timeout))
-            if q in self._roots:
-                assert self._manager is not None
-                sizes.append(self._manager.size(self._roots[q]))
-            else:
-                # Answered from the frozen artifact base: measure there.
-                sizes.append(self._frozen.size(self._frozen_root(q)))
+            # Just answered, live or off the frozen base: present.
+            sizes.append(self.compiled_size(q))
         return BatchEvaluation(
             queries=list(qs),
             probabilities=probabilities,
@@ -531,6 +547,7 @@ class QueryEngine:
         root = self._roots.pop(query, None)
         if root is None:
             return False
+        self._sizes.pop(query, None)
         assert self._manager is not None
         self._manager.release(root)
         return True
@@ -606,6 +623,7 @@ class QueryEngine:
                 # roots are now answers to the wrong lineage.
                 self._frozen = None
                 self._frozen_wmc = {}
+                self._frozen_sizes = {}
             if delta.kind == "insert":
                 self._extend_vtree(delta.var)
                 memo_invalidations = self._update_weight_caches(
@@ -698,6 +716,7 @@ class QueryEngine:
                 mgr.pin(new_root)
                 mgr.release(root)
                 self._roots[query] = new_root
+                self._sizes.pop(query, None)
         return patched, recompiles
 
     def _patch_ddnnf(self, delta: UpdateDelta) -> tuple[int, int]:

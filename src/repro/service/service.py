@@ -30,8 +30,10 @@ ever stores values a worker computed, and results are matched back to
 queries by id, never by arrival order.
 
 The service is thread-safe and asyncio-friendly: :meth:`submit` is a
-coroutine (futures bridged with :func:`asyncio.wrap_future`),
-:meth:`submit_sync` the blocking twin.  One quota note: quota checks are
+coroutine and :meth:`submit_sync` the blocking twin.  A batch the answer
+cache fills completely costs :meth:`submit` one yield to the event loop;
+only the futures still pending on the pool are bridged with
+:func:`asyncio.wrap_future`.  One quota note: quota checks are
 per *submission*, admission is all-or-nothing per batch — a batch
 admitted under budget runs to completion even if it crosses the quota
 mid-way; the *next* submission is rejected.
@@ -253,11 +255,19 @@ class QueryService:
     ) -> list[ServiceAnswer]:
         """Asyncio submit: admission happens synchronously at call time
         (so rejections raise immediately, before any await); the answers
-        are awaited without blocking the event loop."""
+        are awaited without blocking the event loop.
+
+        Answer-cache hits are already resolved when :meth:`_dispatch`
+        returns, so only the pending futures are awaited; a fully cached
+        batch still yields once, so sessions that only hit the cache take
+        turns on the loop."""
         futures = self._dispatch(list(queries), session, exact, timeout)
-        return list(
-            await asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
-        )
+        pending = [f for f in futures if not f.done()]
+        if pending:
+            await asyncio.gather(*map(asyncio.wrap_future, pending))
+        else:
+            await asyncio.sleep(0)
+        return [f.result() for f in futures]
 
     def probability(
         self,
@@ -325,8 +335,9 @@ class QueryService:
             self._admission.try_admit(len(qs))  # ServiceSaturated
             pool = self._ensure_pool(qs[0])
             for q in qs:
-                self._seen.setdefault(q.normalized(), q)
-                key = self._cache_key(q, exact)
+                text = q.normalized()
+                self._seen.setdefault(text, q)
+                key = self._cache_key(text, exact)
                 hit = self._cache.get(key)
                 client: Future = Future()
                 out.append(client)
@@ -441,9 +452,10 @@ class QueryService:
             p = engine.probability(query, exact=exact)
             return p, engine.compiled_size(query)
 
-    def _cache_key(self, query: UCQ, exact: bool) -> str:
+    def _cache_key(self, text: str, exact: bool) -> str:
+        """The answer-cache key of a query's normalized ``text``."""
         return fingerprint(
-            query.normalized(),
+            text,
             self._db_fp,
             self.backend,
             "exact" if exact else "float",

@@ -20,6 +20,7 @@ from repro.queries.engine import QueryEngine
 from repro.queries.syntax import parse_ucq
 from repro.service import (
     AdmissionController,
+    DeadlineExceeded,
     QueryService,
     QuotaExceeded,
     ServiceSaturated,
@@ -89,6 +90,71 @@ class TestBitIdenticalService:
             answers = svc.submit_sync(qs, exact=True)
             assert [a.probability for a in answers] == expect
             assert svc.stats()["engine_backend"] == "ddnnf"
+
+
+class TestCachedHitPath:
+    """``submit`` resolves answer-cache hits without bridging futures
+    onto the loop: a fully cached batch yields once, a mixed batch awaits
+    only its misses."""
+
+    def test_fully_cached_batch_never_wraps_futures(self, monkeypatch):
+        db = _db(domain=2)
+        qs = _queries()
+        expect = _expect(db, qs)
+        with QueryService(db, workers=2) as svc:
+            svc.submit_sync(qs, exact=True)
+
+            def refuse(*_args, **_kw):
+                raise AssertionError("a cached batch bridged a future")
+
+            monkeypatch.setattr(asyncio, "wrap_future", refuse)
+            answers = asyncio.run(svc.submit(qs, exact=True))
+        assert [a.probability for a in answers] == expect
+        assert all(a.cached and a.worker is None for a in answers)
+
+    def test_mixed_batch_answers_in_batch_order(self):
+        db = _db(domain=2)
+        qs = _queries()
+        expect = _expect(db, qs)
+        warm = qs[::2]
+        with QueryService(db, workers=2) as svc:
+            svc.submit_sync(warm, exact=True)
+            answers = asyncio.run(svc.submit(qs, exact=True))
+            stats = svc.stats()
+        assert [a.probability for a in answers] == expect
+        assert [a.cached for a in answers] == [q in warm for q in qs]
+        assert stats["cache_hits"] == len(warm)
+        assert stats["admission_in_flight"] == 0
+
+    def test_failing_miss_raises_its_typed_error(self):
+        db = _db(domain=2)
+        qs = _queries()
+        with QueryService(db, workers=2, degrade_after=100) as svc:
+            svc.submit_sync([qs[0]])
+            with pytest.raises(DeadlineExceeded):
+                asyncio.run(svc.submit([qs[0], qs[1]], timeout=1e-9))
+            assert svc.stats()["admission_in_flight"] == 0
+
+    def test_cached_sessions_take_turns(self):
+        db = _db(domain=2)
+        qs = _queries()
+        with QueryService(db, workers=1) as svc:
+            svc.submit_sync(qs)
+            order: list[str] = []
+
+            async def session(name: str) -> None:
+                for _ in range(4):
+                    answers = await svc.submit(qs, session=name)
+                    assert all(a.cached for a in answers)
+                    order.append(name)
+
+            async def drive() -> None:
+                await asyncio.gather(session("a"), session("b"))
+
+            asyncio.run(drive())
+        # Each submit yields once, so neither session runs its whole loop
+        # before the other gets a turn.
+        assert order == ["a", "b"] * 4
 
 
 class TestAnswerCache:

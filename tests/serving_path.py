@@ -5,7 +5,8 @@ Four checks over one complete domain-2 database:
 
 - a :class:`~repro.queries.engine.QueryEngine` answers the query exactly,
   and the answer matches its closed form;
-- a thread-mode :class:`~repro.service.QueryService` gives the same answer;
+- a thread-mode :class:`~repro.service.QueryService` gives the same answer,
+  and again from its answer cache when the query is awaited a second time;
 - the engine's artifact, saved and reloaded, gives it again without
   compiling, and still matches the engine exactly after one weight update
   (the same evaluator point-updates over the frozen tables);
@@ -21,6 +22,7 @@ interpreter with neither numpy nor networkx installed::
 
 from __future__ import annotations
 
+import asyncio
 import sys
 import tempfile
 from fractions import Fraction
@@ -47,6 +49,8 @@ def main() -> int:
     service = QueryService(db, workers=1, mode="threads")
     try:
         answers["service"] = service.probability(query, exact=True)
+        (repeat,) = asyncio.run(service.submit([query], exact=True))
+        answers["service cache"] = repeat.probability
     finally:
         service.close()
 
@@ -78,6 +82,9 @@ def main() -> int:
         if got != want:
             failures.append(f"after {delta.kind} {delta.var} the engine answered {got}, "
                             f"a fresh engine {want}")
+    if not repeat.cached:
+        failures.append("the service recomputed a repeated query instead of "
+                        "answering from its cache")
     if frozen_hits != 1:
         failures.append(f"reloaded artifact served {frozen_hits} queries, expected 1")
     loaded = [m for m in OFF_PATH if m in sys.modules]
@@ -86,7 +93,8 @@ def main() -> int:
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     if not failures:
-        print(f"serving path OK: P = {EXPECTED} from engine, service and artifact, "
+        print(f"serving path OK: P = {EXPECTED} from engine, service, service "
+              f"cache and artifact, "
               f"the artifact matches the engine after a weight update, "
               f"updates match a fresh engine; none of {list(OFF_PATH)} imported")
     return 1 if failures else 0

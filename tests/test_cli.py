@@ -46,6 +46,20 @@ class TestCompile:
         )
         assert row.split()[-2:] == [str(expected.size), str(expected.width)]
 
+    def test_compile_minimize_rejects_explicit_vtree(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "(a & b) | c", "--backend", "apply",
+                  "--minimize", "--vtree", "right"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --vtree")
+        assert captured.err.count("\n") == 1
+
+    def test_compile_vtree_defaults_to_balanced(self, capsys):
+        assert main(["compile", "(a & b) | c", "--backend", "apply"]) == 0
+        assert "apply (via balanced vtree)" in capsys.readouterr().out
+
 
 class TestCtw:
     def test_ctw_literal(self, capsys):
@@ -99,10 +113,26 @@ class TestEngineUpdates:
         assert "after 1 update(s)" in out
         assert "updates_applied=1" in out
 
-    def test_engine_update_bad_spec(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            main(["engine", "R(x)", "--domain", "2",
-                  "--update", "upsert:R:1:0.5"])
+    def test_engine_update_bad_spec(self, capsys):
+        # Malformed kind, unparsable and out-of-range probabilities, and a
+        # tuple the database lacks: each is refused before anything runs.
+        for spec in ("upsert:R:1:0.5", "weight:R:1:abc", "weight:R:1:1.5",
+                     "delete:S:9,9"):
+            with pytest.raises(SystemExit) as exc:
+                main(["engine", "R(x),S(x,y)", "--domain", "2",
+                      "--update", spec])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: --update {spec!r}: ")
+            assert captured.err.count("\n") == 1
+
+    def test_engine_update_specs_replay_in_order(self, capsys):
+        # A delete of a tuple an earlier spec inserted is valid.
+        assert main(["engine", "R(x),S(x,y)", "--domain", "2",
+                     "--update", "insert:S:2,3:0.9",
+                     "--update", "delete:S:2,3"]) == 0
+        assert "updates_applied=2" in capsys.readouterr().out
 
 
 class TestMalformedInput:
