@@ -98,7 +98,8 @@ class QueryEngine:
     session vtree, so queries *outside* the base compile against the same
     decomposition.  The artifact's stamped database fingerprint must
     match ``db`` (a mismatched file raises, never silently answers for
-    the wrong database).
+    the wrong database).  A base opened from a path is closed when an
+    insert or delete drops it; a passed-in store stays open.
 
     :meth:`apply_update` keeps the cached roots current under live
     weight, insert and delete deltas without recompiling: it patches each
@@ -132,9 +133,12 @@ class QueryEngine:
             )
         if frozen is not None and backend != "sdd":
             raise ValueError("frozen artifact bases require backend='sdd'")
-        if frozen is not None and not hasattr(frozen, "root_named"):
-            # A path: mmap the artifact in place (children of a spawn pool
-            # all map the same file — the OS shares the pages).
+        # A path is mmap-ed in place (children of a spawn pool all map the
+        # same file, so the OS shares the pages) and closed by this engine
+        # when an update drops it; a passed-in store belongs to the caller
+        # (the threads pool shares one across its engines).
+        self._owns_frozen = frozen is not None and not hasattr(frozen, "root_named")
+        if self._owns_frozen:
             from ..artifact.store import FrozenSdd
 
             frozen = FrozenSdd.load(frozen)
@@ -156,7 +160,6 @@ class QueryEngine:
         self.db = db
         self.backend = backend
         self.max_nodes = max_nodes
-        self._vtree = vtree
         self._manager: SddManager | None = SddManager(vtree) if vtree is not None else None
         self._roots: OrderedDict[UCQ, int] = OrderedDict()
         # Query -> size of its cached root, filled on the first ask.  A
@@ -191,7 +194,7 @@ class QueryEngine:
     @property
     def vtree(self) -> Vtree | None:
         """The session vtree (``None`` until the first query arrives)."""
-        return self._vtree
+        return None if self._manager is None else self._manager.vtree
 
     @property
     def manager(self) -> SddManager | None:
@@ -200,9 +203,7 @@ class QueryEngine:
 
     def _ensure_manager(self, query: UCQ) -> SddManager:
         if self._manager is None:
-            if self._vtree is None:
-                self._vtree = lineage_vtree(query, self.db)
-            self._manager = SddManager(self._vtree)
+            self._manager = SddManager(lineage_vtree(query, self.db))
         return self._manager
 
     def _session_weights(self, variables, exact: bool) -> dict[str, tuple]:
@@ -523,7 +524,7 @@ class QueryEngine:
             roots=[self.cached_root(q) for q in qs],
             sizes=sizes,
             manager=self._manager,
-            vtree=self._vtree,
+            vtree=self.vtree,
             stats=self.stats(),
         )
 
@@ -621,11 +622,15 @@ class QueryEngine:
             if self._frozen is not None:
                 # The artifact was compiled against the old instance; its
                 # roots are now answers to the wrong lineage.
-                self._frozen = None
                 self._frozen_wmc = {}
                 self._frozen_sizes = {}
+                if self._owns_frozen:
+                    self._frozen.close()
+                self._frozen = None
             if delta.kind == "insert":
-                self._extend_vtree(delta.var)
+                if self._manager is not None:
+                    # A new leaf under a new root: nothing existing moves.
+                    self._manager.add_variable(delta.var)
                 memo_invalidations = self._update_weight_caches(
                     delta.var, delta.p
                 )
@@ -676,15 +681,6 @@ class QueryEngine:
             if result is not None and not ev.memoized(result.root):
                 self._ddnnf_values.pop((query, exact), None)
         return invalidated
-
-    def _extend_vtree(self, var: str) -> None:
-        """Grow the session vtree (and manager, if live) with ``var`` —
-        appended under a new root so nothing existing moves."""
-        if self._manager is not None:
-            self._manager.add_variable(var)
-            self._vtree = self._manager.vtree
-        elif self._vtree is not None and var not in self._vtree.variables:
-            self._vtree = Vtree.internal_trusted(self._vtree, Vtree.leaf(var))
 
     def _patch_roots(self, delta: UpdateDelta, *, insert: bool) -> tuple[int, int]:
         """Delta-patch every cached query for a tuple insert/delete (see

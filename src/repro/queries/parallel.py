@@ -9,9 +9,12 @@ independent and their answers are order- and placement-invariant.
 :class:`ParallelQueryEngine` exploits this by sharding a batch of queries
 across ``workers`` :class:`~repro.queries.engine.QueryEngine` instances,
 each owning its own :class:`~repro.sdd.manager.SddManager` and WMC memos
-while sharing one **read-only base vtree** computed once from the database
-(and the first query's hierarchy order — exactly the vtree a serial engine
-would derive).
+while sharing one **read-only base vtree**: the pinned ``vtree=``, else
+the first batch's first query's hierarchy order over every tuple variable
+of the database (exactly the vtree a serial engine would derive).  The
+engine keeps no copy of it: the :class:`~repro.service.pool.WorkerPool`
+holds it (the serial engine under ``workers=1``), and only the pool and
+:meth:`~repro.sdd.manager.SddManager.add_variable` grow it on insert.
 
 Determinism guarantee
 ---------------------
@@ -74,6 +77,16 @@ __all__ = ["ParallelQueryEngine", "ParallelBatchEvaluation", "shard_of"]
 _SPAWN_MIN_PER_WORKER = 64
 
 
+def merge_stats(worker_stats: Iterable[dict[str, int | str]]) -> dict[str, int | str]:
+    """Per-worker engine counters summed; strings (the backend name) pass
+    through, the workers being configured identically."""
+    merged: dict[str, int | str] = {}
+    for stats in worker_stats:
+        for k, v in stats.items():
+            merged[k] = v if isinstance(v, str) else merged.get(k, 0) + v
+    return merged
+
+
 def shard_of(query: UCQ, workers: int, seed: int = 0) -> int:
     """Deterministic shard index of ``query`` among ``workers`` shards.
 
@@ -131,9 +144,10 @@ class ParallelQueryEngine:
     ``vtree`` pins the shared decomposition; otherwise it is derived once
     from the first query of the first batch (hierarchy order covering
     every tuple variable of ``db`` — the same vtree a serial
-    :class:`QueryEngine` would build) and reused for the engine's
-    lifetime.  ``max_nodes`` is a *per-worker* session budget: each worker
-    engine evicts and collects shard-locally, so a workload whose working
+    :class:`QueryEngine` would build) and handed to the worker pool,
+    which holds it for the engine's lifetime.  ``max_nodes`` is a
+    *per-worker* session budget: each worker engine evicts and collects
+    shard-locally, so a workload whose working
     set thrashes one serial engine's budget can fit ``workers`` smaller
     shard working sets (see ``benchmarks/bench_parallel.py``).
 
@@ -176,25 +190,34 @@ class ParallelQueryEngine:
         self.mode = mode
         self.shard_seed = shard_seed
         self.backend = backend
-        self._vtree = vtree
+        self._pinned = vtree  # the vtree= option, handed to the tier it builds
         self._serial: QueryEngine | None = None  # workers == 1
         self._pool = None  # the lazily started WorkerPool (workers > 1)
 
     @property
     def vtree(self) -> Vtree | None:
-        """The shared base vtree (``None`` until the first batch)."""
-        return self._vtree
+        """The shared base vtree, read from the pool (the serial engine
+        under ``workers=1``) once it is built: the pinned ``vtree=``, else
+        the first batch's first query's hierarchy order, grown on insert
+        only by the pool and :meth:`SddManager.add_variable`.  Before that
+        it is the pinned ``vtree=`` (or ``None``); always ``None`` for
+        d-DNNF."""
+        tier = self._serial if self.workers == 1 else self._pool
+        return self._pinned if tier is None else tier.vtree
 
     def shard_of(self, query: UCQ) -> int:
         """The worker index this engine deterministically assigns ``query``."""
         return shard_of(query, self.workers, self.shard_seed)
 
-    def _ensure_vtree(self, first_query: UCQ) -> Vtree | None:
-        if self.backend == "ddnnf":
-            return None  # d-DNNF compiles from tree decompositions, no vtree
-        if self._vtree is None:
-            self._vtree = lineage_vtree(first_query, self.db)
-        return self._vtree
+    def _serial_engine(self) -> QueryEngine:
+        if self._serial is None:
+            self._serial = QueryEngine(
+                self.db,
+                vtree=self._pinned,
+                max_nodes=self.max_nodes,
+                backend=self.backend,
+            )
+        return self._serial
 
     def _resolve_mode(self, n_queries: int) -> str:
         if self.mode != "auto":
@@ -205,10 +228,13 @@ class ParallelQueryEngine:
             return "threads"  # small batch: spawn cost dominates
         return "spawn"
 
-    def _ensure_pool(self, vtree: Vtree | None, n_queries: int):
+    def _ensure_pool(self, first_query: UCQ | None, n_queries: int):
         if self._pool is None:
             from ..service.pool import WorkerPool
 
+            vtree = self._pinned
+            if vtree is None and self.backend == "sdd":
+                vtree = lineage_vtree(first_query, self.db)
             self._pool = WorkerPool(
                 self.db,
                 workers=self.workers,
@@ -235,23 +261,13 @@ class ParallelQueryEngine:
         if not qs:
             raise ValueError("empty workload")
         if self.workers == 1:
-            if self._serial is None:
-                self._serial = QueryEngine(
-                    self.db,
-                    vtree=self._vtree,
-                    max_nodes=self.max_nodes,
-                    backend=self.backend,
-                )
-            batch = self._serial.evaluate(qs, exact=exact)
-            self._vtree = self._serial.vtree
-            return batch
+            return self._serial_engine().evaluate(qs, exact=exact)
 
-        vtree = self._ensure_vtree(qs[0])
         shards: list[int] = [self.shard_of(q) for q in qs]
         items_per_worker: dict[int, list[tuple[int, UCQ]]] = {}
         for i, (q, w) in enumerate(zip(qs, shards)):
             items_per_worker.setdefault(w, []).append((i, q))
-        pool = self._ensure_pool(vtree, len(qs))
+        pool = self._ensure_pool(qs[0], len(qs))
         results = pool.run_batch(items_per_worker, exact=exact)
 
         # Roots are read once the whole batch is done, not as each task
@@ -276,7 +292,7 @@ class ParallelQueryEngine:
             shards=shards,
             workers=self.workers,
             mode=pool.mode,
-            vtree=vtree,
+            vtree=pool.vtree,
             worker_stats=worker_stats,
             stats=stats,
         )
@@ -285,42 +301,31 @@ class ParallelQueryEngine:
     # live updates
     # ------------------------------------------------------------------
     def apply_update(self, delta: UpdateDelta) -> dict[str, int]:
-        """Broadcast one database delta to every tier this engine owns.
+        """Forward one database delta to this engine's one tier (the
+        serial engine under ``workers=1``, else the worker pool) and
+        return that tier's counter increments.
 
-        The shared database is mutated once (version-gated), the base
-        vtree grows the inserted tuple's leaf exactly the way each
-        worker's manager grows its own (appended under a new root — so
-        workers that extend live, workers created later from the base
-        vtree, and spawn children rebuilding from postfix all compile
-        against structurally identical vtrees, keeping answers
-        bit-identical), and the worker pool gets the delta as a control
-        message for threads *and* spawn workers, which delta-patch their
-        caches.  Like :meth:`evaluate`, not safe concurrently with an
-        in-flight batch on the same instance.
-
-        Returns the merged counter increments across workers
-        (``updates_applied`` counts this call once).
+        The tier applies the delta to the shared database once
+        (version-gated) and delta-patches its warm caches.  Only the pool
+        and :meth:`SddManager.add_variable` grow the base vtree on insert;
+        so that a pinned ``vtree=`` grows too, it builds its tier here if
+        no batch has (in ``mode="auto"`` as for a small batch), while an
+        unpinned one is derived later from the updated database.  Not
+        safe concurrently with an in-flight batch on the same instance.
         """
-        delta.apply(self.db)
-        if (
-            delta.kind == "insert"
-            and self.backend == "sdd"
-            and self._vtree is not None
-            and delta.var not in self._vtree.variables
-        ):
-            self._vtree = Vtree.internal_trusted(self._vtree, Vtree.leaf(delta.var))
-        merged = {
-            "updates_applied": 1,
-            "memo_invalidations": 0,
-            "delta_patched_roots": 0,
-            "update_recompiles": 0,
-        }
-        for tier in (self._serial, self._pool):
-            if tier is not None:
-                inc = tier.apply_update(delta)
-                for key in ("memo_invalidations", "delta_patched_roots", "update_recompiles"):
-                    merged[key] += inc.get(key, 0)
-        return merged
+        if self.workers == 1:
+            return self._serial_engine().apply_update(delta)
+        if self._pinned is not None:
+            self._ensure_pool(None, 0)
+        if self._pool is None:
+            delta.apply(self.db)
+            return {
+                "updates_applied": 1,
+                "memo_invalidations": 0,
+                "delta_patched_roots": 0,
+                "update_recompiles": 0,
+            }
+        return self._pool.apply_update(delta)
 
     def close(self) -> None:
         """Shut down the worker pool, if one was started.  Idempotent."""
@@ -353,15 +358,7 @@ class ParallelQueryEngine:
     def _merge_stats(
         self, worker_stats: Sequence[dict[str, int | str]]
     ) -> dict[str, int | str]:
-        merged: dict[str, int | str] = {}
-        for stats in worker_stats:
-            for k, v in stats.items():
-                if isinstance(v, str):
-                    # Non-numeric stats (the backend name) don't sum;
-                    # workers are configured identically, pass one through.
-                    merged[k] = v
-                else:
-                    merged[k] = merged.get(k, 0) + v
+        merged = merge_stats(worker_stats)
         merged["tuples"] = self.db.size  # session-wide, not per-worker
         merged["workers"] = self.workers
         return merged

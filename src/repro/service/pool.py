@@ -10,6 +10,17 @@ compiled-query caches all survive across batches and sessions.  The
 service tier (:class:`~repro.service.QueryService`) and
 :class:`~repro.queries.parallel.ParallelQueryEngine` both run on it.
 
+The base vtree
+--------------
+
+The pool holds the one base vtree above its engines and hands it to
+every engine it builds (threads engines, spawn payloads, restarts, and
+engines built after an update dropped the artifact).  It resolves once:
+the pinned ``vtree=``, else the artifact's stored vtree, else the first
+query's hierarchy order (derived by the pool's callers).  On insert only
+the pool and :meth:`~repro.sdd.manager.SddManager.add_variable` grow it,
+by one rule: a new root over the old vtree and the new leaf.
+
 Scheduling
 ----------
 
@@ -346,9 +357,10 @@ class WorkerPool:
     :meth:`submit` and must eventually be :meth:`close`\\ d (workers are
     daemons, so a forgotten pool cannot hang interpreter exit).
 
-    ``vtree`` is the shared base vtree (required for the SDD backend so
-    every worker compiles canonically against the same decomposition;
-    pass ``None`` for ``backend="ddnnf"``).  ``max_nodes`` is the
+    ``vtree`` is the shared base vtree (required for the SDD backend,
+    unless ``artifact`` supplies it, so every worker compiles canonically
+    against the same decomposition; pass ``None`` for
+    ``backend="ddnnf"``).  ``max_nodes`` is the
     per-worker session budget, as in
     :class:`~repro.queries.parallel.ParallelQueryEngine`.
 
@@ -360,8 +372,8 @@ class WorkerPool:
     every child mmaps the same file, so the OS shares the pages — which
     is why spawn pools need a file-backed artifact, not an in-memory
     freeze.  The artifact also supplies the shared base vtree when
-    ``vtree`` is ``None``, so queries outside the base still compile
-    canonically in every worker.
+    ``vtree`` is ``None`` (read once, into :attr:`vtree`), so queries
+    outside the base compile canonically in every worker.
 
     Fault tolerance knobs: ``restart`` is the
     :class:`~repro.service.supervisor.RestartPolicy` (restart caps,
@@ -412,6 +424,18 @@ class WorkerPool:
                 "file path (or a FrozenSdd loaded from one), not an "
                 "in-memory freeze"
             )
+        if vtree is None and artifact is not None:
+            # Read once: engines built after an update drops the artifact
+            # must still compile on the vtree the warm ones use.
+            if self._artifact_obj is not None:
+                vtree = self._artifact_obj.vtree()
+            else:
+                from contextlib import closing
+
+                from ..artifact.store import FrozenSdd
+
+                with closing(FrozenSdd.load(self._artifact_path)) as store:
+                    vtree = store.vtree()
         self.db = db
         self.workers = workers
         self.vtree = vtree
@@ -617,7 +641,8 @@ class WorkerPool:
         The shared database is mutated once (version-gated; a caller like
         :class:`~repro.queries.parallel.ParallelQueryEngine` may already
         have applied it), the shared base vtree grows an inserted tuple's
-        leaf the same way each worker's manager does, and one control
+        leaf the way :meth:`SddManager.add_variable` grows each worker's
+        (no other layer grows it), and one control
         message per worker rides the per-worker control queues — threads
         workers patch their live engine, spawn children replay the delta
         on their private database copy over the pipe.  Any update also
@@ -636,10 +661,10 @@ class WorkerPool:
         delta.apply(self.db)
         if (
             delta.kind == "insert"
-            and self.backend == "sdd"
             and self.vtree is not None
             and delta.var not in self.vtree.variables
         ):
+            # SddManager.add_variable's rule: a new root over old and leaf.
             self.vtree = Vtree.internal_trusted(self.vtree, Vtree.leaf(delta.var))
         self._artifact_obj = None
         self._artifact_path = None

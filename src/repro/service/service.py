@@ -59,7 +59,7 @@ from ..core.vtree import Vtree
 from ..queries.compile import lineage_vtree
 from ..queries.database import ProbabilisticDatabase, UpdateDelta
 from ..queries.engine import QueryEngine
-from ..queries.parallel import shard_of
+from ..queries.parallel import merge_stats, shard_of
 from ..queries.syntax import UCQ
 from ..sdd.manager import CompilationBudgetExceeded
 
@@ -88,8 +88,10 @@ class QueryService:
     ``workers``/``mode``/``steal``/``backend``/``max_nodes`` configure
     the underlying :class:`WorkerPool` (``max_nodes`` is the per-worker
     engine budget, as in the parallel tier).  ``vtree`` pins the shared
-    base vtree; otherwise it is derived from the first query ever
-    submitted, exactly as a serial engine would.
+    base vtree; otherwise the warm-start artifact supplies it (see
+    ``artifact_dir``), and failing that it is derived from the first
+    query ever submitted, exactly as a serial engine would.  The pool
+    holds it and alone grows it on insert; :attr:`vtree` reads it there.
 
     ``cache_capacity`` bounds the shared answer cache (``None`` =
     unbounded); ``cache_ttl`` arms per-answer expiry (seconds; an expired
@@ -174,7 +176,7 @@ class QueryService:
         self.steal = steal
         self.shard_seed = shard_seed
         self.session_quota = session_quota
-        self._vtree = vtree
+        self._pinned = vtree  # the vtree= option, handed to the pool it builds
         self._db_fp = db.fingerprint()
         self._cache = LruStatsCache(cache_capacity, ttl=cache_ttl, clock=cache_clock)
         self._admission = AdmissionController(max_in_flight, retry_after)
@@ -445,7 +447,7 @@ class QueryService:
                 engine = QueryEngine(
                     self.db,
                     backend=self.fallback_backend,
-                    vtree=self._vtree if self.fallback_backend == "sdd" else None,
+                    vtree=self.vtree if self.fallback_backend == "sdd" else None,
                     max_nodes=self.max_nodes,
                 )
                 self._fallback_engine = engine
@@ -469,15 +471,14 @@ class QueryService:
             return None
         return os.path.join(self._artifact_dir, f"{self._db_fp}.rpaf")
 
-    def _ensure_pool(self, first_query: UCQ) -> WorkerPool:
+    def _ensure_pool(self, first_query: UCQ | None) -> WorkerPool:
         if self._pool is None:
             artifact = self._artifact_path()
             if artifact is not None and not os.path.exists(artifact):
                 artifact = None  # cold start; save_artifact can fill it
-            vtree = self._vtree
+            vtree = self._pinned
             if vtree is None and self.backend == "sdd" and artifact is None:
                 vtree = lineage_vtree(first_query, self.db)
-                self._vtree = vtree
             self._pool = WorkerPool(
                 self.db,
                 workers=self.workers,
@@ -517,14 +518,8 @@ class QueryService:
                         "no path given and no artifact_dir configured"
                     )
             queries = list(self._seen.values())
-            vtree = self._vtree
-            warm = self._artifact_path()
-        frozen = None
-        if warm is not None and os.path.exists(warm):
-            from ..artifact.store import FrozenSdd
-
-            frozen = FrozenSdd.load(warm)
-        engine = QueryEngine(self.db, vtree=vtree, frozen=frozen)
+            vtree = self.vtree
+        engine = QueryEngine(self.db, vtree=vtree)
         for q in queries:
             engine.compile(q)
         engine.save_artifact(path)
@@ -547,10 +542,16 @@ class QueryService:
         entry is dropped (they are keyed by the old database fingerprint,
         so they could never be *served* again — clearing just reclaims the
         memory and makes the staleness visible in ``cache_invalidated``),
-        the fingerprint is recomputed, and an inserted tuple's leaf grows
-        the shared base vtree.  The pool broadcast happens *outside* the
-        lock: completion callbacks take the lock on worker threads, and
-        the control-message barrier must not deadlock against them.
+        and the fingerprint is recomputed.  The pool broadcast happens
+        *outside* the lock: completion callbacks take the lock on worker
+        threads, and the control-message barrier must not deadlock against
+        them.  The service keeps no vtree of its own: the pool holds the
+        shared base vtree (the pinned ``vtree=``, else the artifact's,
+        else the first query's hierarchy order) and grows it on insert, as
+        :meth:`SddManager.add_variable` grows each worker's manager.  A
+        pinned vtree builds the pool here if no query has yet, so that it
+        grows there; an unpinned one is derived later from the updated
+        database.
 
         Raises :exc:`TimeoutError` when in-flight queries do not drain
         within ``drain_timeout`` seconds.
@@ -578,37 +579,19 @@ class QueryService:
                 self._cache.clear()
                 self._cache_invalidated += invalidated
                 self._db_fp = self.db.fingerprint()
-                if (
-                    delta.kind == "insert"
-                    and self.backend == "sdd"
-                    and self._vtree is not None
-                    and delta.var not in self._vtree.variables
-                ):
-                    self._vtree = Vtree.internal_trusted(
-                        self._vtree, Vtree.leaf(delta.var)
-                    )
                 self._updates_applied += 1
-                pool = self._pool
+                # A pinned vtree grows in the pool, so build the pool now.
+                pool = self._pool if self._pinned is None else self._ensure_pool(None)
             with self._fallback_lock:
                 # The fallback engine answered against the old database;
                 # the next degradation rebuilds it against the new one.
                 self._fallback_engine = None
-            merged = {
-                "updates_applied": 1,
-                "cache_invalidated": invalidated,
-                "memo_invalidations": 0,
-                "delta_patched_roots": 0,
-                "update_recompiles": 0,
-            }
-            if pool is not None:
-                inc = pool.apply_update(delta)
-                for key in (
-                    "memo_invalidations",
-                    "delta_patched_roots",
-                    "update_recompiles",
-                ):
-                    merged[key] += inc.get(key, 0)
-            return merged
+            inc = (
+                {"updates_applied": 1, "memo_invalidations": 0,
+                 "delta_patched_roots": 0, "update_recompiles": 0}
+                if pool is None else pool.apply_update(delta)
+            )
+            return {**inc, "cache_invalidated": invalidated}
         finally:
             with self._lock:
                 self._updating = False
@@ -618,8 +601,13 @@ class QueryService:
     # ------------------------------------------------------------------
     @property
     def vtree(self) -> Vtree | None:
-        """The shared base vtree (``None`` until the first SDD query)."""
-        return self._vtree
+        """The shared base vtree, read from the pool once it is built: the
+        pinned ``vtree=``, else the warm-start artifact's vtree, else the
+        first query's hierarchy order, grown on insert only by the pool
+        and :meth:`SddManager.add_variable`.  Before the pool exists it is
+        the pinned ``vtree=`` (or ``None``)."""
+        pool = self._pool
+        return self._pinned if pool is None else pool.vtree
 
     @property
     def pool(self) -> WorkerPool | None:
@@ -679,10 +667,9 @@ class QueryService:
         - ``pool_*`` — scheduler and lifecycle counters (including
           ``pool_steals``);
         - ``engine_*`` — the pool workers' own engine counters summed
-          (ints summed, strings passed through — the
-          :meth:`~repro.queries.parallel.ParallelQueryEngine._merge_stats`
-          convention), so the per-engine compiled-query cache counters
-          stay distinguishable from the service-level answer cache.
+          (:func:`~repro.queries.parallel.merge_stats`), so the
+          per-engine compiled-query cache counters stay distinguishable
+          from the service-level answer cache.
         """
         with self._lock:
             out: dict[str, int | str] = {
@@ -702,13 +689,7 @@ class QueryService:
             pool = self._pool
         if pool is not None:
             out.update(pool.stats())
-            merged: dict[str, int | str] = {}
-            for stats in pool.worker_stats().values():
-                for k, v in stats.items():
-                    if isinstance(v, str):
-                        merged[k] = v
-                    else:
-                        merged[k] = merged.get(k, 0) + v
+            merged = merge_stats(pool.worker_stats().values())
             out.update({f"engine_{k}": v for k, v in merged.items()})
         return out
 

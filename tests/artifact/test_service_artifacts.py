@@ -13,9 +13,12 @@ entries recompute and count in ``cache_expired``.
 from __future__ import annotations
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
+from repro.artifact.store import FrozenSdd
 from repro.cli import main
 from repro.compiler.cache import LruStatsCache
 from repro.queries.database import ProbabilisticDatabase, complete_database
@@ -49,6 +52,20 @@ def _saved_base(tmp_path, db, qs):
     path = tmp_path / "base.rpaf"
     engine.save_artifact(path)
     return path, expect, exact
+
+
+def _wide_base(tmp_path):
+    """A base artifact holding only ``R(x),S(x,y)`` over four relations,
+    and a query outside it whose SDD on the artifact's vtree (370 nodes)
+    is smaller than on its own hierarchy-order vtree (418): an engine
+    that derives its own vtree instead of the shared one shows up in the
+    size."""
+    db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 3, p=0.4)
+    engine = QueryEngine(db)
+    engine.probability(parse_ucq("R(x),S(x,y)"))
+    path = tmp_path / "base.rpaf"
+    engine.save_artifact(path)
+    return db, path, parse_ucq("S(x,y),U(y,z),S(z,w)")
 
 
 def _items_by_shard(qs, workers, seed=0):
@@ -91,6 +108,39 @@ class TestEngineFrozen:
         assert [r for r in result.probabilities] == [r for r in serial.probabilities]
 
 
+class TestFrozenOwnership:
+    def test_path_loaded_base_closed_on_insert(self, tmp_path):
+        db = _db()
+        qs = _queries()
+        path, _, _ = _saved_base(tmp_path, db, qs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warm = QueryEngine(db, frozen=path)
+            warm.probability(qs[0])
+            warm.apply_update(db.insert("S", 9, 1, p=0.3))
+            assert warm.frozen is None
+            del warm
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_caller_store_stays_open_on_insert(self, tmp_path):
+        db = _db()
+        qs = _queries()
+        path, _, _ = _saved_base(tmp_path, db, qs)
+        store = FrozenSdd.load(path)
+        try:
+            root = store.root_named(qs[0].normalized())
+            size = store.size(root)
+            warm = QueryEngine(db, frozen=store)
+            warm.probability(qs[0])
+            warm.apply_update(db.insert("S", 9, 1, p=0.3))
+            assert warm.frozen is None
+            assert store.root_named(qs[0].normalized()) == root
+            assert store.size(root) == size  # reads the node tables
+        finally:
+            store.close()
+
+
 class TestPoolWarmStart:
     @pytest.mark.parametrize("mode", ["threads", "spawn"])
     def test_warm_pool_bit_identical_zero_recompiles(self, tmp_path, mode):
@@ -122,8 +172,45 @@ class TestPoolWarmStart:
         with pytest.raises(ValueError):
             WorkerPool(_db(), workers=1)
 
+    def test_engine_built_after_update_shares_artifact_vtree(self, tmp_path):
+        db, path, q = _wide_base(tmp_path)
+        with WorkerPool(db, workers=2, steal=False, artifact=path) as pool:
+            assert pool.submit(0, q).result().worker == 0  # warm engine
+            pool.apply_update(db.set_probability("R", 1, p=0.7))
+            # Worker 1 builds its engine only now, after the update has
+            # dropped the artifact: it must still compile on its vtree.
+            late = pool.submit(1, q).result()
+            warm = pool.submit(0, q).result()
+            fresh = QueryEngine(db, vtree=pool.vtree)
+            expect = fresh.probability(q)
+            assert (late.worker, warm.worker) == (1, 0)
+            assert late.size == warm.size == fresh.compiled_size(q)
+            assert repr(late.probability) == repr(warm.probability) == repr(expect)
+
 
 class TestServiceArtifacts:
+    def test_warm_service_vtree_is_every_workers_vtree(self, tmp_path):
+        db = _db()
+        qs = _queries()
+        art_dir = tmp_path / "artifacts"
+        art_dir.mkdir()
+        engine = QueryEngine(db)
+        for q in qs[:2]:
+            engine.probability(q)
+        engine.save_artifact(art_dir / f"{db.fingerprint()}.rpaf")
+        # steal=False: each shard's engine answers its own queries, and
+        # the batch spans both shards, so both workers build an engine.
+        assert {shard_of(q, 2) for q in qs} == {0, 1}
+        with QueryService(
+            db, workers=2, mode="threads", steal=False, artifact_dir=art_dir
+        ) as svc:
+            svc.submit_sync(qs)
+            engines = svc.pool.engines()
+            assert svc.vtree is not None
+            assert sorted(engines) == [0, 1]
+            for worker in engines.values():
+                assert worker.manager.vtree.to_postfix() == svc.vtree.to_postfix()
+
     @pytest.mark.parametrize("mode", ["threads", "spawn"])
     def test_cold_save_warm_restart(self, tmp_path, mode):
         db = _db()

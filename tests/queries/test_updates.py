@@ -319,3 +319,40 @@ class TestServiceUpdates:
             assert stats["engine_queries_compiled"] == compiled_before, (
                 "weight-only update forced pool workers to recompile"
             )
+
+
+class TestPinnedVtreeBeforeFirstBatch:
+    """A pinned vtree grows in the tier that holds it, so an insert that
+    arrives before any batch built that tier still reaches it."""
+
+    def _pinned(self, db):
+        return QueryEngine(db).evaluate(_queries()).vtree
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_engine(self, workers):
+        db, sdb = _db(), _db()
+        vtree = self._pinned(db)
+        serial = QueryEngine(sdb, vtree=vtree)
+        with ParallelQueryEngine(db, workers=workers, vtree=vtree, mode="threads") as par:
+            delta = db.insert("S", 80, 1, p=0.45)
+            par.apply_update(delta)
+            serial.apply_update(delta)
+            batch = par.evaluate(_queries())
+            assert par.vtree.variables == vtree.variables | {delta.var}
+        assert [repr(p) for p in batch.probabilities] == [
+            repr(serial.probability(q)) for q in _queries()
+        ]
+
+    def test_service(self):
+        db, sdb = _db(), _db()
+        vtree = self._pinned(db)
+        serial = QueryEngine(sdb, vtree=vtree)
+        with QueryService(db, workers=2, mode="threads", vtree=vtree) as svc:
+            delta = db.insert("S", 80, 1, p=0.45)
+            svc.apply_update(delta)
+            serial.apply_update(delta)
+            answers = svc.submit_sync(_queries())
+            assert svc.vtree.variables == vtree.variables | {delta.var}
+        assert [repr(a.probability) for a in answers] == [
+            repr(serial.probability(q)) for q in _queries()
+        ]

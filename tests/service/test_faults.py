@@ -436,6 +436,35 @@ class TestServiceSupervised:
         assert stats["admission_in_flight"] == 0  # nothing stranded
 
 
+class TestRestartAfterUpdate:
+    def test_restart_after_update_keeps_artifact_vtree(self, tmp_path):
+        # The base artifact holds only R(x),S(x,y); the query outside it
+        # compiles to 370 nodes on the artifact's vtree and to 418 on its
+        # own hierarchy-order vtree.
+        db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 3, p=0.4)
+        base = QueryEngine(db)
+        base.probability(parse_ucq("R(x),S(x,y)"))
+        path = tmp_path / "base.rpaf"
+        base.save_artifact(path)
+        q = parse_ucq("S(x,y),U(y,z),S(z,w)")
+        # Ordinal 1 is the first task after the update (control messages
+        # take no ordinal): the child dies before it and restarts from the
+        # pool's current state, with the artifact already dropped.
+        plan = FaultPlan(kills_before=frozenset({(0, 1)}))
+        with WorkerPool(
+            db, workers=1, mode="spawn", artifact=path, restart=LENIENT, fault_plan=plan
+        ) as pool:
+            before = pool.submit(0, q).result(timeout=120)
+            pool.apply_update(db.set_probability("R", 1, p=0.7))
+            after = pool.submit(0, q).result(timeout=120)
+            fresh = QueryEngine(db, vtree=pool.vtree)
+            expect = fresh.probability(q)
+            stats = pool.stats()
+        assert stats["pool_restarts"] == 1
+        assert before.size == after.size == fresh.compiled_size(q)
+        assert repr(after.probability) == repr(expect)
+
+
 class TestGracefulShutdown:
     def test_shutdown_drains_then_rejects(self):
         db = _db()

@@ -1,7 +1,7 @@
 """Answer a UCQ along the serving path and check that numpy and networkx
 never load.
 
-Four checks over one complete domain-2 database:
+Five checks over one complete domain-2 database:
 
 - a :class:`~repro.queries.engine.QueryEngine` answers the query exactly,
   and the answer matches its closed form;
@@ -10,8 +10,12 @@ Four checks over one complete domain-2 database:
 - the engine's artifact, saved and reloaded, gives it again without
   compiling, and still matches the engine exactly after one weight update
   (the same evaluator point-updates over the frozen tables);
-- after one insert and one delete through ``apply_update``, the engine's
-  patched answers equal a fresh engine's on the same vtree, exactly.
+- a thread-mode service warm-started from that artifact's directory gives
+  it again;
+- after one insert and one delete through ``apply_update``, the engine's,
+  the reloaded engine's and the warm service's answers equal a fresh
+  engine's on the service's vtree, exactly, as they do after the weight
+  update.
 
 Exits non-zero if an answer differs or if numpy, networkx or the
 truth-table and decomposition modules were imported.  It runs in an
@@ -54,39 +58,46 @@ def main() -> int:
     finally:
         service.close()
 
+    mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "base.rpaf"
+        # Named as QueryService(artifact_dir=) looks it up.
+        path = Path(tmp) / f"{db.fingerprint()}.rpaf"
         engine.save_artifact(path)
+        # Loaded by path, so the engine closes it when the insert drops it.
         warm = QueryEngine(db, frozen=path)
+        answers["artifact"] = warm.probability(query, exact=True)
+        frozen_hits = warm.stats()["frozen_hits"]
+        warm_service = QueryService(db, workers=1, mode="threads", artifact_dir=tmp)
         try:
-            answers["artifact"] = warm.probability(query, exact=True)
-            frozen_hits = warm.stats()["frozen_hits"]
-            delta = db.set_probability("S", 1, 2, p=0.3)
-            engine.apply_update(delta)
-            warm.apply_update(delta)
-            reweighted = (warm.probability(query, exact=True),
-                          engine.probability(query, exact=True))
+            answers["warm service"] = warm_service.probability(query, exact=True)
+            service_warm = warm_service.stats()["pool_artifact_warm"]
+            for update in (lambda: db.set_probability("S", 1, 2, p=0.3),
+                           lambda: db.insert("S", 2, 3, p=0.25),
+                           lambda: db.delete("R", 1)):
+                delta = update()
+                got = {}
+                for name, layer in (("engine", engine), ("artifact", warm),
+                                    ("warm service", warm_service)):
+                    layer.apply_update(delta)
+                    got[name] = layer.probability(query, exact=True)
+                want = QueryEngine(db, vtree=warm_service.vtree).probability(
+                    query, exact=True)
+                mismatches += [f"after {delta.kind} {delta.var} the {name} answered "
+                               f"{value}, a fresh engine {want}"
+                               for name, value in got.items() if value != want]
         finally:
-            warm.frozen.close()
+            warm_service.close()
 
     failures = [f"{k} answered {v}, expected {EXPECTED}" for k, v in answers.items()
                 if v != EXPECTED]
-    if reweighted[0] != reweighted[1]:
-        failures.append(f"after a weight update the artifact answered {reweighted[0]}, "
-                        f"the engine {reweighted[1]}")
-    for update in (lambda: db.insert("S", 2, 3, p=0.25), lambda: db.delete("R", 1)):
-        delta = update()
-        engine.apply_update(delta)
-        got = engine.probability(query, exact=True)
-        want = QueryEngine(db, vtree=engine.vtree).probability(query, exact=True)
-        if got != want:
-            failures.append(f"after {delta.kind} {delta.var} the engine answered {got}, "
-                            f"a fresh engine {want}")
+    failures += mismatches
     if not repeat.cached:
         failures.append("the service recomputed a repeated query instead of "
                         "answering from its cache")
     if frozen_hits != 1:
         failures.append(f"reloaded artifact served {frozen_hits} queries, expected 1")
+    if service_warm != 1:
+        failures.append("the service did not warm-start from the artifact directory")
     loaded = [m for m in OFF_PATH if m in sys.modules]
     if loaded:
         failures.append(f"serving path imported {loaded}")
@@ -94,9 +105,9 @@ def main() -> int:
         print(f"FAIL: {line}", file=sys.stderr)
     if not failures:
         print(f"serving path OK: P = {EXPECTED} from engine, service, service "
-              f"cache and artifact, "
-              f"the artifact matches the engine after a weight update, "
-              f"updates match a fresh engine; none of {list(OFF_PATH)} imported")
+              f"cache, artifact and warm service; "
+              f"after a weight update, an insert and a delete all three match "
+              f"a fresh engine; none of {list(OFF_PATH)} imported")
     return 1 if failures else 0
 
 
