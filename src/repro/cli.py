@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from typing import Sequence
 
 from .circuits.parse import parse_formula
@@ -130,9 +131,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(f"models: {compiled.model_count()} / 2^{len(vs)}")
         if args.save is not None:
             compiled.save(args.save)
-            reloaded = Compiler.load(args.save)
-            print(f"saved artifact: {args.save} "
-                  f"({reloaded.backend} backend, size {reloaded.size})")
+            with closing(Compiler.load(args.save)) as reloaded:
+                print(f"saved artifact: {args.save} "
+                      f"({reloaded.backend} backend, size {reloaded.size})")
         return 0
     if args.backend == "obdd":
         print("--backend obdd requires --strategy (facade path)", file=sys.stderr)
@@ -209,16 +210,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
               "SDD bases)", file=sys.stderr)
         return 1
     if args.load is not None or args.save is not None:
-        engine = QueryEngine(db, frozen=args.load)
-        p = engine.probability(q, exact=args.exact)
-        size = engine.compiled_size(q)
-        frozen_hit = engine.stats()["frozen_hits"] > 0
-        form, width = "SDD", "-"
-        if args.save is not None:
-            if frozen_hit:
-                engine.compile(q)  # freeze sets come from live roots
-            engine.save_artifact(args.save)
-            print(f"saved artifact: {args.save}")
+        with closing(QueryEngine(db, frozen=args.load)) as engine:
+            p = engine.probability(q, exact=args.exact)
+            size = engine.compiled_size(q)
+            frozen_hit = engine.stats()["frozen_hits"] > 0
+            form, width = "SDD", "-"
+            if args.save is not None:
+                if frozen_hit:
+                    engine.compile(q)  # freeze sets come from live roots
+                engine.save_artifact(args.save)
+                print(f"saved artifact: {args.save}")
         if frozen_hit:
             print(f"answered from artifact {args.load} (no compilation)")
     elif args.backend == "sdd":

@@ -509,6 +509,9 @@ class RaceBackend:
     candidate that blows far past the current best size cannot win on the
     (size, time) ranking, so it is cut off mid-compilation via the
     backends' ``node_budget`` hook instead of being run to completion.
+    The apply backend checks that budget at every new SDD node, so
+    its loser stops inside the apply that crosses the cutoff, however
+    large that one apply is; the d-DNNF builder checks it per bag.
     The slack is deliberately generous and the floor high: live node
     counts *during* apply compilation include intermediate gate results
     and literals far above the final compiled size, so a tight budget

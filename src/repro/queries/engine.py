@@ -253,6 +253,22 @@ class QueryEngine:
         (``None`` when the session compiles everything live)."""
         return self._frozen
 
+    def close(self) -> None:
+        """Drop the frozen base, closing it if this engine loaded it from
+        a path (a :class:`~repro.artifact.store.FrozenSdd` passed in stays
+        the caller's to close).  The engine stays usable and compiles
+        everything live from then on.  Idempotent."""
+        self._drop_frozen()
+
+    def _drop_frozen(self) -> None:
+        if self._frozen is None:
+            return
+        self._frozen_wmc = {}
+        self._frozen_sizes = {}
+        if self._owns_frozen:
+            self._frozen.close()
+        self._frozen = None
+
     def _frozen_root(self, query: UCQ) -> int | None:
         """The frozen base's root for ``query`` (matched on normalized
         query text), ``None`` when absent or no base is loaded."""
@@ -619,14 +635,9 @@ class QueryEngine:
                 delta.var, delta.p
             )
         else:
-            if self._frozen is not None:
-                # The artifact was compiled against the old instance; its
-                # roots are now answers to the wrong lineage.
-                self._frozen_wmc = {}
-                self._frozen_sizes = {}
-                if self._owns_frozen:
-                    self._frozen.close()
-                self._frozen = None
+            # The artifact was compiled against the old instance; its
+            # roots are now answers to the wrong lineage.
+            self._drop_frozen()
             if delta.kind == "insert":
                 if self._manager is not None:
                     # A new leaf under a new root: nothing existing moves.

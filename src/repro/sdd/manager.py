@@ -6,13 +6,23 @@ variables for that.  This manager compiles *circuits* bottom-up instead:
 SDD nodes are hash-consed decision nodes ``(vtree node, ((prime, sub), ...))``
 with compression (equal subs merged) and trimming, so every function has a
 unique normalized representation per vtree, and ``apply`` runs on pairs of
-canonical nodes with memoization.
+canonical nodes with memoization.  When one operand lies below the left
+child of the operands' lowest common vtree node (the *one-sided* case, the
+common one on Lemma-1 vtrees with their large left subtrees), ``apply``
+does not multiply out a full product: the operand only restricts the other
+side's primes, ``(p ∧ n, s)`` plus ``(¬n, ⊥)`` for AND and ``(p ∧ ¬n, s)``
+plus ``(n, ⊤)`` for OR, and the subs are left as they are.
 
 Size conventions follow the SDD literature: ``size(α)`` is the total number
 of elements of the decision nodes reachable from ``α``; ``width`` per the
 paper counts elements per vtree node (AND gates structured there).
 
-Two operational properties matter for long-running sessions:
+A ``node_budget`` given to :meth:`SddManager.compile_circuit` is checked
+at every new node allocation, so it binds inside a single apply: the
+compile raises :class:`CompilationBudgetExceeded` with at most
+``node_budget`` nodes live.
+
+These operational properties matter for long-running sessions:
 
 - **Stack safety.**  ``apply`` descends one vtree level per step, so on the
   deep right-linear vtrees that query lineages use an unbounded recursion
@@ -40,7 +50,9 @@ Two operational properties matter for long-running sessions:
   old→new id mapping, and every id-keyed cache is evicted coherently.
   :meth:`minimize` is the sifting-style search driver over those moves —
   the Choi–Darwiche flexibility the paper credits for SDDs' practical edge
-  over OBDDs, without ever recompiling the circuit.
+  over OBDDs, without ever recompiling the circuit.  A sift returns to a
+  shape it has already seen by restoring a snapshot of the tables, not by
+  rotating back.
 """
 
 from __future__ import annotations
@@ -139,6 +151,9 @@ class SddManager(SddNodeTable):
         # apply (see _negate_nested/_handoff); 0 outside any apply.
         self._apply_depth = 0
         self._trampoline_handoffs = 0
+        # Live-node cap of the running :meth:`compile_circuit`, checked at
+        # every allocation; ``None`` outside a budgeted compile.
+        self._node_budget: int | None = None
         # --- garbage collection -------------------------------------------
         self._minimize_runs = 0
         self._moves_applied = 0
@@ -245,6 +260,12 @@ class SddManager(SddNodeTable):
         sign: bool | None,
         elements: tuple[tuple[int, int], ...] | None,
     ) -> int:
+        budget = self._node_budget
+        if budget is not None and self.live_node_count >= budget:
+            raise CompilationBudgetExceeded(
+                f"node budget {budget} exceeded "
+                f"(allocating past {self.live_node_count} nodes)"
+            )
         free = self._free_ids
         if free:
             nid = free.pop()
@@ -450,6 +471,14 @@ class SddManager(SddNodeTable):
         machinery holds, this one included.  The shallow checks of
         :meth:`_apply_shallow` are inlined for every sub-apply.
 
+        In the one-sided case — exactly one operand ``n`` is not a
+        decision at the lca ``v`` and lies below ``v``'s left child — it
+        skips the product: the elements are ``(p ∧ n, s)`` for each
+        element ``(p, s)`` of the other operand (``((⊤, o),)`` when that
+        one is not a decision at ``v``), dropping ⊥ primes, then
+        ``(¬n, ⊥)``; for OR ``(p ∧ ¬n, s)``, then ``(n, ⊤)``.  Written
+        inline, since every frame counts against ``_APPLY_REC_BUDGET``.
+
         It issues sub-applies and allocations in exactly the order of
         ``_apply_gen`` + ``_decision_gen`` — every element product first,
         then the ORs compressing primes with equal subs — so node ids,
@@ -471,28 +500,34 @@ class SddManager(SddNodeTable):
             assert p is not None, "lca walked past the root"
             v = p
         # Element views at ``v`` (:meth:`_elements_at`, inlined): a node
-        # below the left child becomes ``(u, T), (¬u, F)``, one below the
-        # right child ``(T, u)``.
+        # below the right child becomes ``(T, u)``.  A node ``n`` below the
+        # left child (at most one can be) is the one-sided case: it only
+        # restricts the primes of the other operand.  Its product with the
+        # single element ``(n, T)`` (AND) or ``(¬n, F)`` (OR) keeps every
+        # sub, and the ``tail`` ``(¬n, F)`` or ``(n, T)`` completes the
+        # partition.
         left_hi = v_hi[self.v_left[v]]  # type: ignore[index]
-        neg = self._neg_cache
-        if va == v and kind[a] == "dec":
-            ea = self.node_elements[a]
-        elif v_hi[va] <= left_hi:
-            na = neg.get(a)
-            if na is None:
-                na = self._negate_nested(a, depth)
-            ea = ((a, _TRUE), (na, _FALSE))
+        a_dec = va == v and kind[a] == "dec"
+        b_dec = vb == v and kind[b] == "dec"
+        if not a_dec and v_hi[va] <= left_hi:
+            n, o, o_dec = a, b, b_dec
+        elif not b_dec and v_hi[vb] <= left_hi:
+            n, o, o_dec = b, a, a_dec
         else:
-            ea = ((_TRUE, a),)
-        if vb == v and kind[b] == "dec":
-            eb = self.node_elements[b]
-        elif v_hi[vb] <= left_hi:
-            nb = neg.get(b)
-            if nb is None:
-                nb = self._negate_nested(b, depth)
-            eb = ((b, _TRUE), (nb, _FALSE))
+            n = 0
+        tail = None
+        if n:
+            nn = self._neg_cache.get(n)
+            if nn is None:
+                nn = self._negate_nested(n, depth)
+            ea = self.node_elements[o] if o_dec else ((_TRUE, o),)
+            if is_and:
+                eb, tail = ((n, _TRUE),), (nn, _FALSE)
+            else:
+                eb, tail = ((nn, _FALSE),), (n, _TRUE)
         else:
-            eb = ((_TRUE, b),)
+            ea = self.node_elements[a] if a_dec else ((_TRUE, a),)
+            eb = self.node_elements[b] if b_dec else ((_TRUE, b),)
         assert ea is not None and eb is not None
         and_cache, or_cache = self._and_cache, self._or_cache
         cache = and_cache if is_and else or_cache
@@ -541,6 +576,12 @@ class SddManager(SddNodeTable):
                     merge.append((s, p))
                 else:
                     by_sub[s] = p
+        if tail is not None:
+            p, s = tail
+            if s in by_sub:
+                merge.append((s, p))
+            else:
+                by_sub[s] = p
         for s, p in merge:
             q = by_sub[s]
             if q == p:
@@ -630,10 +671,26 @@ class SddManager(SddNodeTable):
             p = parent[v]
             assert p is not None, "lca walked past the root"
             v = p
-        ea = self._elements_at(a, v)
-        eb = self._elements_at(b, v)
         shallow = self._apply_shallow
         out: list[tuple[int, int]] = []
+        # The one-sided case, as in :meth:`_apply_rec`.
+        left_hi = v_hi[self.v_left[v]]  # type: ignore[index]
+        kind = self.node_kind
+        n, tail = 0, None
+        if not (va == v and kind[a] == "dec") and v_hi[va] <= left_hi:
+            n, o = a, b
+        elif not (vb == v and kind[b] == "dec") and v_hi[vb] <= left_hi:
+            n, o = b, a
+        if n:
+            nn = self.negate(n)
+            ea = self._elements_at(o, v)
+            if is_and:
+                eb, tail = ((n, _TRUE),), (nn, _FALSE)
+            else:
+                eb, tail = ((nn, _FALSE),), (n, _TRUE)
+        else:
+            ea = self._elements_at(a, v)
+            eb = self._elements_at(b, v)
         for pa, sa in ea:
             for pb, sb in eb:
                 p = shallow(pa, pb, True)
@@ -645,6 +702,8 @@ class SddManager(SddNodeTable):
                 if s is None:
                     s = yield (sa, sb, is_and)
                 out.append((p, s))
+        if tail is not None:
+            out.append(tail)
         res = yield from self._decision_gen(v, out)
         cache = self._and_cache if is_and else self._or_cache
         cache[(a << 32) | b] = res
@@ -674,53 +733,37 @@ class SddManager(SddNodeTable):
 
     def _elements_at(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """View ``u`` as a decision element list normalized for internal
-        vtree node ``v`` (``u``'s vtree node must be within ``v``'s
-        subtree)."""
+        vtree node ``v``: ``u`` is a decision at ``v`` or lies below its
+        right child (one below the left child is apply's one-sided case,
+        which never asks for this view)."""
         vu = self.node_vnode[u]
         if vu == v and self.node_kind[u] == "dec":
             elems = self.node_elements[u]
             assert elems is not None
             return elems
-        v_lo, v_hi = self.v_lo, self.v_hi
-        lo, hi = v_lo[vu], v_hi[vu]
-        vl, vr = self.v_left[v], self.v_right[v]
-        assert vl is not None and vr is not None
-        if v_lo[vl] <= lo and hi <= v_hi[vl]:
-            return ((u, _TRUE), (self.negate(u), _FALSE))
-        if v_lo[vr] <= lo and hi <= v_hi[vr]:
+        vr = self.v_right[v]
+        assert vr is not None
+        if self.v_lo[vr] <= self.v_lo[vu] and self.v_hi[vu] <= self.v_hi[vr]:
             return ((_TRUE, u),)
-        raise AssertionError("node does not fit under the requested vtree node")
+        raise AssertionError("node does not fit below the right child of the vtree node")
 
-    def _reduce(
-        self,
-        items: list[int],
-        is_and: bool,
-        *,
-        node_budget: int | None = None,
-        deadline=None,
-    ) -> int:
+    def _reduce(self, items: list[int], is_and: bool, *, deadline=None) -> int:
         """Balanced pairwise fold — on k operands whose supports form a
         chain this costs O(total size · log k) instead of the O(total
         size · k) a left-to-right fold pays (each sequential step
         re-applies across the whole accumulated support).
 
-        ``node_budget`` keeps :meth:`compile_circuit`'s budget binding even
-        when chain absorption folds a whole circuit into one reduce call:
-        it is re-checked before every pairwise apply (matching the old
-        per-gate granularity).  ``deadline`` is a
-        :class:`~repro.service.errors.Deadline`-like token checked at the
-        same points (cooperative wall-clock cancellation)."""
+        ``deadline`` is a :class:`~repro.service.errors.Deadline`-like
+        token checked before every pairwise apply, so cancellation stays
+        cooperative even when chain absorption folds a whole circuit into
+        one reduce call.  A :meth:`compile_circuit` ``node_budget`` needs
+        no check here: it binds at every new node allocation."""
         if not items:
             return _TRUE if is_and else _FALSE
         ap = self._apply
         while len(items) > 1:
             nxt = []
             for i in range(0, len(items) - 1, 2):
-                if node_budget is not None and self.live_node_count > node_budget:
-                    raise CompilationBudgetExceeded(
-                        f"node budget {node_budget} exceeded "
-                        f"({self.live_node_count} nodes)"
-                    )
                 if deadline is not None:
                     deadline.check("apply compilation")
                 nxt.append(ap(items[i], items[i + 1], is_and))
@@ -808,14 +851,16 @@ class SddManager(SddNodeTable):
         accumulated support every step (Θ(n²) manager nodes on
         ``chain_and_or``); the balanced fold costs O(n log n).
 
-        ``node_budget`` caps the number of live manager nodes; exceeding it
-        raises :class:`CompilationBudgetExceeded` (checked between gates).
+        ``node_budget`` caps the number of live manager nodes: it is
+        checked at every new node allocation, so the compile raises
+        :class:`CompilationBudgetExceeded` in the middle of the apply that
+        would cross it, with at most ``node_budget`` nodes live.
         ``deadline`` is a :class:`~repro.service.errors.Deadline`-like
         token whose ``check()`` raises
         :class:`~repro.service.errors.DeadlineExceeded`; it is consulted
-        at exactly the budget safepoints (per gate, and per pairwise
-        apply inside folded chains), making wall-clock cancellation
-        cooperative and the cancellation points deterministic.
+        per gate and per pairwise apply inside folded chains, making
+        wall-clock cancellation cooperative and the cancellation points
+        deterministic.
         """
         if circuit.output is None:
             raise ValueError("circuit has no output")
@@ -839,34 +884,33 @@ class SddManager(SddNodeTable):
         ]
         absorbed[circuit.output] = False
         vals: dict[int, int] = {}
-        for gid in order:
-            if absorbed[gid]:
-                continue
-            if node_budget is not None and self.live_node_count > node_budget:
-                raise CompilationBudgetExceeded(
-                    f"node budget {node_budget} exceeded ({self.live_node_count} nodes)"
-                )
-            if deadline is not None:
-                deadline.check("apply compilation")
-            gate = gates[gid]
-            if gate.kind == VAR:
-                vals[gid] = self.literal(gate.payload, True)  # type: ignore[arg-type]
-            elif gate.kind == CONST:
-                vals[gid] = _TRUE if gate.payload else _FALSE
-            elif gate.kind == NOT:
-                vals[gid] = self.negate(vals[gate.inputs[0]])
-            else:
-                ops: list[int] = []
-                stack = list(reversed(gate.inputs))
-                while stack:
-                    i = stack.pop()
-                    if absorbed[i]:
-                        stack.extend(reversed(gates[i].inputs))
-                    else:
-                        ops.append(vals[i])
-                vals[gid] = self._reduce(
-                    ops, gate.kind == AND, node_budget=node_budget, deadline=deadline
-                )
+        saved = self._node_budget
+        self._node_budget = node_budget
+        try:
+            for gid in order:
+                if absorbed[gid]:
+                    continue
+                if deadline is not None:
+                    deadline.check("apply compilation")
+                gate = gates[gid]
+                if gate.kind == VAR:
+                    vals[gid] = self.literal(gate.payload, True)  # type: ignore[arg-type]
+                elif gate.kind == CONST:
+                    vals[gid] = _TRUE if gate.payload else _FALSE
+                elif gate.kind == NOT:
+                    vals[gid] = self.negate(vals[gate.inputs[0]])
+                else:
+                    ops: list[int] = []
+                    stack = list(reversed(gate.inputs))
+                    while stack:
+                        i = stack.pop()
+                        if absorbed[i]:
+                            stack.extend(reversed(gates[i].inputs))
+                        else:
+                            ops.append(vals[i])
+                    vals[gid] = self._reduce(ops, gate.kind == AND, deadline=deadline)
+        finally:
+            self._node_budget = saved
         return vals[circuit.output]
 
     def compile_nnf(self, root: NNF) -> int:
@@ -1399,6 +1443,43 @@ class SddManager(SddNodeTable):
     _SIFT_FAT_FRAC = 0.25
     _SIFT_FAT_FLOOR = 48
 
+    # What a vtree move, and the collection after it, can change: a sift
+    # snapshot copies these so it can return to a shape it has seen
+    # without re-normalizing back to it.
+    _MOVE_STATE = (
+        "v_nodes", "v_index", "v_parent", "v_left", "v_right", "v_interval",
+        "v_lo", "v_hi", "v_nvars", "node_kind", "node_vnode", "node_var",
+        "node_sign", "node_elements", "node_stamp", "_lit_table", "_dec_table",
+        "_free_ids", "_pins",
+    )
+
+    def _snapshot(self) -> dict:
+        state = {name: getattr(self, name).copy() for name in self._MOVE_STATE}
+        state["_vnode_members"] = [set(b) for b in self._vnode_members]
+        state["_total_elements"] = self._total_elements
+        state["vtree"] = self.vtree
+        state["stamp"] = self._next_stamp
+        return state
+
+    def _restore(self, state: dict) -> None:
+        """Return to a :meth:`_snapshot` (reusable: it is copied in).  Ids
+        live then mean what they meant then; every id stamped since may
+        now name another node or none, so the caches forget those."""
+        since = state["stamp"]
+        kind, stamp = self.node_kind, self.node_stamp
+        stale = {u for u in range(2, len(kind)) if stamp[u] >= since and kind[u] != "free"}
+        for name in self._MOVE_STATE:
+            setattr(self, name, state[name].copy())
+        self._vnode_members = [set(b) for b in state["_vnode_members"]]
+        self._total_elements = state["_total_elements"]
+        self.vtree = state["vtree"]
+        self._and_cache.clear()
+        self._or_cache.clear()
+        self._neg_cache.clear()
+        for cache in tuple(self._wmc_caches):
+            cache.evict(stale)
+        self._refresh_wmc_vtrees()
+
     def _move(self, name: str, v: int) -> dict[int, int] | None:
         if name == "rotate-left":
             return self.rotate_left(v)
@@ -1428,7 +1509,7 @@ class SddManager(SddNodeTable):
         far left, measuring the pinned SDD size after every move, and
         settles on the best position seen; a child swap is then kept iff
         it improves further.  Moves whose size exceeds ``max_growth ×``
-        the node's starting size cut the walk short and are rolled back —
+        the node's starting size cut the walk short and are undone —
         exploration may pass through worse shapes, but never runs away.
 
         The optimization objective is the footprint of the *pinned*
@@ -1437,8 +1518,8 @@ class SddManager(SddNodeTable):
         anything unpinned is garbage to it.  Pin what you care about
         first; :class:`~repro.compiler.strategies.DynamicStrategy` does.
 
-        ``budget`` caps the number of exploration moves (rollback moves
-        needed to restore the best shape are always allowed, so the search
+        ``budget`` caps the number of exploration moves (returning to the
+        best shape restores a snapshot and costs no move, so the search
         never strands the tree in a worse position).  ``rounds`` bounds
         the number of full passes; the search stops early at a fixpoint.
         ``node_order`` restricts a pass to the given vtree node indices
@@ -1482,6 +1563,15 @@ class SddManager(SddNodeTable):
         def can_explore() -> bool:
             return budget is None or moves < budget
 
+        def save():
+            return self._snapshot(), dict(composed)
+
+        def restore(snap) -> None:
+            state, then = snap
+            self._restore(state)
+            composed.clear()
+            composed.update(then)
+
         self.gc()
         size = self._total_elements
         if target_size is not None and size <= target_size:
@@ -1521,7 +1611,8 @@ class SddManager(SddNodeTable):
                 if bucket > max(self._SIFT_FAT_FLOOR, self._SIFT_FAT_FRAC * size):
                     continue
                 size = self._sift_node(
-                    v, size, can_explore, apply_move, max_growth, target_size
+                    v, size, can_explore, apply_move, save, restore, max_growth,
+                    target_size,
                 )
                 if target_size is not None and size <= target_size:
                     self._minimize_runs += 1
@@ -1531,23 +1622,35 @@ class SddManager(SddNodeTable):
                 break
         return composed
 
-    def _sift_node(self, v, size, can_explore, apply_move, max_growth, target=None):
+    def _sift_node(
+        self, v, size, can_explore, apply_move, save, restore, max_growth, target=None
+    ):
         """Sift one vtree node through its rotation positions (then try a
         swap) and settle on the smallest shape seen.  Returns the pinned
         size at the settled shape.  With an anytime ``target``, stops *in
-        place* the moment any explored shape reaches it."""
+        place* the moment any explored shape reaches it.
+
+        The walk returns to its start, and settles on the best shape, by
+        restoring snapshots (``save``/``restore``) rather than by rotating
+        back: a rollback move would re-normalize exactly what the forward
+        walk had already built once."""
         base = size
-        best_pos, best_size = 0, size
-        for name, step in (("rotate-right", 1), ("rotate-left", -1)):
-            pos = 0
+        start = best = save()
+        best_size = size
+        at = start  # the snapshot the current shape equals, if any
+        for name in ("rotate-right", "rotate-left"):
+            if at is not start:
+                restore(start)
+                at = start
             stalled = 0
             while can_explore() and apply_move(name, v):
-                pos += step
+                at = None
                 size = self._total_elements
                 if target is not None and size <= target:
                     return size
                 if size < best_size:
-                    best_size, best_pos = size, pos
+                    best_size, best = size, save()
+                    at = best
                     stalled = 0
                 else:
                     stalled += 1
@@ -1557,25 +1660,15 @@ class SddManager(SddNodeTable):
                 # growth bound, but costs a re-normalization per step).
                 if size > max_growth * base or stalled >= self._SIFT_STALL:
                     break
-            back = "rotate-left" if step == 1 else "rotate-right"
-            while pos != 0:
-                applied = apply_move(back, v)
-                assert applied, "rotation rollback must always apply"
-                pos -= step
-        if best_pos:
-            name = "rotate-right" if best_pos > 0 else "rotate-left"
-            for _ in range(abs(best_pos)):
-                applied = apply_move(name, v)
-                assert applied, "replaying the best rotation walk must apply"
+        if at is not best:
+            restore(best)
         size = self._total_elements
         if can_explore() and apply_move("swap", v):
             swapped = self._total_elements
             if swapped < size or (target is not None and swapped <= target):
                 size = swapped
             else:
-                applied = apply_move("swap", v)
-                assert applied, "swap is its own inverse"
-                size = self._total_elements
+                restore(best)
         return size
 
     def check_unique_table(self) -> None:

@@ -48,9 +48,9 @@ class Deadline:
 
     The cooperative cancellation token of the deadline machinery: the
     query tiers construct one per query, and the compilers call
-    :meth:`check` at their existing ``node_budget`` safepoints (between
-    gates in :meth:`~repro.sdd.manager.SddManager.compile_circuit` and
-    its pairwise folds, between bags in
+    :meth:`check` at their safepoints (between gates in
+    :meth:`~repro.sdd.manager.SddManager.compile_circuit` and its
+    pairwise folds, between bags in
     :func:`~repro.dnnf.builder.build_ddnnf`) and between the eliminations
     of the tree decomposition the d-DNNF builder starts from.  The
     compilers never import
@@ -128,9 +128,8 @@ class DeadlineExceeded(ServiceError):
 
     Raised cooperatively at the compilation safepoints (between gates in
     the apply pipeline, between bags in the d-DNNF builder, between
-    eliminations of its tree decomposition) — the same granularity as
-    ``node_budget`` enforcement — and before dispatching
-    a task whose deadline already passed while it sat in a queue.
+    eliminations of its tree decomposition) and before dispatching a
+    task whose deadline already passed while it sat in a queue.
     ``timeout`` is the budget that was granted (seconds); ``where``
     names the stage that noticed."""
 

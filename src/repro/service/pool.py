@@ -66,11 +66,11 @@ Deadlines
 
 ``submit(..., timeout=...)`` gives one task a wall-clock budget starting
 at submission (queue wait counts).  Enforcement is cooperative, at the
-compilers' existing ``node_budget`` safepoints — per gate in the apply
-pipeline, per bag in the d-DNNF builder — so a deadline never tears down
-a worker mid-compile; the task fails with the typed
-:class:`~repro.service.errors.DeadlineExceeded` and the worker (and its
-warm caches) keep serving.  Spawn workers receive the *remaining*
+compilers' safepoints — per gate and per pairwise apply of a folded
+chain in the apply pipeline, per bag in the d-DNNF builder — so a
+deadline never tears down a worker mid-compile; the task fails with the
+typed :class:`~repro.service.errors.DeadlineExceeded` and the worker (and
+its warm caches) keep serving.  Spawn workers receive the *remaining*
 seconds at send time, so parent/child clock bases never mix.
 
 Determinism guarantee
@@ -409,6 +409,9 @@ class WorkerPool:
             raise ValueError("the sdd backend needs a shared base vtree")
         self._artifact_obj = None
         self._artifact_path = None
+        # The store _threads_frozen loaded from the artifact path: the
+        # pool's to close, once no built engine reads it any more.
+        self._loaded_store = None
         if artifact is not None:
             if hasattr(artifact, "root_named"):
                 self._artifact_obj = artifact
@@ -575,6 +578,7 @@ class WorkerPool:
                 proc.join(timeout=5)
         for conn in self._conns:
             conn.close()
+        self._close_loaded_store()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -651,7 +655,9 @@ class WorkerPool:
         lazily constructed engine must not warm-start from a stale one
         (already-built engines keep their frozen base across weight-only
         updates — their own :meth:`QueryEngine.apply_update` refreshes
-        its weights).
+        its weights).  An insert or delete makes every built engine drop
+        it too, so the store the pool loaded is closed then; otherwise
+        :meth:`close` closes it.
 
         Must not run concurrently with an in-flight batch on the same
         shard queues — the service tier quiesces before calling this.
@@ -688,6 +694,9 @@ class WorkerPool:
             inc = task.future.result()
             for key in ("memo_invalidations", "delta_patched_roots", "update_recompiles"):
                 merged[key] += inc.get(key, 0)
+        if delta.kind != "weight":
+            # Every built engine dropped its frozen base with this delta.
+            self._close_loaded_store()
         return merged
 
     # ------------------------------------------------------------------
@@ -703,7 +712,13 @@ class WorkerPool:
                     from ..artifact.store import FrozenSdd
 
                     self._artifact_obj = FrozenSdd.load(self._artifact_path)
+                    self._loaded_store = self._artifact_obj
         return self._artifact_obj
+
+    def _close_loaded_store(self) -> None:
+        store, self._loaded_store = self._loaded_store, None
+        if store is not None:
+            store.close()
 
     def _worker_loop(self, w: int) -> None:
         while True:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -43,6 +44,18 @@ def _db(domain: int = 3, p: float = 0.4) -> ProbabilisticDatabase:
 
 def _queries():
     return [parse_ucq(t) for t in QUERIES]
+
+
+@contextmanager
+def _no_resource_warnings():
+    """Fail if anything in the block leaves a file or store unclosed
+    (collected at the end of the block, so ``__del__`` warnings count)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks
 
 
 def _saved_base(tmp_path, db, qs):
@@ -113,15 +126,25 @@ class TestFrozenOwnership:
         db = _db()
         qs = _queries()
         path, _, _ = _saved_base(tmp_path, db, qs)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with _no_resource_warnings():
             warm = QueryEngine(db, frozen=path)
             warm.probability(qs[0])
             warm.apply_update(db.insert("S", 9, 1, p=0.3))
             assert warm.frozen is None
             del warm
-            gc.collect()
-        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_close_closes_path_loaded_base(self, tmp_path):
+        db = _db()
+        qs = _queries()
+        path, expect, _ = _saved_base(tmp_path, db, qs)
+        with _no_resource_warnings():
+            warm = QueryEngine(db, frozen=path)
+            assert warm.probability(qs[0]) == expect[0]
+            warm.close()
+            assert warm.frozen is None
+            warm.close()  # idempotent
+            assert warm.probability(qs[0]) == expect[0]  # compiled live
+            del warm
 
     def test_caller_store_stays_open_on_insert(self, tmp_path):
         db = _db()
@@ -139,6 +162,33 @@ class TestFrozenOwnership:
             assert store.size(root) == size  # reads the node tables
         finally:
             store.close()
+
+    @pytest.mark.parametrize("update", ["weight", "insert"])
+    def test_threads_pool_closes_the_store_it_loaded(self, tmp_path, update):
+        """The pool's store outlives a weight update (built engines keep
+        reading it) and is closed once: by an insert or delete, else by
+        close()."""
+        db = _db()
+        qs = _queries()
+        path, _, _ = _saved_base(tmp_path, db, qs)
+        with _no_resource_warnings():
+            pool = WorkerPool(db, workers=1, mode="threads", artifact=path).start()
+            try:
+                pool.submit(0, qs[0]).result()
+                store = pool._loaded_store
+                assert store is not None
+                if update == "weight":
+                    pool.apply_update(db.set_probability("R", 1, p=0.7))
+                    assert pool._loaded_store is store
+                else:
+                    pool.apply_update(db.insert("S", 9, 1, p=0.3))
+                    assert pool._loaded_store is None
+                fresh = QueryEngine(db, vtree=pool.vtree).probability(qs[0])
+                assert repr(pool.submit(0, qs[0]).result().probability) == repr(fresh)
+            finally:
+                pool.close()
+            assert pool._loaded_store is None
+            del pool, store
 
 
 class TestPoolWarmStart:
@@ -270,23 +320,25 @@ class TestTtlCache:
 class TestCliArtifacts:
     def test_compile_save_reload(self, tmp_path, capsys):
         path = tmp_path / "c.rpaf"
-        assert main(["compile", "(a & b) | c", "--save", str(path)]) == 0
+        with _no_resource_warnings():
+            assert main(["compile", "(a & b) | c", "--save", str(path)]) == 0
         out = capsys.readouterr().out
         assert "saved artifact" in out
         assert path.exists()
 
     def test_query_save_then_load(self, tmp_path, capsys):
         path = tmp_path / "q.rpaf"
-        assert main(
-            ["query", "R(x),S(x,y)", "--domain", "2", "--backend", "sdd",
-             "--save", str(path)]
-        ) == 0
-        first = capsys.readouterr().out
-        assert main(
-            ["query", "R(x),S(x,y)", "--domain", "2", "--backend", "sdd",
-             "--load", str(path)]
-        ) == 0
-        second = capsys.readouterr().out
+        with _no_resource_warnings():
+            assert main(
+                ["query", "R(x),S(x,y)", "--domain", "2", "--backend", "sdd",
+                 "--save", str(path)]
+            ) == 0
+            first = capsys.readouterr().out
+            assert main(
+                ["query", "R(x),S(x,y)", "--domain", "2", "--backend", "sdd",
+                 "--load", str(path)]
+            ) == 0
+            second = capsys.readouterr().out
         assert "answered from artifact" in second
         prob = [ln for ln in first.splitlines() if "P(" in ln]
         prob2 = [ln for ln in second.splitlines() if "P(" in ln]
@@ -302,10 +354,11 @@ class TestCliArtifacts:
         art_dir = tmp_path / "arts"
         args = ["serve", "R(x),S(x,y); S(x,y)", "--domain", "2",
                 "--artifacts", str(art_dir)]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert "artifact" in cold
-        assert list(art_dir.glob("*.rpaf"))
-        assert main(args) == 0
-        warm = capsys.readouterr().out
+        with _no_resource_warnings():
+            assert main(args) == 0
+            cold = capsys.readouterr().out
+            assert "artifact" in cold
+            assert list(art_dir.glob("*.rpaf"))
+            assert main(args) == 0
+            warm = capsys.readouterr().out
         assert "pool_artifact_warm=1" in warm or "warm" in warm

@@ -106,6 +106,17 @@ class TestBestOf:
         assert choice.strategy == "best-of:natural"
         assert choice.trial is not None
 
+    @pytest.mark.parametrize("floor", [4096, 256])
+    @pytest.mark.parametrize(
+        "circuit", [chain_and_or(100), ladder(30), grid(3, 4)],
+        ids=["chain(100)", "ladder(30)", "grid(3x4)"],
+    )
+    def test_bench_strategies_winners_under_budget(self, circuit, floor):
+        """The ``bench_strategies --smoke`` families keep their winner when
+        the race's budgets bind at every new node, also with a floor low
+        enough to cut the Lemma-1 candidate off mid-apply."""
+        assert BestOfStrategy(floor=floor)(circuit).strategy == "best-of:natural"
+
     def test_best_of_avoids_scrambled_lemma1_blowup(self):
         """The ROADMAP gap: on chains the heuristic Lemma-1 leaf order makes
         the apply fold quadratic-plus; best-of must settle on the natural

@@ -186,6 +186,42 @@ class TestMinimize:
         assert mgr.stats()["vtree_moves"] == 0
 
 
+    def test_restore_returns_to_the_snapshot_coherently(self):
+        """The sift returns to a seen shape by restoring a snapshot: the
+        tables come back verbatim, and an evaluator that swept nodes built
+        in between (their ids recycled) still answers exactly."""
+        c = chain_and_or(12)
+        mgr, root, vs = compiled(c)
+        # Unnormalized weights: stale per-vtree-node tables would show.
+        weights = {v: (Fraction(i % 3 + 1, 5), Fraction(i % 4 + 1, 3)) for i, v in enumerate(vs)}
+        total = Fraction(1)
+        for w0, w1 in weights.values():
+            total *= w0 + w1
+        ev = SddWmcEvaluator(mgr, weights)
+        before = ev.value(root)
+        tables = (list(mgr.node_kind), list(mgr.node_elements), mgr.vtree)
+        snap = mgr._snapshot()
+        moved = root
+        for v in internal_indices(mgr):
+            mapping = mgr.rotate_right(v)
+            if mapping is None:
+                mapping = mgr.swap(v)
+            moved = mapping.get(moved, moved)
+            mgr.gc()
+            assert ev.value(moved) == before
+        assert moved != root
+        mgr._restore(snap)
+        assert (mgr.node_kind, mgr.node_elements, mgr.vtree) == tables
+        mgr.check_unique_table()
+        assert ev.value(root) == before
+        fresh = SddWmcEvaluator(mgr, weights)
+        assert fresh.value(root) == before
+        neg = mgr.negate(root)  # swept on the restored vtree
+        assert ev.value(neg) == fresh.value(neg) == total - before
+        for v in vs:
+            assert ev.value(mgr.literal(v)) == fresh.value(mgr.literal(v))
+
+
 class TestInManagerCircuitSearch:
     def test_matches_fresh_search_quality(self):
         """The rewritten search must reach at most the old baseline's size

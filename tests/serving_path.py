@@ -1,7 +1,7 @@
 """Answer a UCQ along the serving path and check that numpy and networkx
 never load.
 
-Five checks over one complete domain-2 database:
+Six checks over one complete domain-2 database:
 
 - a :class:`~repro.queries.engine.QueryEngine` answers the query exactly,
   and the answer matches its closed form;
@@ -15,10 +15,13 @@ Five checks over one complete domain-2 database:
 - after one insert and one delete through ``apply_update``, the engine's,
   the reloaded engine's and the warm service's answers equal a fresh
   engine's on the service's vtree, exactly, as they do after the weight
-  update.
+  update;
+- the warm service, through those updates and its close, leaves no
+  artifact open (no ``ResourceWarning`` is recorded).
 
-Exits non-zero if an answer differs or if numpy, networkx or the
-truth-table and decomposition modules were imported.  It runs in an
+Exits non-zero if an answer differs, if a resource is left open, or if
+numpy, networkx or the truth-table and decomposition modules were
+imported.  It runs in an
 interpreter with neither numpy nor networkx installed::
 
     PYTHONPATH=src python tests/serving_path.py
@@ -27,8 +30,10 @@ interpreter with neither numpy nor networkx installed::
 from __future__ import annotations
 
 import asyncio
+import gc
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,30 +72,38 @@ def main() -> int:
         warm = QueryEngine(db, frozen=path)
         answers["artifact"] = warm.probability(query, exact=True)
         frozen_hits = warm.stats()["frozen_hits"]
-        warm_service = QueryService(db, workers=1, mode="threads", artifact_dir=tmp)
-        try:
-            answers["warm service"] = warm_service.probability(query, exact=True)
-            service_warm = warm_service.stats()["pool_artifact_warm"]
-            for update in (lambda: db.set_probability("S", 1, 2, p=0.3),
-                           lambda: db.insert("S", 2, 3, p=0.25),
-                           lambda: db.delete("R", 1)):
-                delta = update()
-                got = {}
-                for name, layer in (("engine", engine), ("artifact", warm),
-                                    ("warm service", warm_service)):
-                    layer.apply_update(delta)
-                    got[name] = layer.probability(query, exact=True)
-                want = QueryEngine(db, vtree=warm_service.vtree).probability(
-                    query, exact=True)
-                mismatches += [f"after {delta.kind} {delta.var} the {name} answered "
-                               f"{value}, a fresh engine {want}"
-                               for name, value in got.items() if value != want]
-        finally:
-            warm_service.close()
+        # Every artifact the warm service loads must be closed by the time
+        # it is: an unclosed one only warns (from __del__, so it could not
+        # fail the process even under -W error), hence the recording.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            warm_service = QueryService(db, workers=1, mode="threads", artifact_dir=tmp)
+            try:
+                answers["warm service"] = warm_service.probability(query, exact=True)
+                service_warm = warm_service.stats()["pool_artifact_warm"]
+                for update in (lambda: db.set_probability("S", 1, 2, p=0.3),
+                               lambda: db.insert("S", 2, 3, p=0.25),
+                               lambda: db.delete("R", 1)):
+                    delta = update()
+                    got = {}
+                    for name, layer in (("engine", engine), ("artifact", warm),
+                                        ("warm service", warm_service)):
+                        layer.apply_update(delta)
+                        got[name] = layer.probability(query, exact=True)
+                    want = QueryEngine(db, vtree=warm_service.vtree).probability(
+                        query, exact=True)
+                    mismatches += [f"after {delta.kind} {delta.var} the {name} answered "
+                                   f"{value}, a fresh engine {want}"
+                                   for name, value in got.items() if value != want]
+            finally:
+                warm_service.close()
+            gc.collect()
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
 
     failures = [f"{k} answered {v}, expected {EXPECTED}" for k, v in answers.items()
                 if v != EXPECTED]
     failures += mismatches
+    failures += [f"the warm service left a resource open: {msg}" for msg in leaks]
     if not repeat.cached:
         failures.append("the service recomputed a repeated query instead of "
                         "answering from its cache")
@@ -107,7 +120,8 @@ def main() -> int:
         print(f"serving path OK: P = {EXPECTED} from engine, service, service "
               f"cache, artifact and warm service; "
               f"after a weight update, an insert and a delete all three match "
-              f"a fresh engine; none of {list(OFF_PATH)} imported")
+              f"a fresh engine; no artifact left open; none of {list(OFF_PATH)} "
+              f"imported")
     return 1 if failures else 0
 
 
