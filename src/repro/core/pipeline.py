@@ -19,7 +19,18 @@ The vtree extraction follows the proof of Lemma 1 exactly:
    of ``S`` forgetting the input gate of ``x``;
 4. the resulting tree is a vtree for ``X ∪ W ⊇ X`` (unary nodes contracted;
    dummies optionally pruned — pruning never increases widths since subtree
-   variable sets only shrink).
+   variable sets only shrink);
+5. orient it: at every internal node the child with fewer variables goes
+   left (ties keep the order of step 3, where a variable leaf hangs right).
+
+Step 5 leaves Lemma 1's bound intact.  A swap of two children keeps every
+subtree's variable set, and factor width depends only on those sets (the
+factors of ``F`` over ``Y_v`` and ``X \\ Y_v``), so ``fw(F,T)`` is the same
+for every orientation of one tree.  SDD size is not: an SDD normalized at
+``v`` has one element per prime, and the primes range over the left
+subtree's variables.  Unoriented, every variable leaf hung as a right
+child, so the big subtree sat on the left; on grid(3,4) that cost SDD
+width 94 against 16 oriented.
 """
 
 from __future__ import annotations
@@ -87,5 +98,29 @@ def vtree_from_circuit(
     assert vtree is not None, "circuit with variables must yield a vtree"
     if prune_dummies:
         vtree = vtree.prune_to(set(map(str, variables)))
+    vtree = _orient(vtree)
     assert vtree.variables >= set(variables)
     return vtree, decomposition.width
+
+
+def _orient(vtree: Vtree) -> Vtree:
+    """Put the child with strictly fewer leaves on the left, at every node.
+
+    One bottom-up pass.  A subtree of ``k`` leaves has ``2k - 1`` nodes, so
+    ``size`` compares leaf counts without materializing variable sets.  The
+    sets themselves are unchanged, so nodes are rebuilt with
+    :meth:`Vtree.internal_trusted` (no disjointness re-check).
+    """
+    built: dict[int, Vtree] = {}
+    for node in vtree.nodes():
+        if node.is_leaf:
+            built[id(node)] = node
+            continue
+        l, r = built[id(node.left)], built[id(node.right)]
+        if r.size < l.size:
+            l, r = r, l
+        built[id(node)] = (
+            node if l is node.left and r is node.right
+            else Vtree.internal_trusted(l, r)
+        )
+    return built[id(vtree)]

@@ -208,42 +208,56 @@ class _BagBuilder:
         return out
 
     # -- the four bag shapes --------------------------------------------
+    # Every state of one table values the same bag in the same gate order,
+    # so where ``g`` sits in ``ν`` and which bag-mates share a wire with it
+    # are worked out once per bag, from any one key.
     def _introduce(
         self, child: dict[_StateKey, int], g: int
     ) -> dict[_StateKey, int]:
+        acc: dict[_StateKey, list[int]] = {}
+        if not child:
+            return self._finalize(acc)
         kind = self.kinds[g]
         g_inputs = self.inputs[g]
         candidates = (bool(self.payloads[g]),) if kind == CONST else (False, True)
-        acc: dict[_StateKey, list[int]] = {}
+        nu0 = next(iter(child))[0]
+        at = sum(1 for h, _ in nu0 if h < g)  # where (g, v) goes in ν
+        # Bag-mates sharing a wire with g: (position in ν, h, h feeds g,
+        # g feeds h, kind of h).
+        wires = [
+            (i, h, h in g_inputs, g in self.inputs[h], self.kinds[h])
+            for i, (h, _) in enumerate(nu0)
+            if h in g_inputs or g in self.inputs[h]
+        ]
         for (nu, suspicious), node in child.items():
             for v in candidates:
-                ok = True
-                for h, vh in nu:
-                    if h in g_inputs and not _wire_ok(kind, v, vh):
-                        ok = False
-                        break
-                    if g in self.inputs[h] and not _wire_ok(self.kinds[h], vh, v):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                new_s = set(suspicious)
-                for h, vh in nu:
-                    if h in new_s and g in self.inputs[h] and _is_strong(
-                        self.kinds[h], vh, v
-                    ):
-                        new_s.discard(h)
-                if _needs_strong(kind, v) and not any(
-                    h in g_inputs and _is_strong(kind, v, vh) for h, vh in nu
-                ):
-                    new_s.add(g)
-                key = (tuple(sorted((*nu, (g, v)))), frozenset(new_s))
-                acc.setdefault(key, []).append(node)
+                new_s = suspicious
+                justified = False
+                for i, h, feeds_g, fed_by_g, kind_h in wires:
+                    vh = nu[i][1]
+                    if feeds_g:
+                        if not _wire_ok(kind, v, vh):
+                            break
+                        justified = justified or _is_strong(kind, v, vh)
+                    if fed_by_g:
+                        if not _wire_ok(kind_h, vh, v):
+                            break
+                        if h in new_s and _is_strong(kind_h, vh, v):
+                            new_s = new_s - {h}
+                else:  # every wire consistent
+                    if _needs_strong(kind, v) and not justified:
+                        new_s = new_s | {g}
+                    key = (nu[:at] + ((g, v),) + nu[at:], new_s)
+                    acc.setdefault(key, []).append(node)
         return self._finalize(acc)
 
     def _forget(self, child: dict[_StateKey, int], g: int) -> dict[_StateKey, int]:
+        if not child:
+            return self._finalize({})
         kind = self.kinds[g]
         is_output = g == self.circuit.output
+        nu0 = next(iter(child))[0]
+        at = next(i for i, (h, _) in enumerate(nu0) if h == g)
         acc: dict[_StateKey, list[int]] = {}
         for (nu, suspicious), node in child.items():
             if g in suspicious:
@@ -251,7 +265,7 @@ class _BagBuilder:
                 # responsible) bag; an unjustified guess can never recover.
                 self.counters["pruned_unjustified"] += 1
                 continue
-            v = next(val for h, val in nu if h == g)
+            v = nu[at][1]
             if is_output and not v:
                 self.counters["pruned_output"] += 1
                 continue
@@ -259,7 +273,7 @@ class _BagBuilder:
                 node = self.dag.conjoin(
                     (node, self.dag.literal(str(self.payloads[g]), v))
                 )
-            key = (tuple(kv for kv in nu if kv[0] != g), suspicious)
+            key = (nu[:at] + nu[at + 1:], suspicious)
             acc.setdefault(key, []).append(node)
         return self._finalize(acc)
 

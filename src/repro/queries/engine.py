@@ -145,6 +145,8 @@ class QueryEngine:
         if frozen is not None:
             frozen_fp = frozen.meta.get("db_fingerprint")
             if frozen_fp is not None and frozen_fp != db.fingerprint():
+                if self._owns_frozen:
+                    frozen.close()
                 raise ValueError(
                     "frozen artifact was compiled for a different database "
                     f"(artifact {frozen_fp!r} vs session {db.fingerprint()!r})"

@@ -11,6 +11,7 @@ before and after a weight update, which evicts only the stale memo cone.
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -82,32 +83,32 @@ class TestUcqLineageRoundTrip:
         path = tmp_path_factory.mktemp("ucq") / "base.rpaf"
         live.save_artifact(path)
 
-        warm = QueryEngine(db, frozen=path)
-        got = [warm.probability(q) for q in qs]
-        assert [repr(g) for g in got] == [repr(e) for e in expect]
-        assert [warm.probability(q, exact=True) for q in qs] == exact
-        assert [warm.compiled_size(q) for q in qs] == sizes
-        stats = warm.stats()
-        assert stats["cache_misses"] == 0
-        assert stats["frozen_queries"] == len(qs)
-        assert stats["frozen_hits"] > 0
+        with closing(QueryEngine(db, frozen=path)) as warm:
+            got = [warm.probability(q) for q in qs]
+            assert [repr(g) for g in got] == [repr(e) for e in expect]
+            assert [warm.probability(q, exact=True) for q in qs] == exact
+            assert [warm.compiled_size(q) for q in qs] == sizes
+            stats = warm.stats()
+            assert stats["cache_misses"] == 0
+            assert stats["frozen_queries"] == len(qs)
+            assert stats["frozen_hits"] > 0
 
-        # A weight update whose new probability changes the tuple's
-        # denominator: the frozen base still answers (no recompile), and
-        # its exact and float answers equal the live session's.
-        delta = db.set_probability("S", 1, 2, p=round(p / 3, 6))
-        live.apply_update(delta)
-        frozen_memo = warm.stats()["wmc_memo_entries"]
-        warm.apply_update(delta)
-        # A point update of the evaluators over the frozen base: it evicts
-        # the cone above the tuple's vtree leaf, not the whole memo.
-        assert 0 < warm.stats()["memo_invalidations"] < frozen_memo
-        exact = [live.probability(q, exact=True) for q in qs]
-        assert [warm.probability(q, exact=True) for q in qs] == exact
-        assert [repr(warm.probability(q)) for q in qs] == [
-            repr(live.probability(q)) for q in qs
-        ]
-        assert warm.stats()["cache_misses"] == 0
+            # A weight update whose new probability changes the tuple's
+            # denominator: the frozen base still answers (no recompile), and
+            # its exact and float answers equal the live session's.
+            delta = db.set_probability("S", 1, 2, p=round(p / 3, 6))
+            live.apply_update(delta)
+            frozen_memo = warm.stats()["wmc_memo_entries"]
+            warm.apply_update(delta)
+            # A point update of the evaluators over the frozen base: it evicts
+            # the cone above the tuple's vtree leaf, not the whole memo.
+            assert 0 < warm.stats()["memo_invalidations"] < frozen_memo
+            exact = [live.probability(q, exact=True) for q in qs]
+            assert [warm.probability(q, exact=True) for q in qs] == exact
+            assert [repr(warm.probability(q)) for q in qs] == [
+                repr(live.probability(q)) for q in qs
+            ]
+            assert warm.stats()["cache_misses"] == 0
 
     def test_db_mismatch_rejected(self, tmp_path):
         db = complete_database({"R": 1}, 2, p=0.5)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import pytest
 
@@ -93,30 +93,32 @@ class TestEngineFrozen:
         db = _db()
         qs = _queries()
         path, expect, exact = _saved_base(tmp_path, db, qs)
-        warm = QueryEngine(db, frozen=path)
-        assert [repr(warm.probability(q)) for q in qs] == [repr(e) for e in expect]
-        assert [warm.probability(q, exact=True) for q in qs] == exact
-        stats = warm.stats()
-        assert stats["cache_misses"] == 0
-        assert stats["frozen_hits"] >= len(qs)
-        assert warm.manager.stats()["decision_nodes"] == 0  # nothing compiled
+        with closing(QueryEngine(db, frozen=path)) as warm:
+            assert [repr(warm.probability(q)) for q in qs] == [
+                repr(e) for e in expect
+            ]
+            assert [warm.probability(q, exact=True) for q in qs] == exact
+            stats = warm.stats()
+            assert stats["cache_misses"] == 0
+            assert stats["frozen_hits"] >= len(qs)
+            assert warm.manager.stats()["decision_nodes"] == 0  # nothing compiled
 
     def test_unsaved_query_compiles_on_frozen_vtree(self, tmp_path):
         db = _db()
         qs = _queries()
         path, _, _ = _saved_base(tmp_path, db, qs)
-        warm = QueryEngine(db, frozen=path)
-        novel = parse_ucq("S(x,x)")
-        assert warm.probability(novel) == QueryEngine(db).probability(novel)
-        assert warm.stats()["cache_misses"] == 1
+        with closing(QueryEngine(db, frozen=path)) as warm:
+            novel = parse_ucq("S(x,x)")
+            assert warm.probability(novel) == QueryEngine(db).probability(novel)
+            assert warm.stats()["cache_misses"] == 1
 
     def test_batch_evaluate_mixes_frozen_and_live(self, tmp_path):
         db = _db()
         qs = _queries()
         path, _, _ = _saved_base(tmp_path, db, qs)
-        warm = QueryEngine(db, frozen=path)
-        batch = qs + [parse_ucq("S(x,x)")]
-        result = warm.evaluate(batch)
+        with closing(QueryEngine(db, frozen=path)) as warm:
+            batch = qs + [parse_ucq("S(x,x)")]
+            result = warm.evaluate(batch)
         serial = QueryEngine(db).evaluate(batch)
         assert [r for r in result.probabilities] == [r for r in serial.probabilities]
 

@@ -10,6 +10,7 @@ into a live manager/DAG whose answers match again.
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from fractions import Fraction
 
 import numpy as np
@@ -244,25 +245,25 @@ class TestFrozenCompiled:
         )
         path = tmp_path / f"{backend}.rpaf"
         compiled.save(path)
-        loaded = Compiler.load(path)
-        assert loaded.backend == backend
-        assert loaded.size == compiled.size
-        assert loaded.width == compiled.width
-        assert loaded.model_count() == compiled.model_count()
-        variables = set(map(str, compiled.circuit.variables))
-        prob = _prob_for(variables)
-        assert repr(loaded.probability(prob)) == repr(compiled.probability(prob))
-        assert loaded.probability(prob, exact=True) == compiled.probability(
-            prob, exact=True
-        )
-        for a in _assignments(variables):
-            assert loaded.evaluate(a) == compiled.evaluate(a)
-        # Round trip again: save the loaded result and reload it.
-        path2 = tmp_path / f"{backend}-2.rpaf"
-        loaded.save(path2)
-        again = Compiler.load(path2)
-        assert again.model_count() == compiled.model_count()
-        assert repr(again.probability(prob)) == repr(compiled.probability(prob))
+        with closing(Compiler.load(path)) as loaded:
+            assert loaded.backend == backend
+            assert loaded.size == compiled.size
+            assert loaded.width == compiled.width
+            assert loaded.model_count() == compiled.model_count()
+            variables = set(map(str, compiled.circuit.variables))
+            prob = _prob_for(variables)
+            assert repr(loaded.probability(prob)) == repr(compiled.probability(prob))
+            assert loaded.probability(prob, exact=True) == compiled.probability(
+                prob, exact=True
+            )
+            for a in _assignments(variables):
+                assert loaded.evaluate(a) == compiled.evaluate(a)
+            # Round trip again: save the loaded result and reload it.
+            path2 = tmp_path / f"{backend}-2.rpaf"
+            loaded.save(path2)
+        with closing(Compiler.load(path2)) as again:
+            assert again.model_count() == compiled.model_count()
+            assert repr(again.probability(prob)) == repr(compiled.probability(prob))
 
     def test_race_saves_winner(self, tmp_path):
         compiled = Compiler(backend=("apply", "ddnnf"), strategy="natural").compile(
@@ -270,18 +271,19 @@ class TestFrozenCompiled:
         )
         path = tmp_path / "race.rpaf"
         compiled.save(path)
-        loaded = Compiler.load(path)
-        assert loaded.model_count() == compiled.model_count()
+        with closing(Compiler.load(path)) as loaded:
+            assert loaded.model_count() == compiled.model_count()
 
     def test_mmap_and_heap_loads_agree(self, tmp_path):
         compiled = Compiler(backend="apply").compile(parse_formula(FORMULAS[1]))
         path = tmp_path / "m.rpaf"
         compiled.save(path)
         prob = _prob_for(set(map(str, compiled.circuit.variables)))
-        mm = Compiler.load(path, use_mmap=True)
-        heap = Compiler.load(path, use_mmap=False)
-        assert repr(mm.probability(prob)) == repr(heap.probability(prob))
-        assert mm.model_count() == heap.model_count()
+        with closing(Compiler.load(path, use_mmap=True)) as mm, closing(
+            Compiler.load(path, use_mmap=False)
+        ) as heap:
+            assert repr(mm.probability(prob)) == repr(heap.probability(prob))
+            assert mm.model_count() == heap.model_count()
 
     def test_random_circuits_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -290,12 +292,12 @@ class TestFrozenCompiled:
             compiled = Compiler(backend="apply").compile(c)
             path = tmp_path / f"r{i}.rpaf"
             compiled.save(path)
-            loaded = Compiler.load(path)
-            assert loaded.model_count() == compiled.model_count()
-            prob = _prob_for(set(map(str, c.variables)))
-            assert repr(loaded.probability(prob)) == repr(
-                compiled.probability(prob)
-            )
+            with closing(Compiler.load(path)) as loaded:
+                assert loaded.model_count() == compiled.model_count()
+                prob = _prob_for(set(map(str, c.variables)))
+                assert repr(loaded.probability(prob)) == repr(
+                    compiled.probability(prob)
+                )
 
     def test_store_artifact_not_compiled(self, tmp_path):
         compiled = Compiler(backend="apply").compile(parse_formula(FORMULAS[0]))

@@ -108,14 +108,22 @@ class TestBestOf:
 
     @pytest.mark.parametrize("floor", [4096, 256])
     @pytest.mark.parametrize(
-        "circuit", [chain_and_or(100), ladder(30), grid(3, 4)],
+        "circuit,winner",
+        [(chain_and_or(100), "natural"), (ladder(30), "natural"),
+         (grid(3, 4), "lemma1-heuristic")],
         ids=["chain(100)", "ladder(30)", "grid(3x4)"],
     )
-    def test_bench_strategies_winners_under_budget(self, circuit, floor):
+    def test_bench_strategies_winners_under_budget(self, circuit, winner, floor):
         """The ``bench_strategies --smoke`` families keep their winner when
-        the race's budgets bind at every new node, also with a floor low
-        enough to cut the Lemma-1 candidate off mid-apply."""
-        assert BestOfStrategy(floor=floor)(circuit).strategy == "best-of:natural"
+        the race's budgets bind at every new node, also with a low floor.
+        On grid(3x4) the oriented Lemma-1 vtree wins (100 elements against
+        natural's 112); on the chain and the ladder natural wins outright
+        (early exit) and Lemma-1 never starts."""
+        choice = BestOfStrategy(floor=floor)(circuit)
+        natural = Compiler(backend="apply", strategy="natural").compile(circuit)
+        mgr, root = choice.trial
+        assert choice.strategy == f"best-of:{winner}"
+        assert mgr.size(root) <= natural.size
 
     def test_best_of_avoids_scrambled_lemma1_blowup(self):
         """The ROADMAP gap: on chains the heuristic Lemma-1 leaf order makes

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.build import (
     chain_and_or,
@@ -12,8 +15,10 @@ from repro.circuits.build import (
     parity,
 )
 from repro.circuits.circuit import Circuit
+from repro.circuits.random_circuits import random_circuit
 from repro.compiler import Compiler, Lemma1Strategy
 from repro.core.pipeline import vtree_from_circuit
+from repro.core.vtree import Vtree
 from repro.core.widths import factor_width, lemma1_bound
 
 
@@ -45,6 +50,40 @@ class TestVtreeExtraction:
         t2, w2 = vtree_from_circuit(c, exact=False)
         assert w1 <= w2
         assert t1.variables == t2.variables == {"x", "y"}
+
+
+def _mirror(vtree: Vtree) -> Vtree:
+    """Swap the children of every internal node (postorder rebuild)."""
+    built: dict[int, Vtree] = {}
+    for node in vtree.nodes():
+        built[id(node)] = (
+            node if node.is_leaf
+            else Vtree.internal(built[id(node.right)], built[id(node.left)])
+        )
+    return built[id(vtree)]
+
+
+class TestOrientation:
+    """The Lemma-1 vtree is oriented: the child with fewer variables goes
+    left.  A mirror keeps every subtree's variable set, so factor width
+    (which depends only on those sets) cannot tell the orientations apart,
+    and both stay within Lemma 1's bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(3, 16))
+    def test_orientation_keeps_factor_width(self, seed, n_vars, n_gates):
+        circuit = random_circuit(
+            np.random.default_rng(seed), n_vars=n_vars, n_gates=n_gates
+        )
+        t, width = vtree_from_circuit(circuit)
+        f = circuit.function()
+        mirrored = _mirror(t)
+        assert mirrored.variables == t.variables
+        fw = factor_width(f, t)
+        assert fw == factor_width(f, mirrored)
+        assert fw <= lemma1_bound(width)
+        for node in t.internal_nodes():
+            assert len(node.left.variables) <= len(node.right.variables)
 
 
 class TestLemma1Bound:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.build import grid
 from repro.circuits.random_circuits import random_circuit
-from repro.compiler import Lemma1Strategy, get_strategy
+from repro.compiler import Lemma1Strategy, natural_variable_order
 from repro.core.sdd_compile import compile_canonical_sdd
 from repro.core.vtree import Vtree
 from repro.sdd.manager import CompilationBudgetExceeded, SddManager
@@ -106,10 +106,16 @@ def test_apply_builds_the_trimmed_canonical_sdd(seed, n_vars, n_gates, shape):
 
 def test_node_budget_binds_at_allocation():
     """A budget is checked at every new node, not between gates: the
-    compile stops inside the apply that would cross it."""
+    compile stops inside the apply that would cross it.  grid(3,4) over a
+    left-linear vtree peaks near 2900 live nodes unbudgeted (the oriented
+    Lemma-1 vtree peaks near 170, so it cannot exercise the budget)."""
     circuit = grid(3, 4)
-    mgr = SddManager(get_strategy("lemma1-heuristic")(circuit).vtree)
+    vtree = Vtree.left_linear(natural_variable_order(circuit))
     budget = 2000
+    unbudgeted = SddManager(vtree)
+    unbudgeted.compile_circuit(circuit)
+    assert unbudgeted.live_node_count > budget  # the budget must bind
+    mgr = SddManager(vtree)
     with pytest.raises(CompilationBudgetExceeded):
         mgr.compile_circuit(circuit, node_budget=budget)
     assert mgr.live_node_count <= budget
