@@ -18,7 +18,8 @@ Measured shape (full run, 2 CPUs; this is what the assertions pin):
   unoriented fold held 5.3 nodes per element on grid(3x4) (2456 for 463),
   10.2 on grid(3x5).
 * ``chain(N)`` — both linear; the ratio read 0.56 on chain(200), and
-  single runs of chain(100) read 0.4-1.4 on a busy 2-CPU host.  The gate
+  single runs of chain(100) read 0.4-1.4 on a busy 2-CPU host, so each
+  backend is timed as the median of ``CHAIN_REPEATS`` compiles.  The gate
   keeps d-DNNF within 2x of apply.
 * ``ladder(N)``, UCQ lineage — apply ahead; honest columns, no
   cherry-picking.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -62,11 +64,26 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_ddnnf.json"
 # fold read 5.3 and 10.2).
 GRID_MAX_NODES_PER_ELEMENT = 3.0
 
+# Compiles per backend in the chain gate, which compares their medians: a
+# single compile per side let a busy host decide the ratio.
+CHAIN_REPEATS = 5
 
-def _time_ddnnf(circuit) -> dict:
-    t0 = time.perf_counter()
-    compiled = Compiler(backend="ddnnf", strategy="natural").compile(circuit)
-    elapsed = time.perf_counter() - t0
+
+def _timed(compile_once, repeats: int):
+    """The median wall-clock of ``repeats`` runs of ``compile_once``, and
+    the last result."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        compiled = compile_once()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), compiled
+
+
+def _time_ddnnf(circuit, repeats: int = 1) -> dict:
+    elapsed, compiled = _timed(
+        lambda: Compiler(backend="ddnnf", strategy="natural").compile(circuit), repeats
+    )
     count = compiled.model_count()
     stats = compiled.stats()
     return {
@@ -79,10 +96,10 @@ def _time_ddnnf(circuit) -> dict:
     }
 
 
-def _time_apply(circuit, strategy: str) -> dict:
-    t0 = time.perf_counter()
-    compiled = Compiler(backend="apply", strategy=strategy).compile(circuit)
-    elapsed = time.perf_counter() - t0
+def _time_apply(circuit, strategy: str, repeats: int = 1) -> dict:
+    elapsed, compiled = _timed(
+        lambda: Compiler(backend="apply", strategy=strategy).compile(circuit), repeats
+    )
     count = compiled.model_count()
     return {
         "seconds": round(elapsed, 4),
@@ -94,13 +111,14 @@ def _time_apply(circuit, strategy: str) -> dict:
     }
 
 
-def run_family(name: str, circuit) -> dict:
+def run_family(name: str, circuit, repeats: int = 1) -> dict:
     """ddnnf vs apply(lemma1-heuristic) — the fixed-decomposition-width
-    comparison — plus apply(best-of) so apply gets its best shot too."""
+    comparison — plus apply(best-of) so apply gets its best shot too; each
+    timed as the median of ``repeats`` compiles."""
     results = {
-        "ddnnf": _time_ddnnf(circuit),
-        "apply-lemma1": _time_apply(circuit, "lemma1-heuristic"),
-        "apply-best-of": _time_apply(circuit, "best-of"),
+        "ddnnf": _time_ddnnf(circuit, repeats),
+        "apply-lemma1": _time_apply(circuit, "lemma1-heuristic", repeats),
+        "apply-best-of": _time_apply(circuit, "best-of", repeats),
     }
     counts = {r["model_count"] for r in results.values()}
     assert len(counts) == 1, f"{name}: backends disagree on the model count"
@@ -143,7 +161,7 @@ def _run_grid(rows: int, cols: int) -> dict:
 
 
 def _run_chain(n: int) -> dict:
-    entry = run_family(f"chain({n})", chain_and_or(n))
+    entry = run_family(f"chain({n})", chain_and_or(n), CHAIN_REPEATS)
     # Both are linear here; ddnnf must at least not lose badly.
     assert _speedup(entry) >= 0.5
     return entry

@@ -25,15 +25,14 @@ compile raises :class:`CompilationBudgetExceeded` with at most
 These operational properties matter for long-running sessions:
 
 - **Stack safety.**  ``apply`` descends one vtree level per step, so on the
-  deep right-linear vtrees that query lineages use an unbounded recursion
-  overflows Python's stack around 1000 variables.  ``apply`` is recursive
-  up to a fixed budget, trampolined beyond: it recurses directly for at
-  most ``_APPLY_REC_BUDGET`` frames (the common, shallow case, without
-  generator overhead) and hands anything deeper to a trampoline over
-  generator frames, which issues the same sub-applies in the same order,
-  so the resulting node ids do not depend on where the handoff happens.
-  The other operations (``negate``, ``condition``, ``to_nnf``,
-  ``evaluate``) are iterative creation-order sweeps.
+  deep right-linear vtrees that query lineages use a recursive apply
+  overflows Python's stack around 1000 variables.  ``apply`` is one
+  explicit-stack kernel instead: a sub-apply that misses the cache is
+  pushed as a frame on a list, so the Python stack stays O(1) at any
+  vtree depth, and there is no second path whose order could drift.
+  ``negate`` never applies, so no apply runs inside another.  The other
+  operations (``negate``, ``condition``, ``to_nnf``, ``evaluate``) are
+  iterative creation-order sweeps.
 - **Garbage collection.**  Hash-cons tables and apply caches only ever
   grow unless collected.  Roots are reference-count *pinned*
   (:meth:`pin`/:meth:`release`); :meth:`gc` mark-sweeps everything
@@ -58,7 +57,8 @@ These operational properties matter for long-running sessions:
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..core.vtree import Vtree
 from ..circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
@@ -72,6 +72,9 @@ __all__ = ["SddManager", "sdd_from_circuit", "CompilationBudgetExceeded"]
 
 _FALSE = 0
 _TRUE = 1
+# What a suspended apply frame waits for from its child: the prime of an
+# element product, its sub, or a compression OR.
+_WANT_PRIME, _WANT_SUB, _WANT_MERGE = 0, 1, 2
 
 
 class CompilationBudgetExceeded(RuntimeError):
@@ -147,10 +150,6 @@ class SddManager(SddNodeTable):
         self._and_cache: dict[int, int] = {}
         self._or_cache: dict[int, int] = {}
         self._neg_cache: dict[int, int] = {}
-        # Frames held by the direct apply recursion around a re-entry into
-        # apply (see _negate_nested/_handoff); 0 outside any apply.
-        self._apply_depth = 0
-        self._trampoline_handoffs = 0
         # Live-node cap of the running :meth:`compile_circuit`, checked at
         # every allocation; ``None`` outside a budgeted compile.
         self._node_budget: int | None = None
@@ -382,7 +381,10 @@ class SddManager(SddNodeTable):
         # nodes, then sweep it in creation order: children are always
         # created before the decision nodes referencing them, so every
         # sub's negation is ready when its parent is processed — no
-        # recursion over SDD depth.
+        # recursion over SDD depth.  Negation is injective and keeps the
+        # primes, so the negated subs stay distinct and the elements stay
+        # sorted: each node is interned as is, with no compression apply —
+        # apply's one-sided case calls this from inside its kernel.
         node_kind, node_elements = self.node_kind, self.node_elements
         seen: set[int] = set()
         stack = [u]
@@ -405,9 +407,9 @@ class SddManager(SddNodeTable):
             else:
                 elems = node_elements[w]
                 assert elems is not None
-                res = self._decision(
+                res = self._intern_decision(
                     self.node_vnode[w],
-                    [(p, s ^ 1 if s <= _TRUE else neg[s]) for p, s in elems],
+                    tuple((p, s ^ 1 if s <= _TRUE else neg[s]) for p, s in elems),
                 )
             neg[w] = res
             neg[res] = w
@@ -420,8 +422,11 @@ class SddManager(SddNodeTable):
             return self._apply(a, b, False)
         raise ValueError("op must be 'and' or 'or'")
 
-    def _apply_shallow(self, a: int, b: int, is_and: bool) -> int | None:
-        """The non-allocating fast paths of apply; ``None`` on a true miss."""
+    def _apply(self, a: int, b: int, is_and: bool) -> int:
+        # Apply is commutative for both ops: order the pair so constants
+        # (the smallest ids) surface as ``a`` and the cache key is unique.
+        # Rotations and folds call this entry point far more often than
+        # they miss, so a miss runs in :meth:`_apply_miss`.
         if a == b:
             return a
         if a > b:
@@ -434,318 +439,208 @@ class SddManager(SddNodeTable):
         if kind[a] == "lit" and kind[b] == "lit" and self.node_var[a] == self.node_var[b]:
             # same variable, different sign (equal handled above)
             return _FALSE if is_and else _TRUE
-        cache = self._and_cache if is_and else self._or_cache
-        return cache.get((a << 32) | b)
-
-    # Python frames the direct recursion of :meth:`_apply_rec` may hold
-    # before it hands the sub-problem to the :meth:`_drive` trampoline.
-    # Small enough to leave room under a recursion limit of 250 below a
-    # test runner's own frames; deep enough that query-lineage vtrees of
-    # a few dozen variables never reach it.
-    _APPLY_REC_BUDGET = 100
-
-    def _apply(self, a: int, b: int, is_and: bool) -> int:
-        # Apply is commutative for both ops: order the pair so constants
-        # (the smallest ids) surface as ``a`` and the cache key is unique.
-        # (:meth:`_apply_shallow`, inlined: rotations and folds call this
-        # entry point far more often than they miss.)
-        if a == b:
-            return a
-        if a > b:
-            a, b = b, a
-        if a == _FALSE:
-            return _FALSE if is_and else b
-        if a == _TRUE:
-            return b if is_and else _TRUE
-        kind = self.node_kind
-        if kind[a] == "lit" and kind[b] == "lit" and self.node_var[a] == self.node_var[b]:
-            return _FALSE if is_and else _TRUE
         res = (self._and_cache if is_and else self._or_cache).get((a << 32) | b)
         if res is not None:
             return res
-        return self._apply_rec(a, b, is_and, self._apply_depth + 1)
+        return self._apply_miss(a, b, is_and)
 
-    def _apply_rec(self, a: int, b: int, is_and: bool, depth: int) -> int:
-        """Apply on a true miss (``a < b``, both non-constant, not cached)
-        by direct recursion; ``depth`` counts the Python frames the apply
-        machinery holds, this one included.  The shallow checks of
-        :meth:`_apply_shallow` are inlined for every sub-apply.
+    def _apply_miss(self, a: int, b: int, is_and: bool) -> int:
+        """Apply on a true miss (``a < b``, both non-constant, not cached).
 
-        In the one-sided case — exactly one operand ``n`` is not a
-        decision at the lca ``v`` and lies below ``v``'s left child — it
-        skips the product: the elements are ``(p ∧ n, s)`` for each
-        element ``(p, s)`` of the other operand (``((⊤, o),)`` when that
-        one is not a decision at ``v``), dropping ⊥ primes, then
-        ``(¬n, ⊥)``; for OR ``(p ∧ ¬n, s)``, then ``(n, ⊤)``.  Written
-        inline, since every frame counts against ``_APPLY_REC_BUDGET``.
+        The one apply kernel: every sub-apply that misses the cache becomes
+        a frame on an explicit stack, so the Python stack stays O(1) at any
+        vtree depth; the shallow checks of :meth:`_apply` are inlined for
+        every sub-apply that hits.  A frame at the operands' lca ``v``
+        issues its sub-applies in a fixed order — every element product
+        first (the prime AND, then the sub op unless the prime is ⊥), then
+        the ORs compressing primes with equal subs — and node ids, element
+        tuples and hence WMC summation order follow from that order alone.
 
-        It issues sub-applies and allocations in exactly the order of
-        ``_apply_gen`` + ``_decision_gen`` — every element product first,
-        then the ORs compressing primes with equal subs — so node ids,
-        element tuples and hence WMC summation order do not depend on
-        where the recursion hands off to the trampoline.
+        In the one-sided case — exactly one operand ``n`` is not a decision
+        at ``v`` and lies below ``v``'s left child — the frame skips the
+        full product: the elements are ``(p ∧ n, s)`` for each element
+        ``(p, s)`` of the other operand (``((⊤, o),)`` when that one is not
+        a decision at ``v``), dropping ⊥ primes, then the ``tail``
+        ``(¬n, ⊥)``; for OR ``(p ∧ ¬n, s)``, then ``(n, ⊤)``.  ``¬n`` comes
+        from :meth:`negate`, which never applies, so no apply runs inside
+        another.
         """
-        if depth > self._APPLY_REC_BUDGET:
-            return self._handoff(a, b, is_and)
-        v_lo, v_hi = self.v_lo, self.v_hi
-        node_vnode = self.node_vnode
         kind, node_var = self.node_kind, self.node_var
-        va, vb = node_vnode[a], node_vnode[b]
-        # lca walk: climb from va until the interval covers vb's.
-        v = va
-        lob, hib = v_lo[vb], v_hi[vb]
-        parent = self.v_parent
-        while not (v_lo[v] <= lob and hib <= v_hi[v]):
-            p = parent[v]
-            assert p is not None, "lca walked past the root"
-            v = p
-        # Element views at ``v`` (:meth:`_elements_at`, inlined): a node
-        # below the right child becomes ``(T, u)``.  A node ``n`` below the
-        # left child (at most one can be) is the one-sided case: it only
-        # restricts the primes of the other operand.  Its product with the
-        # single element ``(n, T)`` (AND) or ``(¬n, F)`` (OR) keeps every
-        # sub, and the ``tail`` ``(¬n, F)`` or ``(n, T)`` completes the
-        # partition.
-        left_hi = v_hi[self.v_left[v]]  # type: ignore[index]
-        a_dec = va == v and kind[a] == "dec"
-        b_dec = vb == v and kind[b] == "dec"
-        if not a_dec and v_hi[va] <= left_hi:
-            n, o, o_dec = a, b, b_dec
-        elif not b_dec and v_hi[vb] <= left_hi:
-            n, o, o_dec = b, a, a_dec
-        else:
-            n = 0
-        tail = None
-        if n:
-            nn = self._neg_cache.get(n)
-            if nn is None:
-                nn = self._negate_nested(n, depth)
-            ea = self.node_elements[o] if o_dec else ((_TRUE, o),)
-            if is_and:
-                eb, tail = ((n, _TRUE),), (nn, _FALSE)
+        node_vnode, node_elements = self.node_vnode, self.node_elements
+        v_lo, v_hi, v_left, v_parent = self.v_lo, self.v_hi, self.v_left, self.v_parent
+        and_cache, or_cache, neg_cache = self._and_cache, self._or_cache, self._neg_cache
+        intern = self._intern_decision
+        # Suspended frames: (key, is_and, v, pairs, by_sub, merge, tail,
+        # want, p, q), where ``want`` says what the child computes and p, q
+        # carry what finishing its part needs.
+        stack: list[tuple] = []
+        while True:
+            # Open the frame of (a, b, is_and).  lca walk: climb from a's
+            # vtree node until the interval covers b's.
+            va, vb = node_vnode[a], node_vnode[b]
+            v = va
+            lob, hib = v_lo[vb], v_hi[vb]
+            while not (v_lo[v] <= lob and hib <= v_hi[v]):
+                v = v_parent[v]
+            # Element views at ``v``: a node below the right child becomes
+            # ``(⊤, u)``.  A node ``n`` below the left child (at most one
+            # can be) only restricts the primes of the other operand: its
+            # product with the single element ``(n, ⊤)`` (AND) or
+            # ``(¬n, ⊥)`` (OR) keeps every sub, and the ``tail`` ``(¬n, ⊥)``
+            # or ``(n, ⊤)`` completes the partition.
+            left_hi = v_hi[v_left[v]]  # type: ignore[index]
+            a_dec = va == v and kind[a] == "dec"
+            b_dec = vb == v and kind[b] == "dec"
+            if not a_dec and v_hi[va] <= left_hi:
+                n, o, o_dec = a, b, b_dec
+            elif not b_dec and v_hi[vb] <= left_hi:
+                n, o, o_dec = b, a, a_dec
             else:
-                eb, tail = ((nn, _FALSE),), (n, _TRUE)
-        else:
-            ea = self.node_elements[a] if a_dec else ((_TRUE, a),)
-            eb = self.node_elements[b] if b_dec else ((_TRUE, b),)
-        assert ea is not None and eb is not None
-        and_cache, or_cache = self._and_cache, self._or_cache
-        cache = and_cache if is_and else or_cache
-        rec = self._apply_rec
-        d1 = depth + 1
-        # Compression (:meth:`_decision_gen`, inlined) needs the ORs of
-        # primes sharing a sub only after every product: ``by_sub`` holds
-        # each sub's first prime, ``merge`` the later ones in element order.
-        by_sub: dict[int, int] = {}
-        merge: list[tuple[int, int]] = []
-        for pa, sa in ea:
-            for pb, sb in eb:
-                # p = pa ∧ pb
-                if pa == pb:
-                    p = pa
+                n = 0
+            if n:
+                nn = neg_cache.get(n)
+                if nn is None:
+                    nn = self.negate(n)
+                ea = node_elements[o] if o_dec else ((_TRUE, o),)
+                if is_and:
+                    eb, tail = ((n, _TRUE),), (nn, _FALSE)
                 else:
-                    x, y = (pa, pb) if pa < pb else (pb, pa)
-                    if x == _FALSE:
-                        continue
-                    if x == _TRUE:
-                        p = y
-                    elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
-                        continue
+                    eb, tail = ((nn, _FALSE),), (n, _TRUE)
+            else:
+                ea = node_elements[a] if a_dec else ((_TRUE, a),)
+                eb = node_elements[b] if b_dec else ((_TRUE, b),)
+                tail = None
+            key = (a << 32) | b
+            cache = and_cache if is_and else or_cache
+            pairs = product(ea, eb)  # type: ignore[arg-type]
+            # Compression needs the ORs of primes sharing a sub only after
+            # every product: ``by_sub`` holds each sub's first prime,
+            # ``merge`` the later ones, last first (it is popped).
+            by_sub: dict[int, int] = {}
+            merge: list[tuple[int, int]] = []
+            # Run the frame until a sub-apply misses (suspend it and open
+            # the child) or it is done (resume its parent with the result).
+            while True:
+                for (pa, sa), (pb, sb) in pairs:
+                    # p = pa ∧ pb
+                    if pa == pb:
+                        p = pa
                     else:
-                        p = and_cache.get((x << 32) | y)
-                        if p is None:
-                            p = rec(x, y, True, d1)
-                        if p == _FALSE:
+                        x, y = (pa, pb) if pa < pb else (pb, pa)
+                        if x == _FALSE:
                             continue
-                # s = sa ∘ sb
-                if sa == sb:
-                    s = sa
-                else:
-                    x, y = (sa, sb) if sa < sb else (sb, sa)
-                    if x == _FALSE:
-                        s = _FALSE if is_and else y
-                    elif x == _TRUE:
-                        s = y if is_and else _TRUE
-                    elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
-                        s = _FALSE if is_and else _TRUE
+                        if x == _TRUE:
+                            p = y
+                        elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                            continue
+                        else:
+                            p = and_cache.get((x << 32) | y)
+                            if p is None:
+                                stack.append((key, is_and, v, pairs, by_sub, merge,
+                                              tail, _WANT_PRIME, sa, sb))
+                                a, b, is_and = x, y, True
+                                break
+                            if p == _FALSE:
+                                continue
+                    # s = sa ∘ sb
+                    if sa == sb:
+                        s = sa
                     else:
-                        s = cache.get((x << 32) | y)
-                        if s is None:
-                            s = rec(x, y, is_and, d1)
-                if s in by_sub:
-                    merge.append((s, p))
+                        x, y = (sa, sb) if sa < sb else (sb, sa)
+                        if x == _FALSE:
+                            s = _FALSE if is_and else y
+                        elif x == _TRUE:
+                            s = y if is_and else _TRUE
+                        elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                            s = _FALSE if is_and else _TRUE
+                        else:
+                            s = cache.get((x << 32) | y)
+                            if s is None:
+                                stack.append((key, is_and, v, pairs, by_sub, merge,
+                                              tail, _WANT_SUB, p, 0))
+                                a, b = x, y
+                                break
+                    if s in by_sub:
+                        merge.insert(0, (s, p))
+                    else:
+                        by_sub[s] = p
                 else:
-                    by_sub[s] = p
-        if tail is not None:
-            p, s = tail
-            if s in by_sub:
-                merge.append((s, p))
-            else:
-                by_sub[s] = p
-        for s, p in merge:
-            q = by_sub[s]
-            if q == p:
-                continue
-            x, y = (q, p) if q < p else (p, q)
-            if x == _FALSE:
-                r = y
-            elif x == _TRUE:
-                r = _TRUE
-            elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
-                r = _TRUE
-            else:
-                r = or_cache.get((x << 32) | y)
-                if r is None:
-                    r = rec(x, y, False, d1)
-            by_sub[s] = r
-        if len(by_sub) == 2:
-            # Primes are disjoint, so ordering by prime is the sort.
-            (s1, p1), (s2, p2) = by_sub.items()
-            elems = ((p1, s1), (p2, s2)) if p1 < p2 else ((p2, s2), (p1, s1))
-        else:
-            elems = tuple(sorted(zip(by_sub.values(), by_sub)))
-        res = self._intern_decision(v, elems)
-        cache[(a << 32) | b] = res
-        return res
-
-    def _negate_nested(self, u: int, depth: int) -> int:
-        """:meth:`negate` called from inside :meth:`_apply_rec`.  Negation
-        can re-enter apply (``negate`` → ``_decision`` → ``_apply``), so
-        the frames already held are recorded for that re-entry to count
-        from."""
-        saved = self._apply_depth
-        # This frame, negate, _decision and _apply sit between ``depth``
-        # and a re-entered _apply_rec.
-        self._apply_depth = depth + 4
-        try:
-            return self.negate(u)
-        finally:
-            self._apply_depth = saved
-
-    def _handoff(self, a: int, b: int, is_and: bool) -> int:
-        """Run one apply on the :meth:`_drive` trampoline once the direct
-        recursion has used up its frame budget.  Applies re-entered from
-        inside the trampoline (through ``negate``) go straight back to a
-        trampoline of their own."""
-        self._trampoline_handoffs += 1
-        saved = self._apply_depth
-        self._apply_depth = self._APPLY_REC_BUDGET
-        try:
-            return self._drive(self._apply_gen(a, b, is_and))
-        finally:
-            self._apply_depth = saved
-
-    def _drive(self, gen) -> int:
-        """Trampoline for the apply/decision generators — the stack-safe
-        path :meth:`_apply_rec` hands off to beyond its recursion budget.
-
-        Generators yield ``(a, b, is_and)`` requests (only after their own
-        shallow check missed); the driver runs each request as a child
-        frame on an explicit stack, so the Python call stack stays O(1) no
-        matter how deep the vtree is below the handoff point.
-        """
-        stack = [gen]
-        send: int | None = None
-        while stack:
-            try:
-                req = stack[-1].send(send)
-            except StopIteration as st:
-                stack.pop()
-                send = st.value
-            else:
-                stack.append(self._apply_gen(*req))
-                send = None
-        assert send is not None
-        return send
-
-    def _apply_gen(self, a: int, b: int, is_and: bool) -> Iterator[tuple[int, int, bool]]:
-        if a > b:
-            a, b = b, a
-        v_lo, v_hi = self.v_lo, self.v_hi
-        va, vb = self.node_vnode[a], self.node_vnode[b]
-        # lca walk: climb from va until the interval covers vb's.
-        v = va
-        lob, hib = v_lo[vb], v_hi[vb]
-        parent = self.v_parent
-        while not (v_lo[v] <= lob and hib <= v_hi[v]):
-            p = parent[v]
-            assert p is not None, "lca walked past the root"
-            v = p
-        shallow = self._apply_shallow
-        out: list[tuple[int, int]] = []
-        # The one-sided case, as in :meth:`_apply_rec`.
-        left_hi = v_hi[self.v_left[v]]  # type: ignore[index]
-        kind = self.node_kind
-        n, tail = 0, None
-        if not (va == v and kind[a] == "dec") and v_hi[va] <= left_hi:
-            n, o = a, b
-        elif not (vb == v and kind[b] == "dec") and v_hi[vb] <= left_hi:
-            n, o = b, a
-        if n:
-            nn = self.negate(n)
-            ea = self._elements_at(o, v)
-            if is_and:
-                eb, tail = ((n, _TRUE),), (nn, _FALSE)
-            else:
-                eb, tail = ((nn, _FALSE),), (n, _TRUE)
-        else:
-            ea = self._elements_at(a, v)
-            eb = self._elements_at(b, v)
-        for pa, sa in ea:
-            for pb, sb in eb:
-                p = shallow(pa, pb, True)
-                if p is None:
-                    p = yield (pa, pb, True)
-                if p == _FALSE:
-                    continue
-                s = shallow(sa, sb, is_and)
-                if s is None:
-                    s = yield (sa, sb, is_and)
-                out.append((p, s))
-        if tail is not None:
-            out.append(tail)
-        res = yield from self._decision_gen(v, out)
-        cache = self._and_cache if is_and else self._or_cache
-        cache[(a << 32) | b] = res
-        return res
-
-    def _decision_gen(
-        self, vnode: int, elements: Iterable[tuple[int, int]]
-    ) -> Iterator[tuple[int, int, bool]]:
-        """Generator twin of :meth:`_decision` for use inside the trampoline
-        (compression ORs on primes become yielded requests, not recursion)."""
-        by_sub: dict[int, int] = {}
-        shallow = self._apply_shallow
-        for p, s in elements:
-            if p == _FALSE:
-                continue
-            q = by_sub.get(s)
-            if q is None:
-                by_sub[s] = p
-            else:
-                r = shallow(q, p, False)
-                if r is None:
-                    r = yield (q, p, False)
-                by_sub[s] = r
-        return self._intern_decision(
-            vnode, tuple(sorted((p, s) for s, p in by_sub.items()))
-        )
-
-    def _elements_at(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """View ``u`` as a decision element list normalized for internal
-        vtree node ``v``: ``u`` is a decision at ``v`` or lies below its
-        right child (one below the left child is apply's one-sided case,
-        which never asks for this view)."""
-        vu = self.node_vnode[u]
-        if vu == v and self.node_kind[u] == "dec":
-            elems = self.node_elements[u]
-            assert elems is not None
-            return elems
-        vr = self.v_right[v]
-        assert vr is not None
-        if self.v_lo[vr] <= self.v_lo[vu] and self.v_hi[vu] <= self.v_hi[vr]:
-            return ((_TRUE, u),)
-        raise AssertionError("node does not fit below the right child of the vtree node")
+                    if tail is not None:
+                        p, s = tail
+                        tail = None
+                        if s in by_sub:
+                            merge.insert(0, (s, p))
+                        else:
+                            by_sub[s] = p
+                    while merge:
+                        s, p = merge.pop()
+                        q = by_sub[s]
+                        if q == p:
+                            continue
+                        x, y = (q, p) if q < p else (p, q)
+                        if x == _FALSE:
+                            r = y
+                        elif x == _TRUE:
+                            r = _TRUE
+                        elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                            r = _TRUE
+                        else:
+                            r = or_cache.get((x << 32) | y)
+                            if r is None:
+                                stack.append((key, is_and, v, pairs, by_sub, merge,
+                                              tail, _WANT_MERGE, s, 0))
+                                a, b, is_and = x, y, False
+                                break
+                        by_sub[s] = r
+                    else:
+                        if len(by_sub) == 2:
+                            # Primes are disjoint, so ordering by prime is the sort.
+                            (s1, p1), (s2, p2) = by_sub.items()
+                            elems = ((p1, s1), (p2, s2)) if p1 < p2 else ((p2, s2), (p1, s1))
+                        else:
+                            elems = tuple(sorted(zip(by_sub.values(), by_sub)))
+                        res = intern(v, elems)
+                        cache[key] = res
+                        if not stack:
+                            return res
+                        (key, is_and, v, pairs, by_sub, merge,
+                         tail, want, p, q) = stack.pop()
+                        cache = and_cache if is_and else or_cache
+                        # Finish what the child was part of as the loops
+                        # above would have.  (Re-entering the product loop
+                        # with the child's product chained in front of
+                        # ``pairs`` cost about 10% on lineage compiles.)
+                        if want == _WANT_SUB:  # p is the product's prime
+                            s = res
+                        elif want == _WANT_MERGE:  # p is the merged sub
+                            by_sub[p] = res
+                            continue
+                        else:  # res is the prime of the product of subs p, q
+                            if res == _FALSE:
+                                continue
+                            x, y = (p, q) if p < q else (q, p)
+                            p = res
+                            if x == y:
+                                s = x
+                            elif x == _FALSE:
+                                s = _FALSE if is_and else y
+                            elif x == _TRUE:
+                                s = y if is_and else _TRUE
+                            elif kind[x] == "lit" and kind[y] == "lit" and node_var[x] == node_var[y]:
+                                s = _FALSE if is_and else _TRUE
+                            else:
+                                s = cache.get((x << 32) | y)
+                                if s is None:
+                                    stack.append((key, is_and, v, pairs, by_sub, merge,
+                                                  tail, _WANT_SUB, p, 0))
+                                    a, b = x, y
+                                    break
+                        if s in by_sub:
+                            merge.insert(0, (s, p))
+                        else:
+                            by_sub[s] = p
+                        continue
+                break
 
     def _reduce(self, items: list[int], is_and: bool, *, deadline=None) -> int:
         """Balanced pairwise fold — on k operands whose supports form a
@@ -1714,9 +1609,6 @@ class SddManager(SddNodeTable):
         APIs and CLI reports use it); the underlying attributes are
         private.  ``nodes`` counts *live* nodes; ``node_capacity`` is the
         table length including freed slots awaiting reuse.
-        ``apply_trampoline_handoffs`` counts the applies the direct
-        recursion handed to the trampoline (0 when every apply stayed
-        within the recursion budget).
         """
         n_lit = len(self._lit_table)
         live = self.live_node_count
@@ -1737,7 +1629,6 @@ class SddManager(SddNodeTable):
             "or_cache_entries": len(self._or_cache),
             "neg_cache_entries": len(self._neg_cache),
             "apply_cache_entries": len(self._and_cache) + len(self._or_cache),
-            "apply_trampoline_handoffs": self._trampoline_handoffs,
         }
 
     def function(self, u: int, variables: Sequence[str] | None = None) -> BooleanFunction:

@@ -172,8 +172,8 @@ class TestRecursionGuard:
             assert 0 < mgr.count_models(root) < (1 << n)
         finally:
             sys.setrecursionlimit(limit)
-        # Apply recursed past its frame budget: the trampoline ran.
-        assert mgr.stats()["apply_trampoline_handoffs"] > 0
+        # The compile really ran past the lowered limit.
+        assert mgr.vtree.depth() > 250
 
     @pytest.mark.parametrize(
         "make_vtree, deep",
@@ -195,7 +195,7 @@ class TestRecursionGuard:
         finally:
             sys.setrecursionlimit(limit)
         if deep:
-            assert mgr.stats()["apply_trampoline_handoffs"] > 0
+            assert mgr.vtree.depth() > 250
 
     def test_library_does_not_touch_recursion_limit(self):
         import pathlib
