@@ -237,7 +237,18 @@ class Circuit:
         this graph, per Definition of circuit treewidth)."""
         import networkx as nx
 
-        return nx.Graph(self.digraph())
+        # Edges go in as ``nx.Graph(self.digraph())`` would add them (each
+        # gate, then the gates it feeds in id order), so every adjacency
+        # lists its neighbours in the same order and the elimination
+        # heuristics break ties the same way.
+        fanout: list[list[int]] = [[] for _ in self.gates]
+        for gid, gate in enumerate(self.gates):
+            for i in gate.inputs:
+                fanout[i].append(gid)
+        g = nx.Graph()
+        g.add_nodes_from(range(len(self.gates)))
+        g.add_edges_from((u, v) for u, outs in enumerate(fanout) for v in outs)
+        return g
 
     # ------------------------------------------------------------------
     # transformations

@@ -18,14 +18,20 @@ The moving parts (see ``src/repro/dnnf/README.md`` for the glossary):
   yet, an AND guessed ``0`` with no false input seen yet).  The d-DNNF
   node represents exactly the assignments to the variables *committed
   below* ``t`` that are consistent with ``ν`` with pending set ``S``.
+  Both are bitmasks over the bag sorted by gate id (bit ``i`` is the
+  ``i``-th smallest gate), so a key is a pair of ints.
 - **Introduce(g).**  Every candidate value of ``g`` is enumerated (CONST
   gates are pinned to their payload), wires between ``g`` and its
   bag-mates are checked in both directions, ``g`` may justify suspicious
   bag-mates, and ``g`` itself turns suspicious if its value needs a
-  justification no bag-mate provides yet.
+  justification no bag-mate provides yet.  The verdicts depend on ``ν``
+  only through the bits of ``g``'s wired bag-mates, so they are worked
+  out once per distinct masked ``ν`` and reused; ``g``'s bit is inserted
+  at its place in both masks.
 - **Forget(g) — the responsible bag.**  All wires incident to ``g`` are
   covered below, so a still-suspicious ``g`` can never be justified: the
   state dies.  If ``g`` is the output gate, only ``ν(g) = 1`` survives.
+  ``g``'s bit is deleted from both masks.
   If ``g`` is a variable gate, its literal is conjoined here — committing
   the variable at its responsible bag is the same move as Lemma 1's
   variable-leaf attachment in :func:`repro.core.pipeline.vtree_from_circuit`,
@@ -46,6 +52,7 @@ the circuit's models over *all* its variables.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -56,9 +63,10 @@ from .nodes import FALSE, TRUE, DnnfDag
 
 __all__ = ["DdnnfResult", "build_ddnnf", "friendly_from_circuit"]
 
-# A state key: (ν, S) with ν a gate-id-sorted tuple of (gate, value) pairs
-# over the current bag and S a frozenset of still-suspicious gate ids.
-_StateKey = tuple[tuple[tuple[int, bool], ...], frozenset[int]]
+# A state key: (ν, S) as two bitmasks over the current bag sorted by gate
+# id.  Bit i of ν is the value of the bag's i-th gate; bit i of S is set iff
+# that gate is still suspicious.
+_StateKey = tuple[int, int]
 
 
 def _wire_ok(kind_u: str, vu: bool, vh: bool) -> bool:
@@ -208,104 +216,122 @@ class _BagBuilder:
         return out
 
     # -- the four bag shapes --------------------------------------------
-    # Every state of one table values the same bag in the same gate order,
-    # so where ``g`` sits in ``ν`` and which bag-mates share a wire with it
-    # are worked out once per bag, from any one key.
+    # Bit i of ν and of S stands for the i-th smallest gate id of the bag,
+    # so introducing or forgetting ``g`` inserts or deletes the bit at
+    # ``at``, the number of bag-mates below ``g``.
     def _introduce(
-        self, child: dict[_StateKey, int], g: int
+        self, child: dict[_StateKey, int], bag: frozenset, g: int
     ) -> dict[_StateKey, int]:
-        acc: dict[_StateKey, list[int]] = {}
-        if not child:
-            return self._finalize(acc)
-        kind = self.kinds[g]
-        g_inputs = self.inputs[g]
-        candidates = (bool(self.payloads[g]),) if kind == CONST else (False, True)
-        nu0 = next(iter(child))[0]
-        at = sum(1 for h, _ in nu0 if h < g)  # where (g, v) goes in ν
-        # Bag-mates sharing a wire with g: (position in ν, h, h feeds g,
-        # g feeds h, kind of h).
-        wires = [
-            (i, h, h in g_inputs, g in self.inputs[h], self.kinds[h])
-            for i, (h, _) in enumerate(nu0)
-            if h in g_inputs or g in self.inputs[h]
-        ]
-        for (nu, suspicious), node in child.items():
-            for v in candidates:
-                new_s = suspicious
-                justified = False
-                for i, h, feeds_g, fed_by_g, kind_h in wires:
-                    vh = nu[i][1]
-                    if feeds_g:
-                        if not _wire_ok(kind, v, vh):
-                            break
-                        justified = justified or _is_strong(kind, v, vh)
-                    if fed_by_g:
-                        if not _wire_ok(kind_h, vh, v):
-                            break
-                        if h in new_s and _is_strong(kind_h, vh, v):
-                            new_s = new_s - {h}
-                else:  # every wire consistent
-                    if _needs_strong(kind, v) and not justified:
-                        new_s = new_s | {g}
-                    key = (nu[:at] + ((g, v),) + nu[at:], new_s)
-                    acc.setdefault(key, []).append(node)
-        return self._finalize(acc)
-
-    def _forget(self, child: dict[_StateKey, int], g: int) -> dict[_StateKey, int]:
         if not child:
             return self._finalize({})
         kind = self.kinds[g]
-        is_output = g == self.circuit.output
-        nu0 = next(iter(child))[0]
-        at = next(i for i, (h, _) in enumerate(nu0) if h == g)
-        acc: dict[_StateKey, list[int]] = {}
+        g_inputs = self.inputs[g]
+        candidates = (bool(self.payloads[g]),) if kind == CONST else (False, True)
+        at = sum(1 for h in bag if h < g)
+        low = (1 << at) - 1
+        g_bit = 1 << at
+        # Bag-mates sharing a wire with g: (bit in the child's ν, bit in
+        # the new S, h feeds g, g feeds h, kind of h).
+        wires = []
+        wire_mask = 0
+        for i, h in enumerate(sorted(bag)):
+            feeds_g, fed_by_g = h in g_inputs, g in self.inputs[h]
+            if feeds_g or fed_by_g:
+                wires.append(
+                    (1 << i, 1 << (i + (i >= at)), feeds_g, fed_by_g, self.kinds[h])
+                )
+                wire_mask |= 1 << i
+        # The wire checks read ν only through ``wire_mask``: one verdict per
+        # masked valuation, a list of (ν bit of g, S bits justified by g,
+        # S bit of g if g turns suspicious) per consistent value of g.
+        verdicts: dict[int, list[tuple[int, int, int]]] = {}
+        acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
         for (nu, suspicious), node in child.items():
-            if g in suspicious:
+            m = nu & wire_mask
+            outcomes = verdicts.get(m)
+            if outcomes is None:
+                outcomes = verdicts[m] = []
+                for v in candidates:
+                    cleared = 0
+                    justified = False
+                    for bit, s_bit, feeds_g, fed_by_g, kind_h in wires:
+                        vh = bool(m & bit)
+                        if feeds_g:
+                            if not _wire_ok(kind, v, vh):
+                                break
+                            justified = justified or _is_strong(kind, v, vh)
+                        if fed_by_g:
+                            if not _wire_ok(kind_h, vh, v):
+                                break
+                            if _is_strong(kind_h, vh, v):
+                                cleared |= s_bit
+                    else:  # every wire consistent
+                        suspect = g_bit if _needs_strong(kind, v) and not justified else 0
+                        outcomes.append((g_bit if v else 0, cleared, suspect))
+            nu_rest = (nu & low) | ((nu & ~low) << 1)
+            s_rest = (suspicious & low) | ((suspicious & ~low) << 1)
+            for v_bit, cleared, suspect in outcomes:
+                acc[nu_rest | v_bit, (s_rest & ~cleared) | suspect].append(node)
+        return self._finalize(acc)
+
+    def _forget(
+        self, child: dict[_StateKey, int], bag: frozenset, g: int
+    ) -> dict[_StateKey, int]:
+        if not child:
+            return self._finalize({})
+        kind = self.kinds[g]
+        name = str(self.payloads[g])
+        is_output = g == self.circuit.output
+        bit = 1 << sum(1 for h in bag if h < g)
+        low = bit - 1
+        acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
+        for (nu, suspicious), node in child.items():
+            if suspicious & bit:
                 # All wires incident to g are covered below this (its
                 # responsible) bag; an unjustified guess can never recover.
                 self.counters["pruned_unjustified"] += 1
                 continue
-            v = nu[at][1]
+            v = bool(nu & bit)
             if is_output and not v:
                 self.counters["pruned_output"] += 1
                 continue
             if kind == VAR:
-                node = self.dag.conjoin(
-                    (node, self.dag.literal(str(self.payloads[g]), v))
-                )
-            key = (nu[:at] + nu[at + 1:], suspicious)
-            acc.setdefault(key, []).append(node)
+                node = self.dag.conjoin((node, self.dag.literal(name, v)))
+            key = (
+                (nu & low) | ((nu >> 1) & ~low),
+                (suspicious & low) | ((suspicious >> 1) & ~low),
+            )
+            acc[key].append(node)
         return self._finalize(acc)
 
     def _join(
         self, left: dict[_StateKey, int], right: dict[_StateKey, int]
     ) -> dict[_StateKey, int]:
-        by_nu: dict[tuple, list[tuple[frozenset[int], int]]] = {}
+        by_nu: dict[int, list[tuple[int, int]]] = {}
         for (nu, s_l), n_l in left.items():
             by_nu.setdefault(nu, []).append((s_l, n_l))
-        acc: dict[_StateKey, list[int]] = {}
+        acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
         for (nu, s_r), n_r in right.items():
             for s_l, n_l in by_nu.get(nu, ()):
                 node = self.dag.conjoin((n_l, n_r))
                 if node != FALSE:
-                    acc.setdefault((nu, s_l & s_r), []).append(node)
+                    acc[nu, s_l & s_r].append(node)
         return self._finalize(acc)
 
     # -- the walk --------------------------------------------------------
     def run(self, friendly: FriendlyTreeDecomposition) -> int:
-        states: dict[int, dict[_StateKey, int]] = {}
+        # The walk is postorder, so a node's child tables are the last ones
+        # pushed (a join's right child on top).
+        tables: list[dict[_StateKey, int]] = []
         for node in friendly.root.nodes():  # iterative postorder
             if node.kind == "leaf":
-                cur = {((), frozenset()): TRUE}
-            elif node.kind == "introduce":
-                cur = self._introduce(states.pop(id(node.children[0])), node.vertex)
-            elif node.kind == "forget":
-                cur = self._forget(states.pop(id(node.children[0])), node.vertex)
+                tables.append({(0, 0): TRUE})
+            elif node.kind == "join":
+                right = tables.pop()
+                tables[-1] = self._join(tables[-1], right)
             else:
-                cur = self._join(
-                    states.pop(id(node.children[0])),
-                    states.pop(id(node.children[1])),
-                )
+                step = self._introduce if node.kind == "introduce" else self._forget
+                tables[-1] = step(tables[-1], node.children[0].bag, node.vertex)
             if (
                 self.node_budget is not None
                 and len(self.dag.node_kind) > self.node_budget
@@ -318,8 +344,7 @@ class _BagBuilder:
                 )
             if self.deadline is not None:
                 self.deadline.check("d-DNNF bag compilation")
-            states[id(node)] = cur
-        root_states = states[id(friendly.root)]
-        # Root bag is empty: at most the single key ((), ∅) can survive.
-        assert set(root_states) <= {((), frozenset())}, "non-empty root bag?"
-        return root_states.get(((), frozenset()), FALSE)
+        (root_states,) = tables
+        # Root bag is empty: at most the single key (0, 0) can survive.
+        assert set(root_states) <= {(0, 0)}, "non-empty root bag?"
+        return root_states.get((0, 0), FALSE)

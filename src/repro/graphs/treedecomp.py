@@ -7,12 +7,11 @@ bag is empty, so every input gate (variable) is *forgotten exactly once*;
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "TreeDecomposition",
@@ -50,35 +49,31 @@ class TreeDecomposition:
 
     def validate(self, graph: nx.Graph) -> None:
         """Raise AssertionError unless this is a valid tree decomposition of
-        ``graph`` (coverage of vertices and edges + connectivity).
+        ``graph`` (a tree; coverage of vertices and edges; connectivity).
 
-        Runs in ``O(Σ|bag|)`` — one pass to index vertices, one pass over
-        tree edges for connectivity — so validation stays cheap even for
-        the thousands-of-bags decompositions of large circuits.
+        Runs in ``O(Σ|bag|)``: one breadth-first pass roots the tree, and
+        :func:`_check_cover` does the rest from each vertex's topmost bags.
         """
-        if self.tree.number_of_nodes() and not nx.is_tree(self.tree):
-            raise AssertionError("decomposition tree is not a tree")
-        occurrences: dict = {}  # vertex -> set of tree nodes whose bag has it
-        for n, b in self.bags.items():
-            for x in b:
-                occurrences.setdefault(x, set()).add(n)
-        covered = set(occurrences)
-        if set(graph.nodes) - covered:
-            raise AssertionError(f"vertices not covered: {set(graph.nodes) - covered}")
-        for u, v in graph.edges:
-            if u == v:
-                continue
-            if not (occurrences[u] & occurrences[v]):
-                raise AssertionError(f"edge {(u, v)} not covered")
-        # Connectivity: the tree nodes containing x induce a forest; they
-        # form one component iff #nodes - #induced-edges == 1.
-        induced_edges: dict = {x: 0 for x in covered}
-        for n1, n2 in self.tree.edges:
-            for x in self.bags[n1] & self.bags[n2]:
-                induced_edges[x] += 1
-        for x, occ in occurrences.items():
-            if len(occ) - induced_edges[x] != 1:
-                raise AssertionError(f"bags containing {x!r} are not connected")
+        adj = self.tree.adj
+        parent: dict = {}
+        if adj:
+            root = next(iter(adj))
+            parent[root] = None
+            order = [root]
+            for u in order:
+                for w in adj[u]:
+                    if w not in parent:
+                        parent[w] = u
+                        order.append(w)
+            # Connected with |V| - 1 edges (a self-loop counts as one).
+            if len(parent) != len(adj) or self.tree.number_of_edges() != len(adj) - 1:
+                raise AssertionError("decomposition tree is not a tree")
+        bags = self.bags
+        tops: list = []
+        for u, p in parent.items():
+            bag = bags[u]
+            tops.extend((x, bag) for x in (bag if p is None else bag - bags[p]))
+        _check_cover(graph, tops)
 
     # ------------------------------------------------------------------
     def make_nice(self, root: int | None = None) -> "NiceTreeDecomposition":
@@ -162,6 +157,36 @@ def _chain_from_empty(bag: frozenset) -> "NiceNode":
     return node
 
 
+def _check_cover(graph: nx.Graph, tops: Iterable[tuple[Hashable, frozenset]]) -> dict:
+    """Coverage and connectivity of a rooted tree decomposition of ``graph``.
+
+    ``tops`` holds ``(x, bag)`` for every tree node whose bag holds ``x``
+    and whose parent's bag does not (or which is the root): one pair per
+    connected piece of the nodes holding ``x``, so ``x``'s bags are
+    connected iff it has exactly one pair.  Two connected subtrees of a
+    rooted tree meet iff the top node of one lies in the other, so an edge
+    ``{u, v}`` is covered iff ``v`` is in ``u``'s top bag or ``u`` in
+    ``v``'s.  Connectivity is therefore checked before edges.  Returns the
+    top bag of every vertex (its keys are the decomposition's vertices).
+    """
+    top: dict = {}
+    split: list = []
+    for x, bag in tops:
+        if x in top:
+            split.append(x)
+        else:
+            top[x] = bag
+    missing = set(graph) - top.keys()
+    if missing:
+        raise AssertionError(f"vertices not covered: {missing}")
+    if split:
+        raise AssertionError(f"bags containing {split[0]!r} are not connected")
+    for u, v in graph.edges:
+        if u != v and v not in top[u] and u not in top[v]:
+            raise AssertionError(f"edge {(u, v)} not covered")
+    return top
+
+
 @dataclass(frozen=True)
 class NiceNode:
     """A node of a nice tree decomposition."""
@@ -218,35 +243,35 @@ class NiceTreeDecomposition:
     def leaves(self) -> list[NiceNode]:
         return [n for n in self.nodes() if n.kind == "leaf"]
 
-    def vertices(self) -> set:
-        out: set = set()
-        for n in self.nodes():
-            out |= n.bag
-        return out
-
     def validate(self, graph: nx.Graph) -> None:
+        """Raise AssertionError unless this is a valid tree decomposition of
+        ``graph`` with an empty root bag that forgets every vertex exactly
+        once.
+
+        One iterative pass over the (deep) tree, ``O(#nodes · w)`` for bags
+        of at most ``w`` vertices: it collects the forgotten vertices and,
+        for :func:`_check_cover`, each vertex's top bags.  In a nice tree a
+        bag only gains a vertex its parent lacks below a forget node, so
+        there are about as many top bags as forget nodes.
+        """
         if self.root.bag:
             raise AssertionError("root bag is not empty")
-        # Rebuild a plain decomposition and validate it (iteratively —
-        # nice trees are deep).
-        tree = nx.Graph()
-        bags: dict[int, frozenset] = {}
-        counter = itertools.count()
-        stack: list[tuple[NiceNode, int | None]] = [(self.root, None)]
+        forgotten: list = []
+        tops: list = []
+        stack: list[tuple[NiceNode, frozenset]] = [(self.root, frozenset())]
         while stack:
-            n, pid = stack.pop()
-            nid = next(counter)
-            bags[nid] = n.bag
-            tree.add_node(nid)
-            if pid is not None:
-                tree.add_edge(pid, nid)
-            stack.extend((c, nid) for c in n.children)
-        TreeDecomposition(tree, bags).validate(graph)
-        # Every vertex forgotten exactly once.
-        forgotten = [n.vertex for n in self.forget_nodes()]
+            n, above = stack.pop()
+            bag = n.bag
+            if n.kind == "forget":
+                forgotten.append(n.vertex)
+            if not bag <= above:
+                tops.extend((x, bag) for x in bag - above)
+            for c in n.children:
+                stack.append((c, bag))
+        top = _check_cover(graph, tops)
         if len(forgotten) != len(set(forgotten)):
             raise AssertionError("some vertex forgotten more than once")
-        if set(forgotten) != self.vertices():
+        if top.keys() != set(forgotten):
             raise AssertionError("some vertex never forgotten")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -268,9 +293,13 @@ class FriendlyTreeDecomposition(NiceTreeDecomposition):
     def __init__(self, root: NiceNode):
         super().__init__(root)
         responsible: dict[Hashable, NiceNode] = {}
-        counts: Counter[str] = Counter()
-        for n in self.nodes():
+        counts = dict.fromkeys(("leaf", "introduce", "forget", "join"), 0)
+        vertices: set = set()
+        stack = [root]
+        while stack:
+            n = stack.pop()
             counts[n.kind] += 1
+            vertices |= n.bag
             if n.kind == "forget":
                 if n.vertex in responsible:
                     raise ValueError(
@@ -278,11 +307,12 @@ class FriendlyTreeDecomposition(NiceTreeDecomposition):
                         "not a friendly decomposition"
                     )
                 responsible[n.vertex] = n
-        if responsible.keys() != self.vertices():
-            never = self.vertices() - responsible.keys()
+            stack.extend(n.children)
+        if responsible.keys() != vertices:
+            never = vertices - responsible.keys()
             raise ValueError(f"vertices never forgotten: {sorted(never, key=repr)[:5]}")
         self.responsible = responsible
-        self._kind_counts = dict(counts)
+        self._kind_counts = {k: c for k, c in counts.items() if c}
 
     def kind_counts(self) -> dict[str, int]:
         """Number of nodes per bag shape (``leaf``/``introduce``/``forget``/

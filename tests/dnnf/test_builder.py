@@ -134,6 +134,25 @@ class TestResultSurface:
         # Every gate is forgotten exactly once in a friendly decomposition.
         assert stats["bags_forget"] == chain_and_or(6).size
 
+    # Counters of the state walk and the DAG it builds, pinned: a change to
+    # how states are keyed or visited must not change what is built.
+    @pytest.mark.parametrize("circuit,expected,size", [
+        (lambda: grid(3, 4),
+         dict(states_peak=168, states_total=4917, or_merges=239,
+              pruned_unjustified=245, pruned_output=1, nodes=240), 224),
+        (lambda: ladder(8),
+         dict(states_peak=60, states_total=3573, or_merges=243,
+              pruned_unjustified=338, pruned_output=3, nodes=331), 297),
+        (lambda: chain_and_or(12),
+         dict(states_peak=12, states_total=407, or_merges=41,
+              pruned_unjustified=44, pruned_output=2, nodes=105), 98),
+    ], ids=["grid(3,4)", "ladder(8)", "chain_and_or(12)"])
+    def test_stats_are_pinned(self, circuit, expected, size):
+        r = build_ddnnf(circuit())
+        stats = r.stats()
+        assert {k: stats[k] for k in expected} == expected
+        assert r.size == size
+
     def test_constant_circuits(self):
         for value, expected in ((True, TRUE), (False, FALSE)):
             c = Circuit()
@@ -172,10 +191,10 @@ class TestDecompositionDeadline:
         assert ei.value.where == "tree decomposition"
 
     def test_high_width_lineage_times_out_promptly(self):
-        # The heuristic decomposition of this 686-gate lineage alone takes
-        # over a second; without safepoints between eliminations the call
-        # ran for 17 s before the first bag check noticed the deadline.
-        db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 5)
+        # The domain-6 d-DNNF compile takes seconds, far past the timeout,
+        # so the deadline must fire inside it, at a safepoint between
+        # eliminations or between bags.
+        db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 6)
         engine = QueryEngine(db, backend="ddnnf")
         query = parse_ucq("S(x,y),U(y,z),S(z,w)")
         start = time.perf_counter()

@@ -11,7 +11,7 @@ from repro.graphs.elimination import (
     min_fill_order,
     order_to_tree_decomposition,
 )
-from repro.graphs.treedecomp import NiceNode, TreeDecomposition
+from repro.graphs.treedecomp import NiceNode, NiceTreeDecomposition, TreeDecomposition
 
 
 def path_graph(n):
@@ -132,3 +132,77 @@ class TestNice:
             NiceNode("join", frozenset(), (NiceNode("leaf", frozenset(), ()),))
         with pytest.raises(ValueError):
             NiceNode("weird", frozenset(), ())
+
+
+def _chain(*steps):
+    """A hand-built nice path from a leaf: ``("introduce"|"forget", v)``
+    steps, bottom up; returns the top node."""
+    node = NiceNode("leaf", frozenset(), ())
+    for kind, v in steps:
+        bag = node.bag | {v} if kind == "introduce" else node.bag - {v}
+        node = NiceNode(kind, bag, (node,), vertex=v)
+    return node
+
+
+class TestValidateRejects:
+    """Each validator rejects a decomposition that breaks one rule."""
+
+    def test_non_empty_root(self):
+        nice = NiceTreeDecomposition(_chain(("introduce", "a")))
+        with pytest.raises(AssertionError, match="root bag is not empty"):
+            nice.validate(nx.empty_graph(["a"]))
+
+    def test_uncovered_vertex(self):
+        nice = NiceTreeDecomposition(_chain(("introduce", "a"), ("forget", "a")))
+        with pytest.raises(AssertionError, match="vertices not covered"):
+            nice.validate(nx.empty_graph(["a", "b"]))
+
+    def test_uncovered_edge(self):
+        left = _chain(("introduce", "a"), ("forget", "a"))
+        right = _chain(("introduce", "b"), ("forget", "b"))
+        nice = NiceTreeDecomposition(NiceNode("join", frozenset(), (left, right)))
+        with pytest.raises(AssertionError, match="edge .* not covered"):
+            nice.validate(nx.Graph([("a", "b")]))
+
+    def test_disconnected_occurrences(self):
+        # "a" lives in both branches but is forgotten only on the left.
+        left = _chain(("introduce", "a"), ("forget", "a"))
+        right = _chain(("introduce", "a"), ("introduce", "b"))
+        right = NiceNode("forget", frozenset(), (right,), vertex="b")
+        nice = NiceTreeDecomposition(NiceNode("join", frozenset(), (left, right)))
+        with pytest.raises(AssertionError, match="not connected"):
+            nice.validate(nx.Graph([("a", "b")]))
+
+    def test_vertex_forgotten_twice(self):
+        nice = NiceTreeDecomposition(
+            _chain(("introduce", "a"), ("forget", "a"), ("forget", "a"))
+        )
+        with pytest.raises(AssertionError, match="more than once"):
+            nice.validate(nx.empty_graph(["a"]))
+
+    def test_vertex_never_forgotten(self):
+        # The forget of "b" drops "a" from the bag too.
+        top = _chain(("introduce", "a"), ("introduce", "b"))
+        nice = NiceTreeDecomposition(
+            NiceNode("forget", frozenset(), (top,), vertex="b")
+        )
+        with pytest.raises(AssertionError, match="never forgotten"):
+            nice.validate(nx.Graph([("a", "b")]))
+
+    def test_well_formed_chain_passes(self):
+        nice = NiceTreeDecomposition(_chain(
+            ("introduce", "a"), ("introduce", "b"), ("forget", "a"), ("forget", "b"),
+        ))
+        nice.validate(nx.Graph([("a", "b")]))
+
+    def test_tree_with_a_cycle(self):
+        bags = {n: frozenset({0, 1}) for n in range(3)}
+        td = TreeDecomposition(nx.cycle_graph(3), bags)
+        with pytest.raises(AssertionError, match="not a tree"):
+            td.validate(nx.path_graph(2))
+
+    def test_two_component_forest(self):
+        tree = nx.empty_graph(2)
+        td = TreeDecomposition(tree, {0: frozenset({0, 1}), 1: frozenset({1})})
+        with pytest.raises(AssertionError, match="not a tree"):
+            td.validate(nx.path_graph(2))
