@@ -21,7 +21,7 @@ from repro.circuits.build import disjointness
 from repro.core.boolfunc import BooleanFunction
 from repro.core.sdd_compile import compile_canonical_sdd
 from repro.core.vtree import Vtree
-from repro.core.vtree_search import minimize_vtree
+from repro.core.vtree_search import minimize_vtree, sdd_size_objective
 from repro.obdd.ordering import best_order_exhaustive
 
 from .conftest import report
@@ -35,7 +35,7 @@ def test_search_beats_bad_starts(benchmark):
         f = BooleanFunction.random([f"v{i}" for i in range(5)], rng)
         start = Vtree.right_linear(sorted(f.variables))
         s0 = compile_canonical_sdd(f, start).size
-        best, _ = minimize_vtree(f, start=start, max_rounds=6)
+        best, _ = minimize_vtree(start, sdd_size_objective(f), max_rounds=6)
         improvements.append(s0 - best)
         rows.append([trial, s0, best, s0 - best])
     report(
@@ -45,7 +45,8 @@ def test_search_beats_bad_starts(benchmark):
     )
     assert all(i >= 0 for i in improvements)
     f = BooleanFunction.random([f"v{i}" for i in range(4)], rng)
-    benchmark(lambda: minimize_vtree(f, max_rounds=3))
+    start = Vtree.balanced(sorted(f.variables))
+    benchmark(lambda: minimize_vtree(start, sdd_size_objective(f), max_rounds=3))
 
 
 def test_vtrees_vs_orders_on_disjointness(benchmark):
@@ -60,7 +61,7 @@ def test_vtrees_vs_orders_on_disjointness(benchmark):
     obdd_as_vtree = compile_canonical_sdd(f, Vtree.right_linear(list(best_order))).size
     bad = Vtree.internal(Vtree.balanced(xs), Vtree.balanced(ys))
     bad_size = compile_canonical_sdd(f, bad).size
-    searched, _ = minimize_vtree(f, start=bad, max_rounds=8)
+    searched, _ = minimize_vtree(bad, sdd_size_objective(f), max_rounds=8)
     report(
         "Ablation / D_2: best order vs bad vtree vs searched vtree",
         ["variant", "canonical SDD size"],
@@ -72,7 +73,7 @@ def test_vtrees_vs_orders_on_disjointness(benchmark):
     )
     assert searched < bad_size
     assert searched <= obdd_as_vtree * 2
-    benchmark(lambda: minimize_vtree(f, start=bad, max_rounds=4))
+    benchmark(lambda: minimize_vtree(bad, sdd_size_objective(f), max_rounds=4))
 
 
 def test_balanced_vs_linear_defaults(benchmark):

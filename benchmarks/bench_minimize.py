@@ -1,19 +1,20 @@
 """Dynamic vtree minimization: in-manager search vs recompile-per-neighbor.
 
-The ROADMAP's dynamic-minimization item asks for Choi–Darwiche-style vtree
-search *during* compilation.  Before this PR both search loops evaluated a
-candidate by compiling the whole circuit from scratch in a fresh
-:class:`~repro.sdd.manager.SddManager` — O(|neighbors| × full-compile) per
-hill-climb round.  The in-manager search compiles **once** and transforms
-the live SDD with local rotations/swaps, so a candidate costs local
-re-normalization instead of a recompile.
+Two searches exist over the vtree's extra freedom.  The recompile
+baseline, :func:`repro.core.vtree_search.minimize_vtree` with
+:func:`~repro.core.vtree_search.apply_size_objective`, hill-climbs over
+local rotations/swaps and evaluates every candidate neighbor by compiling
+the whole circuit from scratch in a fresh
+:class:`~repro.sdd.manager.SddManager`: O(|neighbors| × full-compile) per
+round.  The in-manager search (:meth:`~repro.sdd.manager.SddManager.minimize`)
+compiles **once** and transforms the live SDD with the same local moves,
+so a candidate costs local re-normalization instead of a recompile.
 
 This bench runs both searches on four workload families (chain, ladder,
-grid, and a UCQ lineage) from the same start vtree and asserts the PR's
-acceptance criteria:
+grid, and a UCQ lineage) from the same start vtree and asserts:
 
 1. **Quality:** the in-manager search reaches an SDD at most as large as
-   the old search's final size (it is handed that size as an *anytime
+   the baseline's final size (it is handed that size as an *anytime
    target*, so the clock stops the moment quality is matched — the honest
    time-to-quality comparison).
 2. **Speed:** it gets there at ≥ ``SPEEDUP_FLOOR``× less wall-clock,
@@ -35,15 +36,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from repro.circuits.build import chain_and_or, grid, ladder
 from repro.compiler.strategies import natural_variable_order
 from repro.core.vtree import Vtree
+from repro.core.vtree_search import apply_size_objective, minimize_vtree
 from repro.queries.database import complete_database
 from repro.queries.lineage import lineage_circuit
 from repro.queries.syntax import parse_ucq
-from repro.sdd.compile import minimize_vtree_fresh
 from repro.sdd.manager import SddManager
 from repro.sdd.wmc import SddWmcEvaluator, exact_weights, float_weights
 
@@ -57,10 +56,10 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_minimize.json"
 # The acceptance floor: in-manager search must reach the baseline's SDD
 # size in at most 1/SPEEDUP_FLOOR of the baseline's wall-clock.
 SPEEDUP_FLOOR = 5.0
-# Hill-climb rounds given to the recompile-per-neighbor baseline (its
-# pre-PR default was 6; 3 keeps the bench short and it converges earlier
-# on every workload here) and sift rounds allowed to the in-manager
-# search (an upper bound — the anytime target stops it much earlier).
+# Hill-climb rounds given to the recompile-per-neighbor baseline (3 keeps
+# the bench short, and it converges earlier on every workload here) and
+# sift rounds allowed to the in-manager search (an upper bound — the
+# anytime target stops it much earlier).
 BASELINE_ROUNDS = 3
 SIFT_ROUNDS = 8
 
@@ -116,10 +115,10 @@ def probability_map(circuit):
 def run_workload(name, circuit, start_name, start):
     prob = probability_map(circuit)
 
-    # --- baseline: the old fresh-manager-per-neighbor hill climb -------
+    # --- baseline: the fresh-manager-per-neighbor hill climb -----------
     t0 = time.perf_counter()
-    baseline_size, _ = minimize_vtree_fresh(
-        circuit, start=start, max_rounds=BASELINE_ROUNDS, rng=np.random.default_rng(0)
+    baseline_size, _ = minimize_vtree(
+        start, apply_size_objective(circuit), max_rounds=BASELINE_ROUNDS
     )
     baseline_seconds = time.perf_counter() - t0
 
@@ -194,8 +193,8 @@ def run_benchmark(smoke: bool) -> list[dict]:
     report(
         f"dynamic vtree minimization: in-manager search vs "
         f"recompile-per-neighbor (floor {SPEEDUP_FLOOR}x)",
-        ["workload", "vars", "start", "old size", "old (s)",
-         "new size", "new (s)", "speedup", "moves"],
+        ["workload", "vars", "start", "recompile size", "recompile (s)",
+         "sift size", "sift (s)", "speedup", "moves"],
         rows,
     )
     return entries
@@ -229,8 +228,9 @@ def main(argv=None) -> int:
             "benchmark": "in-manager dynamic vtree minimization",
             "speedup_floor": SPEEDUP_FLOOR,
             "baseline": (
-                "minimize_vtree_fresh: hill climb recompiling every "
-                f"neighbor in a fresh manager, {BASELINE_ROUNDS} rounds"
+                "minimize_vtree with apply_size_objective: hill climb "
+                "recompiling every neighbor in a fresh manager, "
+                f"{BASELINE_ROUNDS} rounds"
             ),
             "in_manager": (
                 "SddManager.minimize: one compile, live rotate/swap sift "

@@ -14,7 +14,7 @@ The tentpole bench for :class:`~repro.service.QueryService`, two halves:
 
 2. **Concurrent sessions** — thousands of asyncio sessions hammer one
    threads-mode service at once, each retrying politely on
-   :exc:`~repro.service.admission.ServiceSaturated` (the bounded
+   :exc:`~repro.service.errors.ServiceSaturated` (the bounded
    in-flight window at work).  Reported: p50/p99 session latency, the
    answer-cache hit rate (asserted ``>= HIT_RATE_FLOOR`` — cross-session
    sharing is the point), admission rejections, and steals.  Every

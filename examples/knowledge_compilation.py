@@ -13,7 +13,7 @@ from repro.core.boolfunc import BooleanFunction
 from repro.core.nnf_compile import compile_canonical_nnf
 from repro.core.sdd_compile import compile_canonical_sdd
 from repro.core.vtree import Vtree
-from repro.core.vtree_search import minimize_vtree
+from repro.core.vtree_search import minimize_vtree, sdd_size_objective
 from repro.obdd.obdd import obdd_from_function
 
 
@@ -45,7 +45,7 @@ def main() -> None:
 
     # --- canonical SDD (+ dynamic vtree minimization) -------------------
     sdd = compile_canonical_sdd(f, t)
-    best, best_t = minimize_vtree(f, start=t, max_rounds=6)
+    best, _ = minimize_vtree(t, sdd_size_objective(f), max_rounds=6)
     print(f"S_(F,T): size {sdd.size}, sdw {sdd.sdw}; "
           f"after vtree search: size {best}")
 

@@ -140,13 +140,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         return 1
     from .core.nnf_compile import compile_canonical_nnf
     from .core.sdd_compile import compile_canonical_sdd
-    from .core.vtree_search import minimize_vtree
+    from .core.vtree_search import minimize_vtree, sdd_size_objective
     from .obdd.obdd import obdd_from_function
 
     f = circuit.function()
     t = _named_vtree(shape, vs)
     if t is None:
-        _, t = minimize_vtree(f, max_rounds=6)
+        _, t = minimize_vtree(Vtree.balanced(vs), sdd_size_objective(f), max_rounds=6)
     sdd = compile_canonical_sdd(f, t)
     nnf = compile_canonical_nnf(f, t)
     mgr, root = obdd_from_function(f)

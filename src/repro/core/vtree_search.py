@@ -9,9 +9,12 @@ implements the classical local vtree operations —
 - child swap (vtrees are ordered),
 - adjacent-leaf swap along the left-to-right order,
 
-— and a hill-climbing minimizer over them for any objective (``sdw``,
-``fiw``, SDD size).  The ablation bench E13 measures how much the extra
-flexibility buys over pure order search.
+— and :func:`minimize_vtree`, a hill climb over them that recompiles
+every neighbor under an objective (canonical SDD size or ``sdw`` of a
+small ``F``, apply-compiled SDD size of a circuit).  It is the baseline
+``benchmarks/bench_minimize.py`` times the in-manager sift against; the
+ablation bench E13 measures how much the extra flexibility buys over
+pure order search.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from typing import Callable, Iterator
 from .boolfunc import BooleanFunction
 from .sdd_compile import compile_canonical_sdd
 from .vtree import Vtree
+from ..circuits.circuit import Circuit
+from ..sdd.manager import sdd_from_circuit
 
 __all__ = [
     "rotate_left",
     "rotate_right",
     "neighbors",
     "minimize_vtree",
+    "apply_size_objective",
     "sdd_size_objective",
     "sdw_objective",
 ]
@@ -96,30 +102,36 @@ def sdw_objective(f: BooleanFunction) -> Callable[[Vtree], int]:
     return obj
 
 
+def apply_size_objective(circuit: Circuit) -> Callable[[Vtree], int]:
+    """SDD size of ``circuit`` compiled by apply in a fresh manager."""
+
+    def obj(t: Vtree) -> int:
+        mgr, root = sdd_from_circuit(circuit, t)
+        return mgr.size(root)
+
+    return obj
+
+
 def minimize_vtree(
-    f: BooleanFunction,
-    start: Vtree | None = None,
-    objective: Callable[[Vtree], int] | None = None,
+    start: Vtree,
+    objective: Callable[[Vtree], int],
+    *,
     max_rounds: int = 12,
 ) -> tuple[int, Vtree]:
     """Hill-climb over local vtree operations (dynamic-minimization style).
 
     Returns ``(best objective value, best vtree)``.  Deterministic: at each
-    round the best-improving neighbor is taken; stops at a local optimum.
+    round the best-improving neighbor is taken (the first one on ties);
+    stops at a local optimum or after ``max_rounds`` rounds.
     """
-    t = start if start is not None else Vtree.balanced(sorted(f.variables))
-    obj = objective if objective is not None else sdd_size_objective(f)
-    best_val = obj(t)
+    best_val, t = objective(start), start
     for _ in range(max_rounds):
-        improved = False
         best_neighbor: tuple[int, Vtree] | None = None
         for cand in neighbors(t):
-            val = obj(cand)
+            val = objective(cand)
             if best_neighbor is None or val < best_neighbor[0]:
                 best_neighbor = (val, cand)
-        if best_neighbor is not None and best_neighbor[0] < best_val:
-            best_val, t = best_neighbor
-            improved = True
-        if not improved:
+        if best_neighbor is None or best_neighbor[0] >= best_val:
             break
+        best_val, t = best_neighbor
     return best_val, t

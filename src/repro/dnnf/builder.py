@@ -68,6 +68,10 @@ __all__ = ["DdnnfResult", "build_ddnnf", "friendly_from_circuit"]
 # that gate is still suspicious.
 _StateKey = tuple[int, int]
 
+# Under a deadline the walk checks it once per this many child states, so
+# one wide bag cannot run far past the budget.
+_DEADLINE_STRIDE = 256
+
 
 def _wire_ok(kind_u: str, vu: bool, vh: bool) -> bool:
     """Per-wire consistency for gate ``u`` (kind ``kind_u``, value ``vu``)
@@ -164,7 +168,8 @@ def build_ddnnf(
     race backend's early abandon uses to cut off a candidate that can no
     longer win.  ``deadline`` is a
     :class:`~repro.service.errors.Deadline`-like token checked at the
-    same per-bag safepoints and between the eliminations of the tree
+    same per-bag safepoints, every ``_DEADLINE_STRIDE`` child states
+    inside a bag, and between the eliminations of the tree
     decomposition (its ``check()`` raises the typed
     :class:`~repro.service.errors.DeadlineExceeded`), giving the service
     tier cooperative wall-clock cancellation."""
@@ -192,6 +197,7 @@ class _BagBuilder:
         self.dag = dag
         self.node_budget = node_budget
         self.deadline = deadline
+        self._visited = 0  # child states read so far, for the deadline stride
         self.kinds = [g.kind for g in circuit.gates]
         self.inputs = [frozenset(g.inputs) for g in circuit.gates]
         self.payloads = [g.payload for g in circuit.gates]
@@ -204,6 +210,18 @@ class _BagBuilder:
         }
 
     # -- state-table plumbing -------------------------------------------
+    def _states(self, table: dict[_StateKey, int]):
+        """``table.items()``; under a deadline, checked every
+        ``_DEADLINE_STRIDE`` states counted across the whole walk."""
+        return table.items() if self.deadline is None else self._checked(table)
+
+    def _checked(self, table: dict[_StateKey, int]):
+        for item in table.items():
+            self._visited += 1
+            if self._visited % _DEADLINE_STRIDE == 0:
+                self.deadline.check("d-DNNF bag compilation")
+            yield item
+
     def _finalize(self, acc: dict[_StateKey, list[int]]) -> dict[_StateKey, int]:
         """Collapse accumulated per-key node lists with deterministic ORs."""
         out: dict[_StateKey, int] = {}
@@ -246,7 +264,7 @@ class _BagBuilder:
         # S bit of g if g turns suspicious) per consistent value of g.
         verdicts: dict[int, list[tuple[int, int, int]]] = {}
         acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
-        for (nu, suspicious), node in child.items():
+        for (nu, suspicious), node in self._states(child):
             m = nu & wire_mask
             outcomes = verdicts.get(m)
             if outcomes is None:
@@ -285,7 +303,7 @@ class _BagBuilder:
         bit = 1 << sum(1 for h in bag if h < g)
         low = bit - 1
         acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
-        for (nu, suspicious), node in child.items():
+        for (nu, suspicious), node in self._states(child):
             if suspicious & bit:
                 # All wires incident to g are covered below this (its
                 # responsible) bag; an unjustified guess can never recover.
@@ -308,10 +326,10 @@ class _BagBuilder:
         self, left: dict[_StateKey, int], right: dict[_StateKey, int]
     ) -> dict[_StateKey, int]:
         by_nu: dict[int, list[tuple[int, int]]] = {}
-        for (nu, s_l), n_l in left.items():
+        for (nu, s_l), n_l in self._states(left):
             by_nu.setdefault(nu, []).append((s_l, n_l))
         acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
-        for (nu, s_r), n_r in right.items():
+        for (nu, s_r), n_r in self._states(right):
             for s_l, n_l in by_nu.get(nu, ()):
                 node = self.dag.conjoin((n_l, n_r))
                 if node != FALSE:

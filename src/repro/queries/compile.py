@@ -157,7 +157,7 @@ def compile_lineage_ddnnf(query: UCQ, db: Database, *, deadline=None):
     Returns the :class:`~repro.dnnf.builder.DdnnfResult`; pair it with
     :func:`repro.dnnf.wmc.probability` or hand both to
     :func:`repro.queries.evaluate.probability_via_ddnnf`.  ``deadline``
-    cancels cooperatively at the per-bag safepoints.
+    cancels cooperatively at the bag walk's safepoints.
     """
     from ..dnnf.builder import build_ddnnf
 

@@ -1,14 +1,11 @@
-"""Apply-based SDD manager and circuit-level compilation helpers.
+"""Apply-based SDD manager and weighted model counting.
 
-Public names resolve on first access (see :mod:`repro._lazy`): the
-manager and WMC load without the numpy-based vtree search in
-:mod:`repro.sdd.compile`.
+Public names resolve on first access (see :mod:`repro._lazy`).
 """
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".compile": ("compile_with_vtree", "minimize_vtree_for_circuit", "minimize_vtree_fresh"),
     ".manager": ("SddManager", "sdd_from_circuit"),
     ".wmc": (
         "SddWmcEvaluator",

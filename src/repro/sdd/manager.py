@@ -1391,7 +1391,6 @@ class SddManager(SddNodeTable):
         budget: int | None = None,
         max_growth: float = 1.5,
         rounds: int = 2,
-        node_order: Sequence[int] | None = None,
         target_size: int | None = None,
     ) -> dict[int, int]:
         """Sifting-style dynamic vtree search over the live SDD.
@@ -1417,11 +1416,10 @@ class SddManager(SddNodeTable):
         best shape restores a snapshot and costs no move, so the search
         never strands the tree in a worse position).  ``rounds`` bounds
         the number of full passes; the search stops early at a fixpoint.
-        ``node_order`` restricts a pass to the given vtree node indices
-        (the circuit-level search uses this to subsample).  ``target_size``
-        makes the search *anytime*: it returns as soon as the pinned size
-        reaches the target (used to measure time-to-quality against the
-        recompile-per-neighbor baseline).
+        ``target_size`` makes the search *anytime*: it returns as soon as
+        the pinned size reaches the target (used to measure time-to-quality
+        against the recompile-per-neighbor baseline,
+        :func:`repro.core.vtree_search.minimize_vtree`).
 
         Returns the composed old→new id mapping over every move applied —
         callers holding node ids (including ids pinned on their behalf)
@@ -1473,13 +1471,9 @@ class SddManager(SddNodeTable):
             return composed
         for _ in range(rounds):
             round_start = size
-            if node_order is not None:
-                order = [i for i in node_order if self.v_left[i] is not None]
-            else:
-                order = [
-                    i for i in range(len(self.v_nodes))
-                    if self.v_left[i] is not None
-                ]
+            order = [
+                i for i in range(len(self.v_nodes)) if self.v_left[i] is not None
+            ]
             # Thinnest element buckets first: their moves are cheapest
             # (re-normalization cost is the bucket size) and empirically
             # carry most of the improvement — high-width shapes keep their

@@ -19,24 +19,17 @@ pool:
   steal schedule.
 
 Everything here is plain bookkeeping under the service's lock; no
-threading primitives of its own.  The exception types themselves live in
-:mod:`repro.service.errors` (the consolidated picklable hierarchy) and
-are re-exported here for backwards compatibility.
+threading primitives of its own.  The exception types live in
+:mod:`repro.service.errors` (the consolidated picklable hierarchy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AdmissionError, QuotaExceeded, ServiceSaturated
+from .errors import QuotaExceeded, ServiceSaturated
 
-__all__ = [
-    "AdmissionError",
-    "ServiceSaturated",
-    "QuotaExceeded",
-    "AdmissionController",
-    "Session",
-]
+__all__ = ["AdmissionController", "Session"]
 
 
 @dataclass

@@ -50,7 +50,7 @@ class Deadline:
     query tiers construct one per query, and the compilers call
     :meth:`check` at their safepoints (between gates in
     :meth:`~repro.sdd.manager.SddManager.compile_circuit` and its
-    pairwise folds, between bags in
+    pairwise folds, between bags and every 256 states inside a bag in
     :func:`~repro.dnnf.builder.build_ddnnf`) and between the eliminations
     of the tree decomposition the d-DNNF builder starts from.  The
     compilers never import
@@ -127,9 +127,10 @@ class DeadlineExceeded(ServiceError):
     """A query's wall-clock deadline expired mid-work.
 
     Raised cooperatively at the compilation safepoints (between gates in
-    the apply pipeline, between bags in the d-DNNF builder, between
-    eliminations of its tree decomposition) and before dispatching a
-    task whose deadline already passed while it sat in a queue.
+    the apply pipeline, between and inside bags in the d-DNNF builder,
+    between eliminations of its tree decomposition) and before
+    dispatching a task whose deadline already passed while it sat in a
+    queue.
     ``timeout`` is the budget that was granted (seconds); ``where``
     names the stage that noticed."""
 

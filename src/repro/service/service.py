@@ -17,9 +17,9 @@ sessions* onto one persistent :class:`~repro.service.pool.WorkerPool`:
   session's work answers another session's repeat instantly, and the
   hit/miss/eviction counters surface in :meth:`stats`;
 - **admission control** — a bounded in-flight window that *rejects* with
-  a retry hint (:exc:`~repro.service.admission.ServiceSaturated`) rather
+  a retry hint (:exc:`~repro.service.errors.ServiceSaturated`) rather
   than queueing unboundedly, and per-session compiled-node quotas
-  (:exc:`~repro.service.admission.QuotaExceeded`) charged from the
+  (:exc:`~repro.service.errors.QuotaExceeded`) charged from the
   canonical compiled sizes — deterministic for sequential submissions,
   independent of worker count or steal schedule.
 
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .admission import AdmissionController, ServiceSaturated, Session
-from .errors import DeadlineExceeded, PoolClosed
+from .admission import AdmissionController, Session
+from .errors import DeadlineExceeded, PoolClosed, ServiceSaturated
 from .pool import WorkerPool
 from .supervisor import RestartPolicy
 from ..compiler.cache import LruStatsCache, fingerprint

@@ -190,6 +190,29 @@ class TestDecompositionDeadline:
             build_ddnnf(ladder(20), deadline=expired)
         assert ei.value.where == "tree decomposition"
 
+    def test_bag_walk_checks_the_deadline_inside_bags(self):
+        """Besides once per bag, the walk checks a set deadline every 256
+        child states, so one wide bag cannot overrun it; the DAG is the
+        one built without a deadline."""
+
+        class CountingDeadline:
+            def __init__(self):
+                self.in_walk = 0
+
+            def check(self, where="compile"):
+                if where == "d-DNNF bag compilation":
+                    self.in_walk += 1
+
+        c = grid(3, 4)
+        plain = build_ddnnf(c)
+        counting = CountingDeadline()
+        timed = build_ddnnf(c, deadline=counting)
+        stats = plain.stats()
+        assert timed.stats() == stats
+        assert (timed.dag.node_kind, timed.root) == (plain.dag.node_kind, plain.root)
+        bags = sum(1 for _ in plain.friendly.root.nodes())
+        assert counting.in_walk - bags >= stats["states_total"] // 256 > 0
+
     def test_high_width_lineage_times_out_promptly(self):
         # The domain-6 d-DNNF compile takes seconds, far past the timeout,
         # so the deadline must fire inside it, at a safepoint between

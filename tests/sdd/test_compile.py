@@ -19,44 +19,27 @@ from repro.circuits.serialize import (
 )
 from repro.core.sdd_compile import compile_canonical_sdd
 from repro.core.vtree import Vtree
-from repro.sdd.compile import (
-    candidate_compilations,
-    compile_with_vtree,
-    minimize_vtree_for_circuit,
-)
+from repro.sdd.manager import sdd_from_circuit
 
 
 class TestCircuitVtreeSearch:
     def test_compile_with_vtree(self):
         c = chain_and_or(5)
-        mgr, root, size = compile_with_vtree(c, Vtree.balanced(sorted(c.variables)))
-        assert size == mgr.size(root)
+        mgr, root = sdd_from_circuit(c, Vtree.balanced(sorted(c.variables)))
         assert mgr.function(root, sorted(c.variables)) == c.function()
-
-    def test_candidates_sorted(self):
-        c = chain_and_or(5)
-        pairs = candidate_compilations(c)
-        sizes = [s for _, s in pairs]
-        assert sizes == sorted(sizes)
 
     def test_search_never_worse(self):
         c = disjointness(3)
         xs = [f"x{i}" for i in range(1, 4)]
         ys = [f"y{i}" for i in range(1, 4)]
         bad = Vtree.internal(Vtree.balanced(xs), Vtree.balanced(ys))
-        _, _, s0 = compile_with_vtree(c, bad)
-        best, t = minimize_vtree_for_circuit(c, start=bad, max_rounds=5)
+        mgr, root = sdd_from_circuit(c, bad)
+        s0 = mgr.size(mgr.pin(root))
+        root = mgr.minimize(rounds=5).get(root, root)
+        best = mgr.size(root)
         assert best <= s0
-        _, _, check = compile_with_vtree(c, t)
-        assert check == best
-
-    def test_neighbor_sampling_path(self):
-        rng = np.random.default_rng(0)
-        c = chain_and_or(5)
-        best, _ = minimize_vtree_for_circuit(
-            c, max_rounds=2, max_neighbors=3, rng=rng
-        )
-        assert best > 0
+        check, check_root = sdd_from_circuit(c, mgr.vtree)
+        assert check.size(check_root) == best
 
 
 class TestNnfSerialization:

@@ -8,8 +8,8 @@ Three layers:
   that model count, exact-Fraction WMC and ``evaluate()`` are bit-identical
   across *any* sequence of moves, and that the unique table stays canonical
   after rollbacks;
-- the RNG-threading determinism tests for the fresh-manager baseline
-  search (the per-round ``default_rng(0)`` reset regression).
+- a quality check of the sift against the recompile-per-neighbor hill
+  climb (:func:`repro.core.vtree_search.minimize_vtree`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.circuits.build import chain_and_or, disjointness, ladder
 from repro.circuits.random_circuits import random_circuit
 from repro.core.vtree import Vtree
-from repro.sdd.compile import minimize_vtree_for_circuit, minimize_vtree_fresh
+from repro.core.vtree_search import apply_size_objective, minimize_vtree
 from repro.sdd.manager import SddManager
 from repro.sdd.wmc import SddWmcEvaluator, exact_weights
 
@@ -179,10 +179,13 @@ class TestMinimize:
         with pytest.raises(ValueError, match="max_growth"):
             mgr.minimize(max_growth=0.5)
 
-    def test_node_order_restricts_the_pass(self):
+    def test_minimize_rejects_node_order(self):
+        """The sift always walks every internal vtree node; the subsampling
+        ``node_order`` argument is gone with its only caller."""
         c = chain_and_or(8)
-        mgr, root, _ = compiled(c)
-        mgr.minimize(rounds=1, node_order=[])
+        mgr, _, _ = compiled(c)
+        with pytest.raises(TypeError, match="node_order"):
+            mgr.minimize(rounds=1, node_order=[])
         assert mgr.stats()["vtree_moves"] == 0
 
 
@@ -224,68 +227,20 @@ class TestMinimize:
 
 class TestInManagerCircuitSearch:
     def test_matches_fresh_search_quality(self):
-        """The rewritten search must reach at most the old baseline's size
-        (the benchmark's acceptance criterion in miniature)."""
+        """The in-manager sift must reach at most the recompile baseline's
+        size (the benchmark's acceptance criterion in miniature)."""
         c = disjointness(3)
         xs = [f"x{i}" for i in range(1, 4)]
         ys = [f"y{i}" for i in range(1, 4)]
         bad = Vtree.internal(Vtree.balanced(xs), Vtree.balanced(ys))
-        fresh_size, _ = minimize_vtree_fresh(c, start=bad, max_rounds=4)
-        in_mgr_size, t = minimize_vtree_for_circuit(c, start=bad, max_rounds=4)
+        fresh_size, _ = minimize_vtree(bad, apply_size_objective(c), max_rounds=4)
+        mgr, root, _ = compiled(c, bad)
+        root = mgr.minimize(rounds=4).get(root, root)
+        in_mgr_size = mgr.size(root)
         assert in_mgr_size <= fresh_size
-        # returned vtree really compiles to the reported size
-        mgr = SddManager(t)
-        assert mgr.size(mgr.compile_circuit(c)) == in_mgr_size
-
-    def test_fresh_search_threads_one_rng_across_rounds(self):
-        """Satellite regression: the old code re-created
-        ``default_rng(0)`` inside the round loop, so every round sampled
-        the same neighbor indices.  With one generator threaded through,
-        successive rounds draw successive (distinct) samples."""
-
-        class RecordingRng:
-            def __init__(self, seed):
-                self._gen = np.random.default_rng(seed)
-                self.draws: list[tuple[int, ...]] = []
-
-            def choice(self, n, size, replace):
-                out = self._gen.choice(n, size=size, replace=replace)
-                self.draws.append(tuple(int(x) for x in out))
-                return out
-
-        c = disjointness(3)
-        xs = [f"x{i}" for i in range(1, 4)]
-        ys = [f"y{i}" for i in range(1, 4)]
-        bad = Vtree.internal(Vtree.balanced(xs), Vtree.balanced(ys))
-        rec = RecordingRng(seed=7)
-        minimize_vtree_fresh(c, start=bad, max_rounds=4, max_neighbors=6, rng=rec)
-        assert len(rec.draws) >= 2, "search should run multiple sampled rounds"
-        assert len(set(rec.draws)) > 1, (
-            "per-round RNG reset regression: every round sampled the same "
-            "neighbor indices"
-        )
-
-    def test_fresh_search_deterministic_for_a_seed(self):
-        c = disjointness(3)
-        runs = [
-            minimize_vtree_fresh(
-                c, max_rounds=3, max_neighbors=5, rng=np.random.default_rng(42)
-            )
-            for _ in range(2)
-        ]
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
-
-    def test_in_manager_search_deterministic_for_a_seed(self):
-        c = disjointness(3)
-        runs = [
-            minimize_vtree_for_circuit(
-                c, max_rounds=3, max_neighbors=3, rng=np.random.default_rng(42)
-            )
-            for _ in range(2)
-        ]
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
+        # the sifted vtree really compiles to the reported size
+        fresh = SddManager(mgr.vtree)
+        assert fresh.size(fresh.compile_circuit(c)) == in_mgr_size
 
 
 @st.composite

@@ -47,12 +47,13 @@ class TestHierarchy:
         # callers catching that must keep working.
         assert isinstance(PoolClosed(), RuntimeError)
 
-    def test_admission_module_reexports(self):
+    def test_admission_module_exports_only_its_own_names(self):
+        """The error types are imported from ``errors``; ``admission``
+        no longer re-exports them."""
         from repro.service import admission
 
-        assert admission.ServiceSaturated is ServiceSaturated
-        assert admission.QuotaExceeded is QuotaExceeded
-        assert admission.AdmissionError is AdmissionError
+        assert admission.__all__ == ["AdmissionController", "Session"]
+        assert not hasattr(admission, "AdmissionError")
 
     def test_package_reexports(self):
         import repro.service as service

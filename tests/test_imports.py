@@ -102,7 +102,8 @@ def test_cli_help_lists_every_subcommand():
 
 
 RETIRED = ("PipelineResult", "compile_circuit", "compile_circuit_apply", "probability_via_sdd",
-           "evaluate_many", "nnf_dumps", "nnf_loads")
+           "evaluate_many", "nnf_dumps", "nnf_loads", "compile_with_vtree",
+           "candidate_compilations", "minimize_vtree_for_circuit", "minimize_vtree_fresh")
 
 
 def test_retired_front_doors_are_gone():
@@ -110,9 +111,10 @@ def test_retired_front_doors_are_gone():
     ``QueryEngine``, and parallel batches run on one pool: the old shims
     and the per-batch executor options are gone, not carried."""
     out = run_python("-c", textwrap.dedent(f"""
-        import importlib
-        for module in ("repro", "repro.core", "repro.core.pipeline", "repro.queries",
-                       "repro.queries.evaluate", "repro.circuits.serialize"):
+        import importlib, importlib.util
+        for module in ("repro", "repro.core", "repro.core.pipeline", "repro.core.vtree_search",
+                       "repro.queries", "repro.queries.evaluate", "repro.circuits.serialize",
+                       "repro.sdd", "repro.sdd.manager"):
             mod = importlib.import_module(module)
             for name in {RETIRED!r}:
                 assert not hasattr(mod, name), (module, name)
@@ -122,6 +124,7 @@ def test_retired_front_doors_are_gone():
                     pass
                 else:
                     raise AssertionError((module, name))
+        assert importlib.util.find_spec("repro.sdd.compile") is None
         from repro.queries import ParallelQueryEngine, QueryEngine, complete_database, parse_ucq
         db = complete_database({{"R": 1}}, 2)
         q = parse_ucq("R(x)")
