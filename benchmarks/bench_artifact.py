@@ -94,16 +94,22 @@ def run_load_vs_recompile(rounds: int, tmp_dir: Path) -> dict:
     t0 = time.perf_counter()
     for _ in range(rounds):
         warm = QueryEngine(db, frozen=path)
-        for q in qs:
-            assert warm.cached_root(q) is not None, "artifact missing a root"
+        try:
+            for q in qs:
+                assert warm.cached_root(q) is not None, "artifact missing a root"
+        finally:
+            warm.close()
     warm_s = time.perf_counter() - t0
 
     check = QueryEngine(db, frozen=path)
-    got = [check.probability(q) for q in qs]
+    try:
+        got = [check.probability(q) for q in qs]
+        stats = check.stats()
+    finally:
+        check.close()
     assert [repr(g) for g in got] == [repr(e) for e in expect], (
         "artifact answers diverged from live compile"
     )
-    stats = check.stats()
     assert stats["cache_misses"] == 0, "warm engine recompiled something"
     assert stats["frozen_hits"] >= len(qs)
 

@@ -32,8 +32,10 @@ reading ``repro.Compiler`` (or ``from repro import Compiler``) imports
 the defining module then.  The subpackages :mod:`repro.core`,
 :mod:`repro.circuits`, :mod:`repro.sdd`, :mod:`repro.obdd` and
 :mod:`repro.queries` export the same way, so the query, serving and
-artifact path never loads numpy or networkx; only the truth-table and
-tree-decomposition code does.
+artifact path never loads numpy or networkx; only the truth-table code
+and the analysis modules (path decompositions, Proposition 2's widths,
+CNF encodings) do.  The tree decompositions that ``Compiler.compile``
+builds run on plain int adjacency lists.
 """
 
 from ._lazy import lazy_exports

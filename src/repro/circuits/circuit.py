@@ -232,22 +232,32 @@ class Circuit:
                 g.add_edge(i, gid)
         return g
 
-    def graph(self) -> nx.Graph:
+    def adjacency(self) -> list[list[int]]:
         """The undirected graph underlying the DAG (treewidth is taken of
-        this graph, per Definition of circuit treewidth)."""
+        this graph, per Definition of circuit treewidth) as an int
+        adjacency list: ``adjacency()[g]`` lists ``g``'s inputs ascending,
+        then the gates ``g`` feeds ascending, each once.
+
+        This is the compile path's graph (see
+        :mod:`repro.graphs.treedecomp`); it needs no networkx.
+        """
+        inputs = [sorted(set(gate.inputs)) for gate in self.gates]
+        adj = [list(ins) for ins in inputs]
+        for gid, ins in enumerate(inputs):
+            for i in ins:
+                adj[i].append(gid)
+        return adj
+
+    def graph(self) -> nx.Graph:
+        """:meth:`adjacency` as a networkx graph, whose neighbour order is
+        the adjacency's."""
         import networkx as nx
 
-        # Edges go in as ``nx.Graph(self.digraph())`` would add them (each
-        # gate, then the gates it feeds in id order), so every adjacency
-        # lists its neighbours in the same order and the elimination
-        # heuristics break ties the same way.
-        fanout: list[list[int]] = [[] for _ in self.gates]
-        for gid, gate in enumerate(self.gates):
-            for i in gate.inputs:
-                fanout[i].append(gid)
         g = nx.Graph()
         g.add_nodes_from(range(len(self.gates)))
-        g.add_edges_from((u, v) for u, outs in enumerate(fanout) for v in outs)
+        g.add_edges_from(
+            (u, v) for u, neighbours in enumerate(self.adjacency()) for v in neighbours if u < v
+        )
         return g
 
     # ------------------------------------------------------------------

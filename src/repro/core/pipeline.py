@@ -60,7 +60,7 @@ def vtree_from_circuit(
     variables = circuit.variables
     if not variables:
         raise ValueError("circuit has no variables; constants need no vtree")
-    graph = circuit.graph()
+    graph = circuit.adjacency()
     if decomposition is None:
         decomposition = tree_decomposition(graph, exact)
     decomposition.validate(graph)
@@ -74,27 +74,26 @@ def vtree_from_circuit(
     }
     dummy_counter = itertools.count()
 
-    # Iterative postorder over the (deep) nice tree; Vtrees keyed by object
-    # identity of the nice node they were built for.
-    built: dict[int, Vtree | None] = {}
-    for node in nice.root.nodes():
+    # The nice tree's lists are in postorder: built[i] is the vtree (or
+    # None) for nice node i, and children come before parents.
+    built: list[Vtree | None] = []
+    for kind, g, children in zip(nice.kind, nice.vertex, nice.children):
         out: Vtree | None
-        if node.kind == "leaf":
+        if kind == "leaf":
             out = None if prune_dummies else Vtree.leaf(f"__dummy{next(dummy_counter)}__")
-        elif node.kind == "join":
-            l = built[id(node.children[0])]
-            r = built[id(node.children[1])]
+        elif kind == "join":
+            l, r = built[children[0]], built[children[1]]
             out = l if r is None else (r if l is None else Vtree.internal(l, r))
         else:
-            out = built[id(node.children[0])]
-            if node.kind == "forget" and node.vertex in var_of_gate:
-                x_leaf = Vtree.leaf(str(var_of_gate[node.vertex]))
+            out = built[children[0]]
+            if kind == "forget" and g in var_of_gate:
+                x_leaf = Vtree.leaf(str(var_of_gate[g]))
                 out = x_leaf if out is None else Vtree.internal(out, x_leaf)
             # introduce nodes and forgets of non-variable gates are unary:
             # contract.
-        built[id(node)] = out
+        built.append(out)
 
-    vtree = built[id(nice.root)]
+    vtree = built[-1]
     assert vtree is not None, "circuit with variables must yield a vtree"
     if prune_dummies:
         vtree = vtree.prune_to(set(map(str, variables)))

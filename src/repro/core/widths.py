@@ -181,10 +181,8 @@ def prop2_tree_decomposition(compiled: CompiledNNF | CompiledSDD) -> Prop2Result
         struct_map.setdefault(id(v), []).append(gate)
 
     parents = _parents(root)
-    tree = nx.Graph()
-    bags: dict[int, frozenset] = {}
+    bags: list[frozenset] = []
     index: dict[int, int] = {}
-    counter = 0
     for v in vtree.nodes():
         bag: set[int] = set()
         for gate in struct_map.get(id(v), []):
@@ -193,23 +191,21 @@ def prop2_tree_decomposition(compiled: CompiledNNF | CompiledSDD) -> Prop2Result
                 bag.add(id(c))
             for parent in parents.get(id(gate), []):
                 bag.add(id(parent))
-        bags[counter] = frozenset(bag)
-        index[id(v)] = counter
-        tree.add_node(counter)
-        counter += 1
+        index[id(v)] = len(bags)
+        bags.append(frozenset(bag))
+    # Postorder: every vtree node's bag comes after its children's, and
+    # the root's is last.
+    parent_bag = [-1] * len(bags)
     for v in vtree.nodes():
         if not v.is_leaf:
             assert v.left is not None and v.right is not None
-            tree.add_edge(index[id(v)], index[id(v.left)])
-            tree.add_edge(index[id(v)], index[id(v.right)])
+            parent_bag[index[id(v.left)]] = parent_bag[index[id(v.right)]] = index[id(v)]
+    root_bag_id = index[id(vtree)]
     # Sweep up any nodes not adjacent to a structured AND gate (constants,
     # literal roots, singleton chains): put them in the root bag.
-    covered: set[int] = set()
-    for b in bags.values():
-        covered |= set(b)
+    covered: set[int] = set().union(*bags)
     missing = {id(n) for n in root.nodes()} - covered
     if missing:
-        root_bag_id = index[id(vtree)]
         bags[root_bag_id] = bags[root_bag_id] | frozenset(missing)
     # Connectivity closure (T3): a gate with an ∅-variable child (a
     # replicated constant) is structured at the *first* postorder vtree
@@ -219,13 +215,12 @@ def prop2_tree_decomposition(compiled: CompiledNNF | CompiledSDD) -> Prop2Result
     # vertex to every bag on the tree paths between its occurrences (the
     # Steiner closure of the occurrence set); only the degenerate gates
     # travel, so bags grow by O(1) per such gate.
-    root_bag_id = index[id(vtree)]
-    parent_bag = dict(nx.bfs_predecessors(tree, root_bag_id))
-    depth_bag = {
-        n: d for d, layer in enumerate(nx.bfs_layers(tree, root_bag_id)) for n in layer
-    }
+    depth_bag = [0] * len(bags)
+    for b in reversed(range(len(bags))):
+        if b != root_bag_id:
+            depth_bag[b] = depth_bag[parent_bag[b]] + 1
     occurrences: dict[int, set[int]] = {}
-    for b, bag in bags.items():
+    for b, bag in enumerate(bags):
         for x in bag:
             occurrences.setdefault(x, set()).add(b)
     for x, occ in occurrences.items():
@@ -239,7 +234,7 @@ def prop2_tree_decomposition(compiled: CompiledNNF | CompiledSDD) -> Prop2Result
                 bags[p] = bags[p] | frozenset({x})
                 members.add(p)
             frontier.add(p)
-    return Prop2Result(decomposition=TreeDecomposition(tree, bags), graph=graph, root=root)
+    return Prop2Result(decomposition=TreeDecomposition(bags, parent_bag), graph=graph, root=root)
 
 
 def _replicate_constants(root: NNF) -> NNF:

@@ -4,7 +4,7 @@ See ``README.md`` in this directory for the friendly-bag / responsible-bag /
 suspicious-gate glossary and the mapping to arXiv 1811.02944 §5.1.
 
 Public names resolve on first access (see :mod:`repro._lazy`): the DAG
-and its WMC load without the builder's tree decompositions (networkx).
+and its WMC load without the builder and its tree decompositions.
 """
 
 from .._lazy import lazy_exports

@@ -41,7 +41,11 @@ The moving parts (see ``src/repro/dnnf/README.md`` for the glossary):
   the suspicious sets intersect (justified on either side is justified).
 
 Whenever two states collapse onto the same ``(ν, S)`` key they are merged
-with a deterministic OR: for a fixed assignment of the committed variables
+with a deterministic OR.  A table being built maps each key to its first
+node; a key that collides gets an entry in a side table listing all its
+nodes, and once the table is complete the ORs are built in the order the
+keys first appeared, so node ids do not depend on when keys collided.
+The merge is sound: for a fixed assignment of the committed variables
 and a fixed ``ν``, the values of *all* gates below are forced by wire
 consistency, so ``S`` is forced too — distinct colliding states have
 pairwise disjoint models.  The same argument gives smoothness (every state
@@ -52,7 +56,6 @@ the circuit's models over *all* its variables.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -105,7 +108,8 @@ def friendly_from_circuit(
     exact: bool | None = None,
     deadline=None,
 ) -> FriendlyTreeDecomposition:
-    """The friendly decomposition of the circuit's gate graph.
+    """The friendly decomposition of the circuit's gate graph
+    (:meth:`~repro.circuits.circuit.Circuit.adjacency`).
 
     Shares :func:`repro.core.pipeline.vtree_from_circuit`'s selection rule,
     :func:`repro.graphs.exact_tw.tree_decomposition`: ``exact=None`` picks
@@ -113,7 +117,7 @@ def friendly_from_circuit(
     heuristics otherwise.  ``deadline`` is checked between the heuristics'
     eliminations.
     """
-    graph = circuit.graph()
+    graph = circuit.adjacency()
     if decomposition is None:
         decomposition = tree_decomposition(graph, exact, deadline)
     decomposition.validate(graph)
@@ -182,6 +186,20 @@ def build_ddnnf(
     return DdnnfResult(circuit, dag, root, friendly, builder.counters)
 
 
+def _collide(
+    out: dict[_StateKey, int],
+    colliding: dict[_StateKey, list[int]],
+    key: _StateKey,
+    node: int,
+) -> None:
+    """Note ``node`` under a ``key`` that ``out`` already holds."""
+    nodes = colliding.get(key)
+    if nodes is None:
+        colliding[key] = [out[key], node]
+    else:
+        nodes.append(node)
+
+
 class _BagBuilder:
     """The (ν, S)-state walk; one instance per compilation."""
 
@@ -222,13 +240,17 @@ class _BagBuilder:
                 self.deadline.check("d-DNNF bag compilation")
             yield item
 
-    def _finalize(self, acc: dict[_StateKey, list[int]]) -> dict[_StateKey, int]:
-        """Collapse accumulated per-key node lists with deterministic ORs."""
-        out: dict[_StateKey, int] = {}
-        for key, nodes in acc.items():
-            if len(nodes) > 1:
-                self.counters["or_merges"] += 1
-            out[key] = nodes[0] if len(nodes) == 1 else self.dag.disjoin(nodes)
+    def _merge(
+        self, out: dict[_StateKey, int], colliding: dict[_StateKey, list[int]]
+    ) -> dict[_StateKey, int]:
+        """Finish a table: every key in ``colliding`` gets the deterministic
+        OR of its nodes, built in the order of ``out``'s keys."""
+        if colliding:
+            self.counters["or_merges"] += len(colliding)
+            for key in out:
+                nodes = colliding.get(key)
+                if nodes is not None:
+                    out[key] = self.dag.disjoin(nodes)
         self.counters["states_peak"] = max(self.counters["states_peak"], len(out))
         self.counters["states_total"] += len(out)
         return out
@@ -241,7 +263,7 @@ class _BagBuilder:
         self, child: dict[_StateKey, int], bag: frozenset, g: int
     ) -> dict[_StateKey, int]:
         if not child:
-            return self._finalize({})
+            return self._merge({}, {})
         kind = self.kinds[g]
         g_inputs = self.inputs[g]
         candidates = (bool(self.payloads[g]),) if kind == CONST else (False, True)
@@ -263,7 +285,8 @@ class _BagBuilder:
         # masked valuation, a list of (ν bit of g, S bits justified by g,
         # S bit of g if g turns suspicious) per consistent value of g.
         verdicts: dict[int, list[tuple[int, int, int]]] = {}
-        acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
+        out: dict[_StateKey, int] = {}
+        colliding: dict[_StateKey, list[int]] = {}
         for (nu, suspicious), node in self._states(child):
             m = nu & wire_mask
             outcomes = verdicts.get(m)
@@ -289,20 +312,25 @@ class _BagBuilder:
             nu_rest = (nu & low) | ((nu & ~low) << 1)
             s_rest = (suspicious & low) | ((suspicious & ~low) << 1)
             for v_bit, cleared, suspect in outcomes:
-                acc[nu_rest | v_bit, (s_rest & ~cleared) | suspect].append(node)
-        return self._finalize(acc)
+                key = (nu_rest | v_bit, (s_rest & ~cleared) | suspect)
+                if key in out:
+                    _collide(out, colliding, key, node)
+                else:
+                    out[key] = node
+        return self._merge(out, colliding)
 
     def _forget(
         self, child: dict[_StateKey, int], bag: frozenset, g: int
     ) -> dict[_StateKey, int]:
         if not child:
-            return self._finalize({})
+            return self._merge({}, {})
         kind = self.kinds[g]
         name = str(self.payloads[g])
         is_output = g == self.circuit.output
         bit = 1 << sum(1 for h in bag if h < g)
         low = bit - 1
-        acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
+        out: dict[_StateKey, int] = {}
+        colliding: dict[_StateKey, list[int]] = {}
         for (nu, suspicious), node in self._states(child):
             if suspicious & bit:
                 # All wires incident to g are covered below this (its
@@ -319,8 +347,11 @@ class _BagBuilder:
                 (nu & low) | ((nu >> 1) & ~low),
                 (suspicious & low) | ((suspicious >> 1) & ~low),
             )
-            acc[key].append(node)
-        return self._finalize(acc)
+            if key in out:
+                _collide(out, colliding, key, node)
+            else:
+                out[key] = node
+        return self._merge(out, colliding)
 
     def _join(
         self, left: dict[_StateKey, int], right: dict[_StateKey, int]
@@ -328,28 +359,34 @@ class _BagBuilder:
         by_nu: dict[int, list[tuple[int, int]]] = {}
         for (nu, s_l), n_l in self._states(left):
             by_nu.setdefault(nu, []).append((s_l, n_l))
-        acc: defaultdict[_StateKey, list[int]] = defaultdict(list)
+        out: dict[_StateKey, int] = {}
+        colliding: dict[_StateKey, list[int]] = {}
         for (nu, s_r), n_r in self._states(right):
             for s_l, n_l in by_nu.get(nu, ()):
                 node = self.dag.conjoin((n_l, n_r))
                 if node != FALSE:
-                    acc[nu, s_l & s_r].append(node)
-        return self._finalize(acc)
+                    key = (nu, s_l & s_r)
+                    if key in out:
+                        _collide(out, colliding, key, node)
+                    else:
+                        out[key] = node
+        return self._merge(out, colliding)
 
     # -- the walk --------------------------------------------------------
     def run(self, friendly: FriendlyTreeDecomposition) -> int:
-        # The walk is postorder, so a node's child tables are the last ones
-        # pushed (a join's right child on top).
+        # The lists are in postorder, so a node's child tables are the last
+        # ones pushed (a join's right child on top).
         tables: list[dict[_StateKey, int]] = []
-        for node in friendly.root.nodes():  # iterative postorder
-            if node.kind == "leaf":
+        bag = friendly.bag
+        for kind, g, children in zip(friendly.kind, friendly.vertex, friendly.children):
+            if kind == "leaf":
                 tables.append({(0, 0): TRUE})
-            elif node.kind == "join":
+            elif kind == "join":
                 right = tables.pop()
                 tables[-1] = self._join(tables[-1], right)
             else:
-                step = self._introduce if node.kind == "introduce" else self._forget
-                tables[-1] = step(tables[-1], node.children[0].bag, node.vertex)
+                step = self._introduce if kind == "introduce" else self._forget
+                tables[-1] = step(tables[-1], bag[children[0]], g)
             if (
                 self.node_budget is not None
                 and len(self.dag.node_kind) > self.node_budget

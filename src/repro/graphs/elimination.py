@@ -6,8 +6,10 @@ standard greedy heuristics; both return valid tree decomposition orders
 (validated in tests against :meth:`TreeDecomposition.validate`).
 
 Everything here runs on a plain ``dict[vertex, set]`` adjacency copied
-once from the input graph, self-loops dropped, keys in the graph's node
-order.  One greedy loop serves both heuristics:
+once from the input graph (a networkx graph or an int adjacency list, see
+:func:`repro.graphs.treedecomp.graph_adjacency`), self-loops dropped, keys
+in the graph's node order.  No networkx is imported.  One greedy loop
+serves both heuristics:
 
 - **Tie-breaking.**  Each step eliminates the vertex with the smallest key,
   ``(degree, repr)`` for min-degree and ``(fill, degree, repr)`` for
@@ -23,7 +25,9 @@ order.  One greedy loop serves both heuristics:
   sees both ``a`` and ``b``.
 - **Bags.**  The loop records each bag ``{v} ∪ N(v)`` as it eliminates;
   :func:`heuristic_tree_decomposition` builds its tree from those bags
-  without eliminating again.
+  without eliminating again.  Bag ``i`` (of the ``i``-th eliminated
+  vertex) gets as parent the bag of its earliest-eliminated neighbour, so
+  parents have larger ids and the last bag is the root.
 - **Early abandon.**  :func:`heuristic_tree_decomposition` runs min-degree
   first and stops min-fill as soon as its running width reaches
   min-degree's.  Min-degree wins ties, so min-fill could only have been
@@ -38,9 +42,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Hashable, Sequence
 
-import networkx as nx
-
-from .treedecomp import TreeDecomposition
+from .treedecomp import TreeDecomposition, graph_adjacency
 
 __all__ = [
     "min_degree_order",
@@ -53,12 +55,11 @@ __all__ = [
 _Adjacency = dict[Hashable, set]
 
 
-def _adjacency(graph: nx.Graph) -> _Adjacency:
-    adj: _Adjacency = {v: set() for v in graph}
-    for u, v in graph.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+def _adjacency(graph) -> _Adjacency:
+    adj: _Adjacency = {}
+    for v, neighbours in graph_adjacency(graph):
+        adj[v] = neigh = set(neighbours)
+        neigh.discard(v)
     return adj
 
 
@@ -138,29 +139,28 @@ def _decomposition(order: Sequence, neighbours: Sequence[set]) -> TreeDecomposit
     """Bag of ``order[i]`` = itself plus its neighbours at elimination time;
     each bag attaches to the bag of its earliest-eliminated neighbour."""
     position = {v: i for i, v in enumerate(order)}
-    bags = {i: frozenset({v} | neigh) for i, (v, neigh) in enumerate(zip(order, neighbours))}
-    tree = nx.Graph()
-    tree.add_nodes_from(bags)
+    bags = [frozenset({v} | neigh) for v, neigh in zip(order, neighbours)]
+    parent = []
     for i, neigh in enumerate(neighbours):
         if neigh:
-            tree.add_edge(i, min(position[u] for u in neigh))
-        elif i + 1 < len(order):
+            parent.append(min(position[u] for u in neigh))
+        else:
             # Disconnected remainder: attach anywhere to keep a tree.
-            tree.add_edge(i, i + 1)
-    return TreeDecomposition(tree, bags)
+            parent.append(i + 1 if i + 1 < len(order) else -1)
+    return TreeDecomposition(bags, parent)
 
 
-def min_degree_order(graph: nx.Graph) -> list:
+def min_degree_order(graph) -> list:
     """Greedy minimum-degree elimination order."""
     return _greedy(_adjacency(graph), _degree_key, two_hop=False)[0]
 
 
-def min_fill_order(graph: nx.Graph) -> list:
+def min_fill_order(graph) -> list:
     """Greedy minimum-fill-in elimination order."""
     return _greedy(_adjacency(graph), _fill_key, two_hop=True)[0]
 
 
-def order_to_tree_decomposition(graph: nx.Graph, order: Sequence) -> TreeDecomposition:
+def order_to_tree_decomposition(graph, order: Sequence) -> TreeDecomposition:
     """The tree decomposition induced by an elimination order.
 
     Bag of ``v`` = ``{v} ∪ (neighbors of v at elimination time)``; each bag
@@ -173,11 +173,11 @@ def order_to_tree_decomposition(graph: nx.Graph, order: Sequence) -> TreeDecompo
     return _decomposition(order, [_eliminate(adj, v) for v in order])
 
 
-def heuristic_tree_decomposition(graph: nx.Graph, *, deadline=None) -> TreeDecomposition:
+def heuristic_tree_decomposition(graph, *, deadline=None) -> TreeDecomposition:
     """Best of min-degree and min-fill; min-degree on equal widths."""
     adj = _adjacency(graph)
     if not adj:
-        return TreeDecomposition(nx.Graph(), {})
+        return TreeDecomposition([], [])
     best = _greedy(
         {v: set(neigh) for v, neigh in adj.items()}, _degree_key,
         two_hop=False, deadline=deadline,
@@ -189,5 +189,5 @@ def heuristic_tree_decomposition(graph: nx.Graph, *, deadline=None) -> TreeDecom
     return _decomposition(*(narrower or best))
 
 
-def treewidth_upper_bound(graph: nx.Graph) -> int:
+def treewidth_upper_bound(graph) -> int:
     return heuristic_tree_decomposition(graph).width

@@ -9,14 +9,15 @@ where ``q(S, v)`` counts the vertices of ``V \\ S \\ {v}`` reachable from
 practical to ~16 vertices, which covers every circuit the tests and benches
 measure exactly.  Larger graphs fall back to heuristics via
 :func:`treewidth`.
+
+Graphs are networkx graphs or int adjacency lists (see
+:func:`repro.graphs.treedecomp.graph_adjacency`); self-loops are ignored.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .elimination import heuristic_tree_decomposition, order_to_tree_decomposition
-from .treedecomp import TreeDecomposition
+from .treedecomp import TreeDecomposition, graph_adjacency
 
 __all__ = ["exact_treewidth", "treewidth", "exact_tree_decomposition", "tree_decomposition"]
 
@@ -25,15 +26,15 @@ _DEFAULT_EXACT_LIMIT = 16
 _AUTO_EXACT_LIMIT = 12
 
 
-def _bit_adjacency(graph: nx.Graph) -> tuple[list, list[int]]:
-    nodes = sorted(graph.nodes, key=repr)
+def _bit_adjacency(graph) -> tuple[list, list[int]]:
+    neighbours = dict(graph_adjacency(graph))
+    nodes = sorted(neighbours, key=repr)
     index = {v: i for i, v in enumerate(nodes)}
     adj = [0] * len(nodes)
-    for u, v in graph.edges:
-        if u == v:
-            continue
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+    for u, vs in neighbours.items():
+        for v in vs:
+            if u != v:
+                adj[index[u]] |= 1 << index[v]
     return nodes, adj
 
 
@@ -58,16 +59,14 @@ def _q(adj: list[int], n: int, s_mask: int, v: int) -> int:
     return bin(reach_out).count("1")
 
 
-def exact_treewidth(graph: nx.Graph, limit: int = _DEFAULT_EXACT_LIMIT) -> int:
+def exact_treewidth(graph, limit: int = _DEFAULT_EXACT_LIMIT) -> int:
     """Exact treewidth (raises ``ValueError`` beyond ``limit`` vertices)."""
-    g = nx.Graph(graph)
-    g.remove_edges_from(nx.selfloop_edges(g))
-    n = g.number_of_nodes()
+    n = len(graph)
     if n == 0:
         return -1
     if n > limit:
         raise ValueError(f"exact treewidth limited to {limit} vertices (got {n})")
-    nodes, adj = _bit_adjacency(g)
+    nodes, adj = _bit_adjacency(graph)
     full = (1 << n) - 1
     # f over subsets, iterated by popcount so dependencies are ready.
     f = [0] * (1 << n)
@@ -90,17 +89,15 @@ def exact_treewidth(graph: nx.Graph, limit: int = _DEFAULT_EXACT_LIMIT) -> int:
     return f[full]
 
 
-def exact_tree_decomposition(graph: nx.Graph, limit: int = _DEFAULT_EXACT_LIMIT) -> TreeDecomposition:
+def exact_tree_decomposition(graph, limit: int = _DEFAULT_EXACT_LIMIT) -> TreeDecomposition:
     """A width-optimal tree decomposition, reconstructed from the DP."""
-    g = nx.Graph(graph)
-    g.remove_edges_from(nx.selfloop_edges(g))
-    n = g.number_of_nodes()
+    n = len(graph)
     if n == 0:
-        return TreeDecomposition(nx.Graph(), {})
+        return TreeDecomposition([], [])
     if n > limit:
         raise ValueError(f"exact treewidth limited to {limit} vertices (got {n})")
-    target = exact_treewidth(g, limit)
-    nodes, adj = _bit_adjacency(g)
+    target = exact_treewidth(graph, limit)
+    nodes, adj = _bit_adjacency(graph)
     # Greedy reconstruction of an optimal elimination order (reverse DP):
     # repeatedly pick a vertex whose elimination keeps the bound.
     order: list = []
@@ -138,21 +135,19 @@ def exact_tree_decomposition(graph: nx.Graph, limit: int = _DEFAULT_EXACT_LIMIT)
         order.append(nodes[chosen])
         s ^= 1 << chosen
     order.reverse()  # DP eliminates last-first; elimination order is reversed
-    td = order_to_tree_decomposition(g, order)
+    td = order_to_tree_decomposition(graph, order)
     assert td.width == target, (td.width, target)
     return td
 
 
-def treewidth(graph: nx.Graph, exact_limit: int = _DEFAULT_EXACT_LIMIT) -> int:
+def treewidth(graph, exact_limit: int = _DEFAULT_EXACT_LIMIT) -> int:
     """Exact when small enough, heuristic upper bound otherwise."""
-    g = nx.Graph(graph)
-    g.remove_edges_from(nx.selfloop_edges(g))
-    if g.number_of_nodes() <= exact_limit:
-        return exact_treewidth(g, exact_limit)
-    return heuristic_tree_decomposition(g).width
+    if len(graph) <= exact_limit:
+        return exact_treewidth(graph, exact_limit)
+    return heuristic_tree_decomposition(graph).width
 
 
-def tree_decomposition(graph: nx.Graph, exact: bool | None = None, deadline=None) -> TreeDecomposition:
+def tree_decomposition(graph, exact: bool | None = None, deadline=None) -> TreeDecomposition:
     """The decomposition Result 1's pipelines start from.
 
     ``exact=None`` picks the exact treewidth DP when the graph has at most
@@ -161,7 +156,7 @@ def tree_decomposition(graph: nx.Graph, exact: bool | None = None, deadline=None
     :mod:`repro.graphs.elimination`).
     """
     if exact is None:
-        exact = graph.number_of_nodes() <= _AUTO_EXACT_LIMIT
+        exact = len(graph) <= _AUTO_EXACT_LIMIT
     if exact:
         return exact_tree_decomposition(graph)
     return heuristic_tree_decomposition(graph, deadline=deadline)

@@ -128,17 +128,14 @@ def order_to_path_decomposition(graph: nx.Graph, order: list) -> TreeDecompositi
     g.remove_edges_from(nx.selfloop_edges(g))
     position = {v: i for i, v in enumerate(order)}
     n = len(order)
-    bags: dict[int, frozenset] = {}
+    bags: list[frozenset] = []
     for i in range(n):
         bag = {order[i]}
         for u in order[: i + 1]:
             if any(position[w] >= i for w in g.neighbors(u)):
                 bag.add(u)
-        bags[i] = frozenset(bag)
-    tree = nx.Graph()
-    tree.add_nodes_from(range(n))
-    tree.add_edges_from((i, i + 1) for i in range(n - 1))
-    return TreeDecomposition(tree, bags)
+        bags.append(frozenset(bag))
+    return TreeDecomposition(bags, list(range(1, n)) + [-1] if n else [])
 
 
 def heuristic_pathwidth(graph: nx.Graph) -> int:

@@ -1,11 +1,13 @@
 """The set-based elimination heuristics against the naive reference.
 
 ``naive_*`` below is the straightforward networkx implementation: it
-recomputes every vertex's degree or fill-in at every step and takes
-``min()`` over the graph's nodes.  The incremental loop in
-:mod:`repro.graphs.elimination` must return exactly its orders, and
-:func:`heuristic_tree_decomposition` exactly its bags and tree, including
-on self-loops, isolated vertices and mixed int/str/tuple labels.
+recomputes every vertex's degree or fill-in at every step, takes
+``min()`` over the graph's nodes, and builds its tree as a networkx graph.
+The incremental loop in :mod:`repro.graphs.elimination` must return
+exactly its orders, and :func:`heuristic_tree_decomposition` exactly its
+bags and tree (each node's neighbours in the networkx tree's order),
+including on self-loops, isolated vertices and mixed int/str/tuple labels,
+and on a circuit's int adjacency list as on its networkx graph.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.graphs.elimination import (
     min_fill_order,
     order_to_tree_decomposition,
 )
-from repro.graphs.treedecomp import TreeDecomposition
 from repro.queries.database import complete_database
 from repro.queries.lineage import lineage_terms, terms_circuit
 from repro.queries.syntax import parse_ucq
@@ -73,49 +74,55 @@ def naive_order_to_tree_decomposition(graph, order):
     g = nx.Graph(graph)
     g.remove_edges_from(nx.selfloop_edges(g))
     position = {v: i for i, v in enumerate(order)}
-    bags, bag_neighbors = {}, {}
-    for i, v in enumerate(order):
+    bags, bag_neighbors = [], []
+    for v in order:
         neigh = set(g.neighbors(v))
-        bags[i] = frozenset({v} | neigh)
-        bag_neighbors[i] = neigh
+        bags.append(frozenset({v} | neigh))
+        bag_neighbors.append(neigh)
         _naive_eliminate(g, v)
     tree = nx.Graph()
-    tree.add_nodes_from(bags)
+    tree.add_nodes_from(range(len(bags)))
     for i, v in enumerate(order):
         later = [u for u in bag_neighbors[i] if position[u] > i]
         if later:
             tree.add_edge(i, position[min(later, key=lambda u: position[u])])
         elif i + 1 < len(order):
             tree.add_edge(i, i + 1)
-    return TreeDecomposition(tree, bags)
+    return bags, tree
 
 
 def naive_heuristic_tree_decomposition(graph):
+    """``(bags, networkx tree)``."""
     if graph.number_of_nodes() == 0:
-        return TreeDecomposition(nx.Graph(), {})
+        return [], nx.Graph()
     candidates = [
         naive_order_to_tree_decomposition(graph, naive_min_degree_order(graph)),
         naive_order_to_tree_decomposition(graph, naive_min_fill_order(graph)),
     ]
-    return min(candidates, key=lambda td: td.width)
+    return min(candidates, key=lambda bt: max(map(len, bt[0])))
 
 
 # -- comparison --------------------------------------------------------------
 def shape(td):
-    """Bags plus the tree's node and adjacency order (``make_nice`` walks
+    """Bags plus each node's neighbours in order (``make_nice`` walks
     neighbours in that order, so it shapes the nice tree)."""
-    return td.bags, [(n, list(td.tree.neighbors(n))) for n in td.tree.nodes]
+    return td.bags, [(n, td.neighbors(n)) for n in range(len(td.bags))]
+
+
+def naive_shape(bags_tree):
+    bags, tree = bags_tree
+    return bags, [(n, list(tree.neighbors(n))) for n in tree.nodes]
 
 
 def assert_matches_reference(graph):
     assert min_degree_order(graph) == naive_min_degree_order(graph)
     fill = naive_min_fill_order(graph)
     assert min_fill_order(graph) == fill
-    assert shape(order_to_tree_decomposition(graph, fill)) == shape(
+    assert shape(order_to_tree_decomposition(graph, fill)) == naive_shape(
         naive_order_to_tree_decomposition(graph, fill)
     )
     td = heuristic_tree_decomposition(graph)
-    assert shape(td) == shape(naive_heuristic_tree_decomposition(graph))
+    assert shape(td) == naive_shape(naive_heuristic_tree_decomposition(graph))
     td.validate(graph)
 
 
@@ -165,6 +172,20 @@ CORPUS = {
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_matches_reference(name):
     assert_matches_reference(CORPUS[name]())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid(3, 4), lambda: chain_and_or(60), lambda: ladder(20),
+], ids=["grid(3,4)", "chain_and_or(60)", "ladder(20)"])
+def test_adjacency_list_matches_networkx_graph(make):
+    circuit = make()
+    adjacency, graph = circuit.adjacency(), circuit.graph()
+    assert adjacency == [list(graph.neighbors(v)) for v in graph]
+    assert min_degree_order(adjacency) == min_degree_order(graph)
+    assert min_fill_order(adjacency) == min_fill_order(graph)
+    td = heuristic_tree_decomposition(adjacency)
+    assert shape(td) == shape(heuristic_tree_decomposition(graph))
+    td.validate(adjacency)
 
 
 class SameRepr:

@@ -15,27 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.elimination import heuristic_tree_decomposition
-from repro.graphs.treedecomp import (
-    FriendlyTreeDecomposition,
-    NiceNode,
-    TreeDecomposition,
-)
+from repro.graphs.treedecomp import FriendlyTreeDecomposition, TreeDecomposition
 
 pytestmark = pytest.mark.ddnnf
 
 
 def branching_decomposition():
     """A star of three bags — friendlification needs a join."""
-    tree = nx.Graph()
-    tree.add_edges_from([(0, 1), (0, 2)])
-    bags = {
-        0: frozenset({"a", "b"}),
-        1: frozenset({"b", "c"}),
-        2: frozenset({"b", "d"}),
-    }
+    bags = [
+        frozenset({"a", "b"}),
+        frozenset({"b", "c"}),
+        frozenset({"b", "d"}),
+    ]
     graph = nx.Graph()
     graph.add_edges_from([("a", "b"), ("b", "c"), ("b", "d")])
-    return TreeDecomposition(tree, bags), graph
+    return TreeDecomposition(bags, [-1, 0, 0]), graph
 
 
 class TestFriendlyTransform:
@@ -53,10 +47,10 @@ class TestFriendlyTransform:
         td, graph = branching_decomposition()
         friendly = td.make_friendly()
         for v in graph.nodes:
-            bag = friendly.responsible_bag(v)
-            assert bag.kind == "forget" and bag.vertex == v
-            assert v not in bag.bag
-            assert v in bag.children[0].bag
+            i = friendly.responsible_bag(v)
+            assert friendly.kind[i] == "forget" and friendly.vertex[i] == v
+            assert v not in friendly.bag[i]
+            assert v in friendly.bag[friendly.children[i][0]]
         with pytest.raises(KeyError):
             friendly.responsible_bag("missing")
 
@@ -77,26 +71,27 @@ class TestFriendlyTransform:
 
     def test_root_choice_does_not_break_friendliness(self):
         td, graph = branching_decomposition()
-        for root in td.tree.nodes:
+        for root in range(len(td.bags)):
             friendly = td.make_friendly(root)
             friendly.validate(graph)
 
 
 class TestFriendlyRejections:
     def test_double_forget_rejected(self):
-        leaf = NiceNode("leaf", frozenset(), ())
-        n1 = NiceNode("introduce", frozenset({"a"}), (leaf,), vertex="a")
-        n2 = NiceNode("forget", frozenset(), (n1,), vertex="a")
-        n3 = NiceNode("introduce", frozenset({"a"}), (n2,), vertex="a")
-        n4 = NiceNode("forget", frozenset(), (n3,), vertex="a")
+        # leaf, introduce a, forget a, introduce a, forget a.
+        kinds = ["leaf", "introduce", "forget", "introduce", "forget"]
+        bags = [frozenset(), frozenset({"a"})] * 2 + [frozenset()]
         with pytest.raises(ValueError, match="more than once"):
-            FriendlyTreeDecomposition(n4)
+            FriendlyTreeDecomposition(
+                kinds, [None] + ["a"] * 4, [(), (0,), (1,), (2,), (3,)], bags
+            )
 
     def test_never_forgotten_rejected(self):
-        leaf = NiceNode("leaf", frozenset(), ())
-        root = NiceNode("introduce", frozenset({"a"}), (leaf,), vertex="a")
         with pytest.raises(ValueError, match="never forgotten"):
-            FriendlyTreeDecomposition(root)
+            FriendlyTreeDecomposition(
+                ["leaf", "introduce"], [None, "a"], [(), (0,)],
+                [frozenset(), frozenset({"a"})],
+            )
 
 
 class TestProp2SteinerRegression:

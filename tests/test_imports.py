@@ -83,17 +83,23 @@ def test_every_module_imports_on_its_own():
     assert int(out) > 60
 
 
-def test_ddnnf_compile_loads_networkx_at_first_decomposition():
+def test_compiles_never_load_networkx():
+    """Both Result-1 routes decompose the circuit's int adjacency list: a
+    d-DNNF, a lemma1 and a best-of compile load no networkx, through the
+    heuristics (grid(3,4)) and the exact treewidth DP (three gates)."""
     out = run_python("-c", textwrap.dedent("""
         import sys
+        from repro.circuits.build import grid
         from repro.circuits.parse import parse_formula
         from repro.compiler import Compiler
-        circuit = parse_formula("(a & b) | c")
-        before = "networkx" in sys.modules
-        compiled = Compiler(backend="ddnnf", strategy="natural").compile(circuit)
-        print(before, "networkx" in sys.modules, compiled.model_count())
+        for backend, strategy in [("ddnnf", "natural"), ("apply", "lemma1"),
+                                  ("apply", "best-of")]:
+            for circuit in (grid(3, 4), parse_formula("(a & b) | c")):
+                compiled = Compiler(backend=backend, strategy=strategy).compile(circuit)
+                print(compiled.model_count(), end=" ")
+        print("networkx" in sys.modules)
     """))
-    assert out.split() == ["False", "True", "5"]
+    assert out.split() == ["3869", "5"] * 3 + ["False"]
 
 
 def test_cli_help_lists_every_subcommand():
