@@ -31,9 +31,8 @@ from pathlib import Path
 
 from repro.queries.database import complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.parallel import shard_of
 from repro.queries.syntax import parse_ucq
-from repro.service import WorkerPool
+from repro.service import WorkerPool, shard_of
 
 try:  # pytest run
     from .conftest import report

@@ -1,7 +1,8 @@
 """Parallel sharded query evaluation: throughput and determinism.
 
-The tentpole bench for :class:`~repro.queries.parallel.ParallelQueryEngine`:
-a 500-query rolling session over the 56-tuple complete database (domain 7,
+The bench for sharded batches, one ``submit_sync`` on a
+:class:`~repro.service.QueryService` with ``steal=False``: a 500-query
+rolling session over the 56-tuple complete database (domain 7,
 ``R``/``S`` schema — the same 4-shape × domain-constant pool as
 ``bench_session.py``) evaluated at 1, 2 and 4 workers under a *per-worker*
 ``max_nodes`` budget.
@@ -45,8 +46,8 @@ from pathlib import Path
 
 from repro.queries.database import complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.parallel import ParallelQueryEngine
 from repro.queries.syntax import parse_ucq
+from repro.service import QueryService
 
 try:  # pytest run
     from .conftest import report
@@ -84,22 +85,25 @@ def rolling_workload(domain: int, n_queries: int) -> list:
 
 def run_once(workload, db, *, workers: int, max_nodes, mode: str = "threads"):
     """One timed evaluation; ``workers=1`` is the serial engine path.  A
-    parallel run includes starting and closing its engine's worker pool."""
+    parallel run includes starting and closing its service's worker pool."""
     t0 = time.perf_counter()
     if workers == 1:
         batch = QueryEngine(db, max_nodes=max_nodes).evaluate(workload, exact=True)
+        probabilities = batch.probabilities
         stats = batch.stats
         mode_used = "serial"
     else:
-        with ParallelQueryEngine(
-            db, workers=workers, max_nodes=max_nodes, mode=mode
-        ) as engine:
-            batch = engine.evaluate(workload, exact=True)
-        stats = batch.stats
-        mode_used = batch.mode
+        with QueryService(
+            db, workers=workers, max_nodes=max_nodes, mode=mode, steal=False
+        ) as svc:
+            answers = svc.submit_sync(workload, exact=True)
+            # The workers' summed engine counters, under the serial names.
+            stats = {k.removeprefix("engine_"): v for k, v in svc.stats().items()}
+        probabilities = [a.probability for a in answers]
+        mode_used = stats["pool_mode"]
     elapsed = time.perf_counter() - t0
     return {
-        "batch": batch,
+        "probabilities": probabilities,
         "seconds": round(elapsed, 3),
         "mode": mode_used,
         "evicted": stats["queries_evicted"],
@@ -119,7 +123,7 @@ def run_benchmark(*, mode: str = "threads") -> dict:
 
     # 1. Determinism: every worker count answers bit-identically.
     for w in WORKER_COUNTS[1:]:
-        assert runs[w]["batch"].probabilities == serial["batch"].probabilities, (
+        assert runs[w]["probabilities"] == serial["probabilities"], (
             f"{w}-worker probabilities differ from serial"
         )
 
@@ -137,8 +141,8 @@ def run_benchmark(*, mode: str = "threads") -> dict:
     # Unbudgeted pair: what raw parallelism alone contributes on this host.
     unb_serial = run_once(workload, db, workers=1, max_nodes=None, mode=mode)
     unb_par = run_once(workload, db, workers=4, max_nodes=None, mode=mode)
-    assert unb_par["batch"].probabilities == unb_serial["batch"].probabilities
-    assert unb_serial["batch"].probabilities == serial["batch"].probabilities, (
+    assert unb_par["probabilities"] == unb_serial["probabilities"]
+    assert unb_serial["probabilities"] == serial["probabilities"], (
         "budgeted and unbudgeted sessions disagree"
     )
 
@@ -208,7 +212,7 @@ def main(argv=None) -> int:
         print("\n--smoke: assertions checked, JSON not rewritten")
     else:
         payload = {
-            "benchmark": "ParallelQueryEngine sharded session (rolling workload)",
+            "benchmark": "QueryService(steal=False) sharded session (rolling workload)",
             "session": entry,
         }
         OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")

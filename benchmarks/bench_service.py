@@ -3,7 +3,7 @@
 The tentpole bench for :class:`~repro.service.QueryService`, two halves:
 
 1. **Warm vs cold spawn** — a fresh spawn-mode
-   :class:`~repro.queries.parallel.ParallelQueryEngine` per batch pays
+   :class:`~repro.service.QueryService` (``steal=False``) per batch pays
    the full process-pool cost *per batch* (interpreter start, imports,
    db + vtree transfer, cache warm-up); the service's persistent
    :class:`~repro.service.pool.WorkerPool` pays it once and then serves
@@ -36,7 +36,6 @@ from pathlib import Path
 
 from repro.queries.database import complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.parallel import ParallelQueryEngine
 from repro.queries.syntax import parse_ucq
 from repro.service import QueryService, ServiceSaturated
 
@@ -87,11 +86,11 @@ def run_warm_vs_cold(batches: int, *, workers: int = 2) -> dict:
 
     t0 = time.perf_counter()
     for _ in range(batches):
-        # Cold baseline: a fresh engine, hence a fresh spawn pool, per
+        # Cold baseline: a fresh service, hence a fresh spawn pool, per
         # batch — started, used once, and closed.
-        with ParallelQueryEngine(db, workers=workers, mode="spawn") as engine:
-            batch = engine.evaluate(qs, exact=True)
-        assert batch.probabilities == expect, "cold spawn diverged from serial"
+        with QueryService(db, workers=workers, mode="spawn", steal=False) as cold:
+            answers = cold.submit_sync(qs, exact=True)
+        assert [a.probability for a in answers] == expect, "cold spawn diverged from serial"
     cold_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -9,8 +9,9 @@ Public API highlights
   strategies (``lemma1``/``natural``/``balanced``/``best-of``).
 - :class:`repro.QueryEngine` — **the** query-evaluation entry point: one
   database, one vtree/manager/WMC-memo, any number of queries.
-- :class:`repro.ParallelQueryEngine` — sharded batch evaluation: N worker
-  engines over one read-only base vtree, results bit-identical to serial.
+- :class:`repro.QueryService` — the one front door over the worker pool:
+  N warm worker engines over one read-only base vtree, many sessions, and
+  sharded batches (``steal=False``), answers bit-identical to serial.
 - :class:`repro.BooleanFunction` — exact Boolean functions.
 - :class:`repro.Vtree` — variable trees.
 - :func:`repro.factors` — the paper's factor decompositions (Definition 1).
@@ -47,7 +48,7 @@ __all__ = [
     "Compiled",
     "compile_with",
     "QueryEngine",
-    "ParallelQueryEngine",
+    "QueryService",
     "BooleanFunction",
     "Vtree",
     "FactorDecomposition",
@@ -106,7 +107,7 @@ _, __getattr__, __dir__ = lazy_exports(__name__, {
     ".obdd.obdd": ("ObddManager", "obdd_from_function"),
     ".sdd.manager": ("SddManager", "sdd_from_circuit"),
     ".queries.engine": ("QueryEngine",),
-    ".queries.parallel": ("ParallelQueryEngine",),
+    ".service.service": ("QueryService",),
     ".queries.syntax": ("UCQ", "ConjunctiveQuery", "parse_cq", "parse_ucq"),
     ".queries.database": ("Database", "ProbabilisticDatabase", "complete_database"),
 })

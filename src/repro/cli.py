@@ -11,7 +11,7 @@ Usage::
     python -m repro.cli batch "R(x),S(x,y); S(x,y)" --domain 3 [--prob 0.5] [--exact]
     python -m repro.cli engine "R(x),S(x,y); S(x,y)" --domain 3 [--prob 0.5] [--exact]
                                                     [--max-nodes 50000]
-                                                    [--workers 4] [--parallel-mode auto]
+                                                    [--workers 4] [--parallel-mode threads]
     python -m repro.cli isa 2 4
 
 Each subcommand prints a small report; exit code 0 on success, 2 (with a
@@ -45,7 +45,6 @@ from .core.vtree import Vtree
 from .queries.analysis import find_inversion
 from .queries.compile import compile_lineage_obdd, compile_lineage_sdd
 from .queries.engine import QueryEngine
-from .queries.parallel import ParallelQueryEngine
 from .queries.evaluate import probability_via_obdd
 from .queries.database import complete_database
 from .queries.syntax import parse_ucq
@@ -332,11 +331,11 @@ def _check_update_specs(db, specs: Sequence[str]) -> None:
 def _cmd_engine(args: argparse.Namespace) -> int:
     """Evaluate a ';'-separated workload through one
     :class:`~repro.queries.engine.QueryEngine` session (or, with
-    ``--workers N``, a sharded
-    :class:`~repro.queries.parallel.ParallelQueryEngine`) and print its
-    stats.  ``--update`` specs are applied *after* the first evaluation —
-    cached lineages are delta-patched, the workload re-evaluated, and the
-    update counters printed."""
+    ``--workers N``, one sharded :class:`~repro.service.QueryService`
+    submission with stealing off) and print its stats.  ``--update``
+    specs are applied *after* the first evaluation — cached lineages are
+    delta-patched, the workload re-evaluated, and the update counters
+    printed."""
     queries, db = _parse_workload(args)
     if not queries:
         print("no queries given", file=sys.stderr)
@@ -365,34 +364,35 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         return 0
 
     if args.workers > 1:
-        with ParallelQueryEngine(
+        from .service import QueryService
+
+        with QueryService(
             db, workers=args.workers, max_nodes=args.max_nodes,
-            mode=args.parallel_mode,
-        ) as par:
-            batch = par.evaluate(queries, exact=args.exact)
-            rows = [
-                [str(q), batch.sizes[i],
-                 str(batch.probabilities[i]) if args.exact else f"{batch.probabilities[i]:.6f}",
-                 batch.shards[i]]
-                for i, q in enumerate(queries)
-            ]
+            mode=args.parallel_mode, steal=False,
+            # Admission is all-or-nothing per batch: let the whole
+            # workload in, however long it is.
+            max_in_flight=max(1024, len(queries)),
+        ) as svc:
+
+            def evaluate_sharded():
+                answers = svc.submit_sync(queries, exact=args.exact)
+                return [
+                    [str(q), a.size,
+                     str(a.probability) if args.exact else f"{a.probability:.6f}",
+                     a.worker]
+                    for q, a in zip(queries, answers)
+                ]
+
             report(
                 f"engine: {len(queries)} queries, {db.size} tuples, "
-                f"{args.workers} workers ({batch.mode})",
+                f"{args.workers} workers ({args.parallel_mode})",
                 ["query", "SDD size", "P(q)", "shard"],
-                rows,
+                evaluate_sharded(),
             )
-            stats = batch.stats
+            stats = svc.stats()
             print("merged stats: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())))
             if args.update:
-                def evaluate():
-                    b = par.evaluate(queries, exact=args.exact)
-                    return [
-                        [str(q), b.sizes[i],
-                         str(b.probabilities[i]) if args.exact else f"{b.probabilities[i]:.6f}"]
-                        for i, q in enumerate(queries)
-                    ]
-                return run_updates(par, evaluate)
+                return run_updates(svc, lambda: [row[:3] for row in evaluate_sharded()])
             return 0
     engine = QueryEngine(db, max_nodes=args.max_nodes)
 
@@ -621,10 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard the workload across N worker engines sharing "
                         "one base vtree (deterministic: results bit-identical "
                         "to --workers 1)")
-    e.add_argument("--parallel-mode", choices=["auto", "threads", "spawn"],
-                   default="auto",
-                   help="worker execution mode (auto: threads for small "
-                        "batches / single-CPU hosts, spawn otherwise)")
+    e.add_argument("--parallel-mode", choices=["threads", "spawn"],
+                   default="threads",
+                   help="worker execution mode when --workers > 1")
     e.add_argument("--update", action="append", default=[], metavar="SPEC",
                    help="after the first evaluation, apply a live database "
                         "update and re-evaluate: weight:REL:V1,V2:P "

@@ -14,7 +14,7 @@ two ingredients:
 
 :class:`LruStatsCache` is the store; :func:`fingerprint` hashes any
 sequence of content strings into a short stable hex digest (keyed BLAKE2,
-matching :func:`repro.queries.parallel.shard_of`'s conventions).  The
+matching :func:`repro.service.pool.shard_of`'s conventions).  The
 service composes its keys from :meth:`repro.queries.syntax.UCQ.normalized`
 and :meth:`repro.queries.database.Database.fingerprint` — two queries that
 differ only in atom order, and two databases with identical content, hit

@@ -1,8 +1,9 @@
 """Query compilation over tuple-independent probabilistic databases.
 
 Public names resolve on first access (see :mod:`repro._lazy`), so
-importing :mod:`repro.queries.engine` loads neither the parallel engine
-nor the truth-table evaluators.
+importing :mod:`repro.queries.engine` loads neither the service tier nor
+the truth-table evaluators.  Sharded batches run on
+:class:`repro.service.QueryService`.
 """
 
 from .._lazy import lazy_exports
@@ -21,6 +22,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "probability_via_obdd",
     ),
     ".lineage": ("lineage_circuit", "lineage_function"),
-    ".parallel": ("ParallelBatchEvaluation", "ParallelQueryEngine", "shard_of"),
     ".syntax": ("UCQ", "ConjunctiveQuery", "parse_cq", "parse_ucq"),
 })

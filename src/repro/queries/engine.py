@@ -447,8 +447,7 @@ class QueryEngine:
         """Compiled size of ``query`` if it is currently cached, ``None``
         otherwise.  Never compiles and never touches the hit/miss
         counters — the sibling of :meth:`cached_root` used by the worker
-        pool and parallel paths to report sizes without inflating the
-        cache statistics.  Each root is walked once; the size is kept
+        pool to report sizes without inflating the cache statistics.  Each root is walked once; the size is kept
         until the root is forgotten, evicted or patched."""
         if self.backend == "ddnnf":
             result = self._ddnnf.get(query)
@@ -505,8 +504,8 @@ class QueryEngine:
         time the batch ends.  ``sizes`` are measured at evaluation time;
         ``roots`` holds only roots that are still compiled and pinned when
         the batch returns — evicted queries report ``None`` there, never a
-        stale id.  To shard a batch across worker engines, use
-        :class:`~repro.queries.parallel.ParallelQueryEngine`.
+        stale id.  To shard a batch across worker engines, submit it to a
+        :class:`~repro.service.QueryService` with ``steal=False``.
         """
         from .evaluate import BatchEvaluation
 

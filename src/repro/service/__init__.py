@@ -36,7 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "WorkerRetired",
     ),
     ".faults": ("FaultPlan",),
-    ".pool": ("TaskResult", "WorkerPool"),
+    ".pool": ("TaskResult", "WorkerPool", "merge_stats", "shard_of"),
     ".service": ("QueryService", "ServiceAnswer"),
     ".supervisor": ("RestartPolicy", "Supervisor"),
 })

@@ -7,8 +7,8 @@ task queue (``mode="spawn"``) — all sharing one read-only base vtree.
 Interpreter start, imports, vtree transfer and cache warm-up are paid
 once per worker: engines, hash-cons tables, apply caches, WMC memos, and
 compiled-query caches all survive across batches and sessions.  The
-service tier (:class:`~repro.service.QueryService`) and
-:class:`~repro.queries.parallel.ParallelQueryEngine` both run on it.
+service tier (:class:`~repro.service.QueryService`) runs on it; a
+sharded batch is a ``QueryService(..., steal=False)`` submission.
 
 The base vtree
 --------------
@@ -25,7 +25,7 @@ Scheduling
 ----------
 
 Tasks enter per-shard FIFO queues (shard = the deterministic
-:func:`~repro.queries.parallel.shard_of` assignment, so repeat queries
+:func:`shard_of` assignment, so repeat queries
 find the worker whose compiled-query cache already holds them).  Each
 worker drains its own queue head-first; with ``steal=True`` an idle
 worker takes from the **tail of the longest other queue** instead of
@@ -84,18 +84,20 @@ worker count, every steal schedule, and every crash/replay schedule.
 Results are reassembled by task id, so arrival order never leaks into
 batch order.  What stealing *can* move is which worker's ``max_nodes``
 budget a query is charged to — the same latitude the shard-local budgets
-always had (it affects ``root`` liveness markers and per-worker
-counters, never answers).
+always had (it affects which queries each worker keeps compiled and
+the per-worker counters, never answers).
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from ..core.vtree import Vtree
 from ..queries.database import ProbabilisticDatabase, UpdateDelta
@@ -104,22 +106,48 @@ from ..queries.syntax import UCQ
 from .errors import Deadline, DeadlineExceeded, PoolClosed, TaskPoisoned, WorkerRetired
 from .supervisor import RestartPolicy, Supervisor
 
-__all__ = ["WorkerPool", "TaskResult"]
+__all__ = ["WorkerPool", "TaskResult", "merge_stats", "shard_of"]
 
 # How often a feeder waiting on a spawn child's reply re-checks liveness,
 # pool shutdown, and the hang clock.
 _POLL_INTERVAL = 0.05
 
 
+def shard_of(query: UCQ, workers: int, seed: int = 0) -> int:
+    """Deterministic shard index of ``query`` among ``workers`` shards.
+
+    A stable keyed BLAKE2 hash of the canonical query text: independent of
+    ``PYTHONHASHSEED``, arrival order, process, and platform — the same
+    query lands on the same worker in every run, so repeat queries hit
+    that worker's compiled-query cache.
+    """
+    if workers <= 0:
+        raise ValueError("workers must be positive")
+    digest = hashlib.blake2b(
+        str(query).encode(),
+        digest_size=8,
+        key=seed.to_bytes(8, "big", signed=True),
+    ).digest()
+    return int.from_bytes(digest, "big") % workers
+
+
+def merge_stats(worker_stats: Iterable[dict[str, int | str]]) -> dict[str, int | str]:
+    """Per-worker engine counters summed; strings (the backend name) pass
+    through, the workers being configured identically."""
+    merged: dict[str, int | str] = {}
+    for stats in worker_stats:
+        for k, v in stats.items():
+            merged[k] = v if isinstance(v, str) else merged.get(k, 0) + v
+    return merged
+
+
 @dataclass(frozen=True)
 class TaskResult:
     """One evaluated query: the exact probability, the compiled size (at
-    evaluation time), the root id in the executing worker's store (not
-    dereferenceable for spawn workers), and which worker ran it."""
+    evaluation time), and which worker ran it."""
 
     probability: float | Fraction
     size: int
-    root: int | None
     worker: int
 
 
@@ -127,9 +155,8 @@ class TaskResult:
 class _Task:
     query: UCQ | None
     exact: bool
-    # Control tasks carry a message instead of a query — ("update", delta)
-    # or ("roots", queries); they are addressed to one specific worker and
-    # never stolen.
+    # Control tasks carry a message instead of a query — ("update", delta);
+    # they are addressed to one specific worker and never stolen.
     control: tuple | None = None
     future: Future = field(default_factory=Future)
     # Wall-clock budget (starts at submission; queue wait counts).
@@ -301,11 +328,7 @@ def _pool_worker_main(conn, payload) -> None:
                     # *restarted* child was built from the already-updated
                     # database, so the version gate makes this a no-op.
                     inc = engine.apply_update(msg[1])
-                    conn.send(("ok", inc, 0, None, engine.stats()))
-                    continue
-                if msg[0] == "roots":
-                    roots = [engine.cached_root(q) for q in msg[1]]
-                    conn.send(("ok", roots, 0, None, engine.stats()))
+                    conn.send(("ok", inc, 0, engine.stats()))
                     continue
                 query, exact, ordinal, timeout = msg[1], msg[2], msg[3], msg[4]
                 if plan is not None:
@@ -330,15 +353,15 @@ def _pool_worker_main(conn, payload) -> None:
                         continue
                     if plan.drop_reply(worker_id, ordinal):
                         continue  # computed, never replied: a wedged child
-                conn.send(("ok", p, size, engine.cached_root(query), engine.stats()))
+                conn.send(("ok", p, size, engine.stats()))
             except Exception as exc:  # surface, don't kill the worker
                 try:
-                    conn.send(("err", exc, 0, None, engine.stats()))
+                    conn.send(("err", exc, 0, engine.stats()))
                 except Exception:
                     # Unpicklable exception: Connection.send serializes
                     # before writing, so nothing went over the wire — fall
                     # back to the repr.
-                    conn.send(("err", repr(exc), 0, None, engine.stats()))
+                    conn.send(("err", repr(exc), 0, engine.stats()))
     except (EOFError, KeyboardInterrupt):  # parent died / interrupted
         pass
     finally:
@@ -361,8 +384,8 @@ class WorkerPool:
     unless ``artifact`` supplies it, so every worker compiles canonically
     against the same decomposition; pass ``None`` for
     ``backend="ddnnf"``).  ``max_nodes`` is the
-    per-worker session budget, as in
-    :class:`~repro.queries.parallel.ParallelQueryEngine`.
+    per-worker session budget: each engine evicts and collects
+    shard-locally.
 
     ``artifact`` warm-starts every worker from a compiled artifact base
     (a path written by :meth:`QueryEngine.save_artifact`, or a loaded
@@ -643,8 +666,8 @@ class WorkerPool:
         block until all have applied it.
 
         The shared database is mutated once (version-gated; a caller like
-        :class:`~repro.queries.parallel.ParallelQueryEngine` may already
-        have applied it), the shared base vtree grows an inserted tuple's
+        :class:`~repro.service.QueryService` has already applied it), the
+        shared base vtree grows an inserted tuple's
         leaf the way :meth:`SddManager.add_variable` grows each worker's
         (no other layer grows it), and one control
         message per worker rides the per-worker control queues — threads
@@ -798,10 +821,7 @@ class WorkerPool:
         live = self._scheduler.live()
         for i, t in enumerate(leftovers):
             if t.control is not None:
-                t.future.set_result(
-                    [None] * len(t.control[1]) if t.control[0] == "roots"
-                    else {"updates_applied": 0}
-                )
+                t.future.set_result({"updates_applied": 0})
             elif live:
                 try:
                     self._scheduler.put_front(live[i % len(live)], t)
@@ -864,12 +884,7 @@ class WorkerPool:
             # child dying after compute — replay on a fresh engine.
             self._engines.pop(w, None)
             raise _WorkerDied(w, f"injected kill after task (ordinal {ordinal})")
-        return TaskResult(
-            probability=p,
-            size=size,
-            root=engine.cached_root(task.query),
-            worker=w,
-        )
+        return TaskResult(probability=p, size=size, worker=w)
 
     def _execute_spawn(self, w: int, task: _Task):
         # Round-trip through worker w's pipe (feeder thread w is the only
@@ -881,19 +896,17 @@ class WorkerPool:
                 raise DeadlineExceeded(task.deadline.timeout, "queue wait")
         ordinal = self._next_ordinal(w)
         msg = ("task", task.query, task.exact, ordinal, remaining)
-        status, p, size, root, stats = self._spawn_call(w, msg)
+        status, p, size, stats = self._spawn_call(w, msg)
         self._spawn_stats[w] = stats
         if status != "ok":
             if isinstance(p, BaseException):
                 raise p
             raise RuntimeError(f"spawn worker {w} failed: {p}")
-        return TaskResult(probability=p, size=size, root=root, worker=w)
+        return TaskResult(probability=p, size=size, worker=w)
 
     def _execute_control(self, w: int, msg: tuple):
-        """Run one control message on worker ``w``: ``("update", delta)``
-        returns its counter increments, ``("roots", queries)`` its root id
-        per query.  Threads workers only ever get updates
-        (:meth:`cached_roots` reads their engines directly)."""
+        """Run one control message, ``("update", delta)``, on worker ``w``
+        and return its counter increments."""
         if self.mode == "threads":
             engine = self._engines.get(w)
             if engine is None:
@@ -901,7 +914,7 @@ class WorkerPool:
                 # already-updated shared database — nothing to patch.
                 return {"updates_applied": 0}
             return engine.apply_update(msg[1])
-        status, out, _size, _root, stats = self._spawn_call(w, msg)
+        status, out, _size, stats = self._spawn_call(w, msg)
         self._spawn_stats[w] = stats
         if status != "ok":
             if isinstance(out, BaseException):
@@ -934,7 +947,7 @@ class WorkerPool:
                     raise _WorkerDied(w, f"died mid-reply: {exc!r}")
                 if (
                     not isinstance(reply, tuple)
-                    or len(reply) != 5
+                    or len(reply) != 4
                     or reply[0] not in ("ok", "err")
                 ):
                     # Protocol corruption: the child's pipe framing can no
@@ -964,30 +977,6 @@ class WorkerPool:
         """The live per-worker engines (threads mode; spawn engines live
         in their child processes)."""
         return dict(self._engines)
-
-    def cached_roots(self, queries: dict[int, list[UCQ]]) -> dict[int, list[int | None]]:
-        """Each worker's root id *now* for its listed queries
-        (``worker -> [query, ...]``); ``None`` where the query is not
-        compiled there — evicted by the ``max_nodes`` budget, or the
-        worker was restarted or retired.  Threads engines are read
-        directly; each spawn worker answers one control message.  Call
-        between batches, not while one is in flight."""
-        if self.mode == "threads":
-            engines = self._engines
-            return {
-                w: [engines[w].cached_root(q) if w in engines else None for q in qs]
-                for w, qs in queries.items()
-            }
-        live = set(self._scheduler.live())
-        tasks = {}
-        for w, qs in queries.items():
-            if w in live:
-                tasks[w] = _Task(query=None, exact=False, control=("roots", qs))
-                self._scheduler.put_control(w, tasks[w])
-        return {
-            w: tasks[w].future.result() if w in tasks else [None] * len(qs)
-            for w, qs in queries.items()
-        }
 
     def worker_pids(self) -> list[int]:
         """Spawn worker process ids (stable across batches — that is the

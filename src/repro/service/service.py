@@ -1,10 +1,9 @@
 """The always-on query service: one warm pool, many sessions.
 
-:class:`QueryService` is the long-lived front door over the engine tier.
+:class:`QueryService` is the one front door over the worker pool.
 Where a :class:`~repro.queries.engine.QueryEngine` is one caller's
-session and a :class:`~repro.queries.parallel.ParallelQueryEngine` is one
-caller's batch harness, the service multiplexes *many concurrent
-sessions* onto one persistent :class:`~repro.service.pool.WorkerPool`:
+session, the service multiplexes *many concurrent sessions* onto one
+persistent :class:`~repro.service.pool.WorkerPool`:
 
 - **warm workers** — per-shard engines (threads or spawn-child
   processes) built once and reused for every batch of every session, so
@@ -37,6 +36,18 @@ only the futures still pending on the pool are bridged with
 per *submission*, admission is all-or-nothing per batch — a batch
 admitted under budget runs to completion even if it crosses the quota
 mid-way; the *next* submission is rejected.
+
+Sharded batches
+---------------
+
+``QueryService(db, workers=N, steal=False).submit_sync(queries)`` is the
+sharded batch evaluator.  Each query runs on worker
+:func:`~repro.service.pool.shard_of` of its text (``answer.worker``), in
+batch order, and no worker steals: the answer cache is filled only by
+completion callbacks attached after the whole batch is dispatched, so
+within one submission every query reaches its worker, and a
+``max_nodes`` budget sees the same eviction sequence as a serial engine
+running that shard alone.
 """
 
 from __future__ import annotations
@@ -52,14 +63,13 @@ from typing import Iterable, Sequence
 
 from .admission import AdmissionController, Session
 from .errors import DeadlineExceeded, PoolClosed, ServiceSaturated
-from .pool import WorkerPool
+from .pool import WorkerPool, merge_stats, shard_of
 from .supervisor import RestartPolicy
 from ..compiler.cache import LruStatsCache, fingerprint
 from ..core.vtree import Vtree
 from ..queries.compile import lineage_vtree
 from ..queries.database import ProbabilisticDatabase, UpdateDelta
 from ..queries.engine import QueryEngine
-from ..queries.parallel import merge_stats, shard_of
 from ..queries.syntax import UCQ
 from ..sdd.manager import CompilationBudgetExceeded
 
@@ -86,12 +96,15 @@ class QueryService:
     """Serve probabilistic queries from many sessions over one warm pool.
 
     ``workers``/``mode``/``steal``/``backend``/``max_nodes`` configure
-    the underlying :class:`WorkerPool` (``max_nodes`` is the per-worker
-    engine budget, as in the parallel tier).  ``vtree`` pins the shared
-    base vtree; otherwise the warm-start artifact supplies it (see
-    ``artifact_dir``), and failing that it is derived from the first
-    query ever submitted, exactly as a serial engine would.  The pool
-    holds it and alone grows it on insert; :attr:`vtree` reads it there.
+    the underlying :class:`WorkerPool` (``mode`` is ``"threads"`` or
+    ``"spawn"``; ``max_nodes`` is the per-worker engine budget, evicted
+    and collected shard-locally; ``steal=False`` keeps every query on its
+    :func:`shard_of` worker, the deterministic sharded-batch setting of
+    the module docstring).  ``vtree`` pins the shared base vtree;
+    otherwise the warm-start artifact supplies it (see ``artifact_dir``),
+    and failing that it is derived from the first query ever submitted,
+    exactly as a serial engine would.  The pool holds it and alone grows
+    it on insert; :attr:`vtree` reads it there.
 
     ``cache_capacity`` bounds the shared answer cache (``None`` =
     unbounded); ``cache_ttl`` arms per-answer expiry (seconds; an expired
@@ -154,6 +167,12 @@ class QueryService:
         hang_timeout: float | None = None,
         fault_plan=None,
     ):
+        if workers <= 0:
+            raise ValueError("workers must be positive")
+        if mode not in ("threads", "spawn"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if max_nodes is not None and max_nodes <= 0:
+            raise ValueError("max_nodes must be positive")
         if backend not in QueryEngine._BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {QueryEngine._BACKENDS}"
@@ -295,12 +314,14 @@ class QueryService:
         (in batch order), each resolving to a :class:`ServiceAnswer`.
 
         Under the service lock: quota check (whole batch rejected if the
-        session is already over), all-or-nothing admission, then per
-        query either an answer-cache hit (charged and released
-        immediately) or a pool submission.  Completion callbacks are
-        attached *outside* the lock — a fast worker may complete the task
-        before ``add_done_callback`` returns, running the callback on
-        this thread, and the callback takes the lock itself.
+        session is already over), the pool (built on the first batch,
+        before admission, so a pool that cannot be built holds no slot),
+        all-or-nothing admission, then per query either an answer-cache
+        hit (charged and released immediately) or a pool submission.
+        Completion callbacks are attached *outside* the lock — a fast
+        worker may complete the task before ``add_done_callback``
+        returns, running the callback on this thread, and the callback
+        takes the lock itself.
         """
         if not qs:
             raise ValueError("empty workload")
@@ -334,8 +355,8 @@ class QueryService:
                 )
             sess = self._session(session)
             sess.check()  # QuotaExceeded
-            self._admission.try_admit(len(qs))  # ServiceSaturated
             pool = self._ensure_pool(qs[0])
+            self._admission.try_admit(len(qs))  # ServiceSaturated
             for q in qs:
                 text = q.normalized()
                 self._seen.setdefault(text, q)
@@ -667,7 +688,7 @@ class QueryService:
         - ``pool_*`` — scheduler and lifecycle counters (including
           ``pool_steals``);
         - ``engine_*`` — the pool workers' own engine counters summed
-          (:func:`~repro.queries.parallel.merge_stats`), so the
+          (:func:`~repro.service.pool.merge_stats`), so the
           per-engine compiled-query cache counters stay distinguishable
           from the service-level answer cache.
         """
@@ -690,6 +711,7 @@ class QueryService:
         if pool is not None:
             out.update(pool.stats())
             merged = merge_stats(pool.worker_stats().values())
+            merged["tuples"] = self.db.size  # one shared database, not a sum
             out.update({f"engine_{k}": v for k, v in merged.items()})
         return out
 

@@ -24,9 +24,8 @@ from repro.cli import main
 from repro.compiler.cache import LruStatsCache
 from repro.queries.database import ProbabilisticDatabase, complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.parallel import shard_of
 from repro.queries.syntax import parse_ucq
-from repro.service import QueryService, WorkerPool
+from repro.service import QueryService, WorkerPool, shard_of
 
 pytestmark = pytest.mark.artifact
 

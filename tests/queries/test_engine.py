@@ -289,19 +289,21 @@ class TestCacheCounters:
         assert s["cache_misses"] == len(qs)
 
     def test_counters_merge_through_parallel_stats(self):
-        from repro.queries.parallel import ParallelQueryEngine
+        from repro.service import QueryService
 
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
         qs = [parse_ucq(t) for t in QUERIES]
-        with ParallelQueryEngine(db, workers=2, mode="threads") as par:
-            par.evaluate(qs)
-            batch = par.evaluate(qs)  # repeats hit the per-worker caches
-        merged = batch.stats
+        with QueryService(db, workers=2, mode="threads", steal=False) as par:
+            par.submit_sync(qs, exact=True)
+            # Float answers miss the exact-keyed answer cache, so the
+            # repeats reach, and hit, the per-worker compiled-query caches.
+            par.submit_sync(qs)
+            merged = par.stats()
         # Ints summed across workers, never dropped or stringified.
-        assert merged["cache_misses"] == len(qs)
-        assert merged["cache_hits"] == len(qs)
-        assert merged["cache_evictions"] == 0
-        assert merged["backend"] == "sdd"  # strings pass through
+        assert merged["engine_cache_misses"] == len(qs)
+        assert merged["engine_cache_hits"] == len(qs)
+        assert merged["engine_cache_evictions"] == 0
+        assert merged["engine_backend"] == "sdd"  # strings pass through
 
 
 class TestDdnnfBackendEngine:

@@ -5,7 +5,7 @@ update sequences (weight-only, inserts, deletes, mixed) the patched
 engine must reproduce a from-scratch compilation of the updated database
 *exactly* — same float bit patterns (compared via ``repr``), same exact
 ``Fraction`` values — on both the ``sdd`` (``apply``) and ``ddnnf``
-backends, serially and across the parallel/pool/service tiers.  Weight
+backends, serially and across the pool and service tiers.  Weight
 updates must additionally stay on the zero-recompilation fast path,
 asserted through the ``update_recompiles`` / ``cache_misses`` counters.
 
@@ -26,7 +26,6 @@ from repro.queries.database import (
     complete_database,
 )
 from repro.queries.engine import QueryEngine
-from repro.queries.parallel import ParallelQueryEngine
 from repro.queries.syntax import parse_ucq
 from repro.service import QueryService
 
@@ -222,13 +221,16 @@ class TestSerialEquivalence:
 
 
 class TestParallelEquivalence:
+    """Sharded services (``steal=False``) broadcast every delta to their
+    warm workers and stay bit-identical to a serial engine."""
+
     @settings(max_examples=8, deadline=None)
     @given(ops=ops_strategy, workers=st.sampled_from([2, 3]))
     def test_threads_parallel_matches_serial(self, ops, workers):
         db, sdb = _db(), _db()
         qs = _queries()
-        with ParallelQueryEngine(db, workers=workers, mode="threads") as par:
-            par.evaluate(qs)
+        with QueryService(db, workers=workers, mode="threads", steal=False) as par:
+            par.submit_sync(qs)
             serial = QueryEngine(sdb, vtree=par.vtree)
             for q in qs:
                 serial.probability(q)
@@ -238,19 +240,20 @@ class TestParallelEquivalence:
                 serial.apply_update(delta)  # replays onto sdb (own copy)
 
             apply_ops(db, ops, broadcast)
-            batch = par.evaluate(qs)
-            exact = par.evaluate(qs, exact=True)
+            batch = par.submit_sync(qs)
+            exact = par.submit_sync(qs, exact=True)
         for i, q in enumerate(qs):
-            assert repr(batch.probabilities[i]) == repr(serial.probability(q))
-            assert exact.probabilities[i] == serial.probability(q, exact=True)
+            assert repr(batch[i].probability) == repr(serial.probability(q))
+            assert exact[i].probability == serial.probability(q, exact=True)
 
     @pytest.mark.parametrize("backend", ["sdd", "ddnnf"])
     def test_persistent_pool_update_broadcast(self, backend):
         db, sdb = _db(), _db()
         qs = _queries()
-        par = ParallelQueryEngine(db, workers=2, mode="threads", backend=backend)
-        try:
-            par.evaluate(qs)
+        with QueryService(
+            db, workers=2, mode="threads", steal=False, backend=backend
+        ) as par:
+            par.submit_sync(qs)
             serial = QueryEngine(
                 sdb,
                 vtree=par.vtree if backend == "sdd" else None,
@@ -266,11 +269,9 @@ class TestParallelEquivalence:
                 inc = par.apply_update(delta)
                 assert inc["updates_applied"] == 1
                 serial.apply_update(delta)
-            batch = par.evaluate(qs)
+            batch = par.submit_sync(qs)
             for i, q in enumerate(qs):
-                assert repr(batch.probabilities[i]) == repr(serial.probability(q))
-        finally:
-            par.close()
+                assert repr(batch[i].probability) == repr(serial.probability(q))
 
 
 class TestServiceUpdates:
@@ -333,13 +334,15 @@ class TestPinnedVtreeBeforeFirstBatch:
         db, sdb = _db(), _db()
         vtree = self._pinned(db)
         serial = QueryEngine(sdb, vtree=vtree)
-        with ParallelQueryEngine(db, workers=workers, vtree=vtree, mode="threads") as par:
+        with QueryService(
+            db, workers=workers, vtree=vtree, mode="threads", steal=False
+        ) as par:
             delta = db.insert("S", 80, 1, p=0.45)
             par.apply_update(delta)
             serial.apply_update(delta)
-            batch = par.evaluate(_queries())
+            batch = par.submit_sync(_queries())
             assert par.vtree.variables == vtree.variables | {delta.var}
-        assert [repr(p) for p in batch.probabilities] == [
+        assert [repr(a.probability) for a in batch] == [
             repr(serial.probability(q)) for q in _queries()
         ]
 

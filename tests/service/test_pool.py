@@ -17,9 +17,8 @@ import pytest
 
 from repro.queries.database import ProbabilisticDatabase, complete_database
 from repro.queries.engine import QueryEngine
-from repro.queries.parallel import ParallelQueryEngine, shard_of
 from repro.queries.syntax import parse_ucq
-from repro.service import WorkerPool
+from repro.service import QueryService, WorkerPool, shard_of
 
 pytestmark = pytest.mark.service
 
@@ -255,30 +254,36 @@ class TestSpawnPool:
 
 
 class TestPersistentParallelEngine:
-    """ParallelQueryEngine rides one pool for its lifetime and stays
-    bit-identical to serial and to a fresh engine (one pool per batch,
-    the classic cold use)."""
+    """A sharded service (``steal=False``) rides one pool for its lifetime
+    and stays bit-identical to serial and to a fresh service per batch
+    (one pool per batch, the classic cold use)."""
 
     @pytest.mark.parametrize("mode", ["threads", "spawn"])
     def test_matches_classic_and_serial(self, mode):
         db = _db()
         qs = _queries()
         expect, _ = _serial_expectations(db, qs)
-        with ParallelQueryEngine(db, workers=3, mode=mode) as cold:
-            classic = cold.evaluate(qs, exact=True)
-        with ParallelQueryEngine(db, workers=3, mode=mode) as persistent:
-            batches = [persistent.evaluate(qs, exact=True) for _ in range(3)]
+        with QueryService(db, workers=3, mode=mode, steal=False) as cold:
+            classic = cold.submit_sync(qs, exact=True)
+        with QueryService(db, workers=3, mode=mode, steal=False) as persistent:
+            batches = [persistent.submit_sync(qs, exact=True) for _ in range(3)]
+            stats = persistent.stats()
+        assert [a.probability for a in classic] == expect
+        assert [a.worker for a in classic] == [shard_of(q, 3) for q in qs]
         for batch in batches:
-            assert batch.probabilities == classic.probabilities == expect
-            assert batch.sizes == classic.sizes
-            assert batch.shards == classic.shards
-        assert persistent.pool.batches_served == 3
-        assert persistent.pool.stats()["pool_steals"] == 0  # shard-owned
+            assert [a.probability for a in batch] == expect
+            assert [a.size for a in batch] == [a.size for a in classic]
+        # The first batch ran on the same shards; the repeats were served
+        # from the answer cache without reaching the pool.
+        assert [a.worker for a in batches[0]] == [a.worker for a in classic]
+        assert all(a.cached for batch in batches[1:] for a in batch)
+        assert stats["pool_tasks_served"] == len(qs)
+        assert stats["pool_steals"] == 0  # shard-owned
 
     def test_close_is_idempotent_and_classic_noop(self):
         db = _db(domain=2)
-        engine = ParallelQueryEngine(db, workers=2)
-        engine.close()  # no batch yet, no pool: no-op
-        with ParallelQueryEngine(db, workers=2) as engine:
-            engine.evaluate(_queries())
-        engine.close()  # second close after __exit__
+        svc = QueryService(db, workers=2)
+        svc.close()  # no batch yet, no pool: no-op
+        with QueryService(db, workers=2, steal=False) as svc:
+            svc.submit_sync(_queries())
+        svc.close()  # second close after __exit__

@@ -14,6 +14,7 @@ import asyncio
 
 import pytest
 
+from repro.artifact import ArtifactError
 from repro.compiler.cache import LruStatsCache, fingerprint
 from repro.queries.database import ProbabilisticDatabase, complete_database
 from repro.queries.engine import QueryEngine
@@ -260,6 +261,29 @@ class TestAdmissionControl:
             s = svc.stats()
             assert s["admission_rejected"] == len(qs)
             assert s["admission_in_flight"] == 0
+
+    @pytest.mark.parametrize("cause", ["corrupt artifact", "bad mode"])
+    def test_pool_that_cannot_be_built_admits_nothing(self, cause, tmp_path):
+        """A submission whose pool cannot be built raises and holds no
+        admission slot, so updates and a graceful shutdown still drain."""
+        db = _db(domain=2)
+        if cause == "corrupt artifact":
+            (tmp_path / f"{db.fingerprint()}.rpaf").write_bytes(b"not an artifact")
+            svc = QueryService(db, workers=1, artifact_dir=tmp_path)
+            error = ArtifactError
+        else:
+            svc = QueryService(db, workers=1)
+            svc.mode = "forkbomb"  # past the constructor's check: WorkerPool refuses it
+            error = ValueError
+        try:
+            for _attempt in range(2):  # a retry holds no slot either
+                with pytest.raises(error):
+                    svc.submit_sync([parse_ucq("R(x)")])
+                assert svc.stats()["admission_in_flight"] == 0
+            inc = svc.apply_update(db.set_probability("R", 1, p=0.3), drain_timeout=0.2)
+            assert inc["updates_applied"] == 1
+        finally:
+            assert svc.shutdown(0.2) is True
 
     def test_closed_service_rejects(self):
         db = _db(domain=2)

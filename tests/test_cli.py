@@ -113,6 +113,16 @@ class TestEngineUpdates:
         assert "after 1 update(s)" in out
         assert "updates_applied=1" in out
 
+    def test_engine_parallel_batch_longer_than_default_admission(self, capsys):
+        # 1100 queries exceed a service's default max_in_flight of 1024;
+        # the sharded CLI path admits the whole workload as one batch.
+        workload = "; ".join(["R(x)", "S(x,y)"] * 550)
+        assert main(["engine", workload, "--domain", "2", "--exact",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "engine: 1100 queries" in out
+        assert "engine_cache_hits=1098" in out
+
     def test_engine_update_bad_spec(self, capsys):
         # Malformed kind, unparsable and out-of-range probabilities, and a
         # tuple the database lacks: each is refused before anything runs.

@@ -109,13 +109,15 @@ def test_cli_help_lists_every_subcommand():
 
 RETIRED = ("PipelineResult", "compile_circuit", "compile_circuit_apply", "probability_via_sdd",
            "evaluate_many", "nnf_dumps", "nnf_loads", "compile_with_vtree",
-           "candidate_compilations", "minimize_vtree_for_circuit", "minimize_vtree_fresh")
+           "candidate_compilations", "minimize_vtree_for_circuit", "minimize_vtree_fresh",
+           "ParallelQueryEngine", "ParallelBatchEvaluation")
 
 
 def test_retired_front_doors_are_gone():
     """Circuits compile through ``Compiler``, lineages evaluate through
-    ``QueryEngine``, and parallel batches run on one pool: the old shims
-    and the per-batch executor options are gone, not carried."""
+    ``QueryEngine``, and sharded batches run on ``QueryService``'s one
+    pool: the old shims, the parallel engine and the per-batch executor
+    options are gone, not carried."""
     out = run_python("-c", textwrap.dedent(f"""
         import importlib, importlib.util
         for module in ("repro", "repro.core", "repro.core.pipeline", "repro.core.vtree_search",
@@ -131,13 +133,12 @@ def test_retired_front_doors_are_gone():
                 else:
                     raise AssertionError((module, name))
         assert importlib.util.find_spec("repro.sdd.compile") is None
-        from repro.queries import ParallelQueryEngine, QueryEngine, complete_database, parse_ucq
+        assert importlib.util.find_spec("repro.queries.parallel") is None
+        from repro.queries import QueryEngine, complete_database, parse_ucq
         db = complete_database({{"R": 1}}, 2)
         q = parse_ucq("R(x)")
         rejected = 0
-        for call in (lambda: ParallelQueryEngine(db, persistent=True),
-                     lambda: ParallelQueryEngine(db, steal=False),
-                     lambda: QueryEngine(db).evaluate([q], workers=2),
+        for call in (lambda: QueryEngine(db).evaluate([q], workers=2),
                      lambda: QueryEngine(db).evaluate([q], parallel_mode="threads"),
                      lambda: QueryEngine(db).evaluate([q], shard_seed=1)):
             try:
@@ -146,7 +147,7 @@ def test_retired_front_doors_are_gone():
                 rejected += 1
         print("gone", rejected)
     """))
-    assert out.strip() == "gone 5"
+    assert out.strip() == "gone 3"
 
 
 def test_frozen_evaluator_copies_are_gone():
