@@ -438,14 +438,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not queries:
         print("no queries given", file=sys.stderr)
         return 1
-    if args.artifacts is not None and args.backend != "sdd":
-        print("--artifacts requires --backend sdd", file=sys.stderr)
-        return 1
     service = QueryService(
         db,
         workers=args.workers,
         mode=args.mode,
-        backend=args.backend,
         max_nodes=args.max_nodes,
         cache_capacity=args.cache_capacity,
         max_in_flight=args.max_in_flight,
@@ -645,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["threads", "spawn"], default="threads",
                    help="worker execution mode (spawn keeps child processes "
                         "alive across batches)")
-    s.add_argument("--backend", choices=["sdd", "ddnnf"], default="sdd",
-                   help="compiled representation per worker engine")
     s.add_argument("--sessions", type=int, default=4,
                    help="concurrent client sessions to simulate")
     s.add_argument("--repeats", type=int, default=2,
@@ -664,8 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--artifacts", metavar="DIR", default=None,
                    help="artifact directory: warm-start the pool from "
                         "<db_fingerprint>.rpaf when present, and save the "
-                        "served workload back to it after the run "
-                        "(sdd backend)")
+                        "served workload back to it after the run")
     s.add_argument("--deadline-ms", type=float, default=None,
                    help="per-query wall-clock budget in milliseconds, "
                         "enforced cooperatively at the compilation "

@@ -77,23 +77,17 @@ class QueryEngine:
     Victims are scored by exclusive node footprint × staleness, the
     most-expensive-least-recent first (see :meth:`_eviction_order`).
 
-    ``backend`` picks the compiled representation: ``"sdd"`` (default) is
-    the apply-based :class:`SddManager` path described above; ``"ddnnf"``
-    compiles each lineage bag-by-bag into a d-DNNF instead
-    (:func:`~repro.queries.compile.compile_lineage_ddnnf` — no manager,
-    no vtree).  d-DNNF roots participate in the compiled-query cache and
-    the ``max_nodes`` budget exactly like SDD roots: the budget bounds
-    the total d-DNNF nodes of all cached queries and evicts with the same
-    footprint × staleness scoring (each query's footprint is exclusive —
-    separate DAGs share nothing).  An explicit ``vtree`` does not apply to
-    ``"ddnnf"`` and raises at construction.
+    The engine serves SDDs only.  The bag-by-bag d-DNNF of arXiv
+    1811.02944 §5.1 stays available as a one-shot reference,
+    :func:`~repro.queries.evaluate.probability_via_ddnnf`, and as
+    ``Compiler(backend="ddnnf")`` for circuits.
 
     ``frozen`` preloads a compiled artifact base (a
     :class:`~repro.artifact.store.FrozenSdd` or a path to one written by
-    :meth:`save_artifact`) for the SDD backend: queries whose normalized
-    text matches a stored root are answered straight off the mmap-ed node
-    tables — no manager, no compilation, bit-identical probabilities —
-    and count as ``frozen_hits`` rather than cache misses.  When no
+    :meth:`save_artifact`): queries whose normalized text matches a
+    stored root are answered straight off the mmap-ed node tables — no
+    manager, no compilation, bit-identical probabilities — and count as
+    ``frozen_hits`` rather than cache misses.  When no
     explicit ``vtree`` is given the frozen base's vtree becomes the
     session vtree, so queries *outside* the base compile against the same
     decomposition.  The artifact's stamped database fingerprint must
@@ -109,30 +103,16 @@ class QueryEngine:
     beyond the roots is the active domain they were compiled against.
     """
 
-    _BACKENDS = ("sdd", "ddnnf")
-
     def __init__(
         self,
         db: ProbabilisticDatabase,
         *,
         vtree: Vtree | None = None,
         max_nodes: int | None = None,
-        backend: str = "sdd",
         frozen=None,
     ):
         if max_nodes is not None and max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if backend not in self._BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {self._BACKENDS}"
-            )
-        if backend == "ddnnf" and vtree is not None:
-            raise ValueError(
-                "backend='ddnnf' compiles from tree decompositions: "
-                "a vtree does not apply"
-            )
-        if frozen is not None and backend != "sdd":
-            raise ValueError("frozen artifact bases require backend='sdd'")
         # A path is mmap-ed in place (children of a spawn pool all map the
         # same file, so the OS shares the pages) and closed by this engine
         # when an update drops it; a passed-in store belongs to the caller
@@ -160,7 +140,6 @@ class QueryEngine:
         self._frozen_sizes: dict[int, int] = {}
         self._frozen_hits = 0
         self.db = db
-        self.backend = backend
         self.max_nodes = max_nodes
         self._manager: SddManager | None = SddManager(vtree) if vtree is not None else None
         self._roots: OrderedDict[UCQ, int] = OrderedDict()
@@ -170,13 +149,7 @@ class QueryEngine:
         # :meth:`_patch_roots` replaces it.
         self._sizes: dict[UCQ, int] = {}
         self._evaluators: dict[bool, SddWmcEvaluator] = {}
-        # backend="ddnnf": per-query compiled DAGs + one WMC evaluator per
-        # (query, ring) + memoized root values (each DdnnfResult owns its
-        # own DnnfDag, so evaluators and values evict with their query).
-        self._ddnnf: OrderedDict[UCQ, object] = OrderedDict()
-        self._ddnnf_wmc: dict[tuple[UCQ, bool], object] = {}
-        self._ddnnf_values: dict[tuple[UCQ, bool], float | Fraction] = {}
-        # The active domain every cached SDD root was compiled against (set
+        # The active domain every cached root was compiled against (set
         # when a compile fills an empty cache, kept current by structural
         # updates): a query with an inequality-only variable recompiles
         # when an update changes it.
@@ -228,22 +201,6 @@ class QueryEngine:
             mgr = self._manager
             ev = SddWmcEvaluator(mgr, self._session_weights(mgr.variables, exact))
             self._evaluators[exact] = ev
-        return ev
-
-    def _ddnnf_evaluator(self, query: UCQ, exact: bool, result):
-        """The persistent per-(query, ring) d-DNNF evaluator — same weights
-        as the one-shot :func:`repro.dnnf.wmc.probability` path (so values
-        are bit-identical to it), kept alive so weight-only updates can
-        invalidate just the affected memo cone instead of resweeping."""
-        key = (query, exact)
-        ev = self._ddnnf_wmc.get(key)
-        if ev is None:
-            from ..dnnf.wmc import DnnfWmcEvaluator
-
-            prob = self.db.probability_map()
-            weights = exact_weights(prob) if exact else float_weights(prob)
-            ev = DnnfWmcEvaluator(result.dag, weights)
-            self._ddnnf_wmc[key] = ev
         return ev
 
     # ------------------------------------------------------------------
@@ -302,8 +259,6 @@ class QueryEngine:
         with ``QueryEngine(db, frozen=path)`` and answer those queries
         without compiling anything.  Returns the written
         :class:`~repro.artifact.store.FrozenSdd`."""
-        if self.backend != "sdd":
-            raise ValueError("save_artifact requires backend='sdd'")
         if not self._roots or self._manager is None:
             raise ValueError("no compiled queries to save")
         full_meta = {"db_fingerprint": self.db.fingerprint()}
@@ -335,21 +290,16 @@ class QueryEngine:
         return Deadline(timeout)
 
     def compile(self, query: UCQ, *, timeout: float | None = None, deadline=None) -> int:
-        """Compile ``query``'s lineage (cached; for the SDD backend also
-        pinned against collection); returns the root node id — in the
-        shared manager (``backend="sdd"``) or in the query's own d-DNNF
-        DAG (``backend="ddnnf"``).
+        """Compile ``query``'s lineage (cached and pinned against
+        collection); returns its root node id in the shared manager.
 
         ``timeout``/``deadline`` bound the compilation wall-clock,
-        enforced cooperatively at the per-gate (SDD) / per-bag (d-DNNF)
-        safepoints; expiry raises the typed
-        :class:`~repro.service.errors.DeadlineExceeded` and leaves the
-        session consistent (nothing is cached for the query, and the
-        partial manager garbage is unpinned, so the next collection
-        reclaims it)."""
+        enforced cooperatively at the per-gate safepoints; expiry raises
+        the typed :class:`~repro.service.errors.DeadlineExceeded` and
+        leaves the session consistent (nothing is cached for the query,
+        and the partial manager garbage is unpinned, so the next
+        collection reclaims it)."""
         deadline = self._resolve_deadline(timeout, deadline)
-        if self.backend == "ddnnf":
-            return self._compile_ddnnf(query, deadline=deadline).root
         root = self._roots.get(query)
         if root is not None:
             self._roots.move_to_end(query)
@@ -371,35 +321,10 @@ class QueryEngine:
         self._collect_over_budget(keep=query)
         return root
 
-    def _compile_ddnnf(self, query: UCQ, *, deadline=None):
-        """The ``backend="ddnnf"`` compile path: cache
-        :class:`~repro.dnnf.builder.DdnnfResult` handles per query and
-        apply the same budget sweep the SDD path runs."""
-        result = self._ddnnf.get(query)
-        if result is not None:
-            self._ddnnf.move_to_end(query)
-            self._cache_hits += 1
-            return result
-        self._cache_misses += 1
-        from .compile import compile_lineage_ddnnf
-        from ..service.errors import DeadlineExceeded
-
-        try:
-            result = compile_lineage_ddnnf(query, self.db, deadline=deadline)
-        except DeadlineExceeded:
-            self._deadline_exceeded += 1
-            raise
-        self._ddnnf[query] = result
-        self._collect_over_budget_ddnnf(keep=query)
-        return result
-
     def cached_root(self, query: UCQ) -> int | None:
         """The root id of ``query`` if it is currently compiled, ``None``
         if it was never asked for or has been evicted/forgotten.  Never
         compiles — the read-only counterpart of :meth:`compile`."""
-        if self.backend == "ddnnf":
-            result = self._ddnnf.get(query)
-            return None if result is None else result.root
         root = self._roots.get(query)
         if root is None:
             return self._frozen_root(query)
@@ -420,15 +345,6 @@ class QueryEngine:
         cost; the linear WMC sweep is not interrupted) — see
         :meth:`compile` for the cooperative-cancellation contract."""
         deadline = self._resolve_deadline(timeout, deadline)
-        if self.backend == "ddnnf":
-            r = self._compile_ddnnf(query, deadline=deadline)
-            key = (query, exact)
-            value = self._ddnnf_values.get(key)
-            if value is None:
-                value = self._ddnnf_evaluator(query, exact, r).value(r.root)
-                value = Fraction(value) if exact else float(value)
-                self._ddnnf_values[key] = value
-            return value
         froot = self._frozen_root(query)
         if froot is not None and query not in self._roots:
             # Served straight off the mmap-ed artifact: no compilation, no
@@ -447,11 +363,9 @@ class QueryEngine:
         """Compiled size of ``query`` if it is currently cached, ``None``
         otherwise.  Never compiles and never touches the hit/miss
         counters — the sibling of :meth:`cached_root` used by the worker
-        pool to report sizes without inflating the cache statistics.  Each root is walked once; the size is kept
-        until the root is forgotten, evicted or patched."""
-        if self.backend == "ddnnf":
-            result = self._ddnnf.get(query)
-            return None if result is None else result.size
+        pool to report sizes without inflating the cache statistics.  Each
+        root is walked once; the size is kept until the root is forgotten,
+        evicted or patched."""
         if query in self._roots:
             return self._root_size(query)
         froot = self._frozen_root(query)
@@ -473,10 +387,8 @@ class QueryEngine:
         return size
 
     def lineage_size(self, query: UCQ) -> int:
-        """Compiled size of the lineage of ``query`` (SDD size or d-DNNF
-        node count, per the session ``backend``)."""
-        if self.backend == "ddnnf":
-            return self._compile_ddnnf(query).size
+        """Compiled SDD size of the lineage of ``query`` (compiles it if
+        needed)."""
         froot = self._frozen_root(query)
         if froot is not None and query not in self._roots:
             self._frozen_hits += 1
@@ -512,23 +424,6 @@ class QueryEngine:
         qs: Sequence[UCQ] = list(queries)
         if not qs:
             raise ValueError("empty workload")
-        if self.backend == "ddnnf":
-            probabilities = []
-            sizes = []
-            for q in qs:
-                probabilities.append(self.probability(q, exact=exact, timeout=timeout))
-                # Just asked for: never evicted yet (mirrors the SDD path's
-                # measure-at-evaluation-time contract).
-                sizes.append(self._ddnnf[q].size)
-            return BatchEvaluation(
-                queries=list(qs),
-                probabilities=probabilities,
-                roots=[self.cached_root(q) for q in qs],
-                sizes=sizes,
-                manager=None,
-                vtree=None,
-                stats=self.stats(),
-            )
         probabilities = []
         sizes = []
         for q in qs:
@@ -550,18 +445,9 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def forget(self, query: UCQ) -> bool:
         """Release ``query``'s compiled lineage and drop it from the
-        compiled-query cache — for the SDD backend the pinned root's nodes
-        become collectable by the next :meth:`gc` (unless shared with a
-        still-pinned query); for the d-DNNF backend the query's DAG and
-        memoized values are dropped outright.  Returns whether the query
-        was cached."""
-        if self.backend == "ddnnf":
-            if self._ddnnf.pop(query, None) is None:
-                return False
-            for exact in (False, True):
-                self._ddnnf_values.pop((query, exact), None)
-                self._ddnnf_wmc.pop((query, exact), None)
-            return True
+        compiled-query cache: the pinned root's nodes become collectable by
+        the next :meth:`gc` (unless shared with a still-pinned query).
+        Returns whether the query was cached."""
         root = self._roots.pop(query, None)
         if root is None:
             return False
@@ -618,10 +504,10 @@ class QueryEngine:
 
         Counters: ``delta_patched_roots`` counts the patched roots whose
         node changed (only those are re-pinned, the old root released);
-        ``update_recompiles`` counts the inequality-only recompiles (every
-        cached query, for the d-DNNF backend).  After a structural update
-        the ``max_nodes`` budget is enforced as after a compile: collect
-        first, and evict only if that is not enough.
+        ``update_recompiles`` counts the inequality-only recompiles.
+        After a structural update the ``max_nodes`` budget is enforced as
+        after a compile: collect first, and evict only if that is not
+        enough.
 
         Returns this call's counter increments (the same keys
         :meth:`stats` accumulates).
@@ -687,18 +573,11 @@ class QueryEngine:
         for evaluators in (self._evaluators, self._frozen_wmc):
             for exact, ev in evaluators.items():
                 invalidated += ev.update_weights({var: self._weight_pair(p, exact)})
-        for (query, exact), ev in self._ddnnf_wmc.items():
-            invalidated += ev.update_weights({var: self._weight_pair(p, exact)})
-            result = self._ddnnf.get(query)
-            if result is not None and not ev.memoized(result.root):
-                self._ddnnf_values.pop((query, exact), None)
         return invalidated
 
     def _patch_roots(self, delta: UpdateDelta, *, insert: bool) -> tuple[int, int]:
         """Delta-patch every cached query for a tuple insert/delete (see
         :meth:`apply_update`); returns ``(patched, recompiled)``."""
-        if self.backend == "ddnnf":
-            return self._patch_ddnnf(delta)
         domain = frozenset(self.db.active_domain())
         domain_moved = domain != self._domain
         self._domain = domain
@@ -726,21 +605,6 @@ class QueryEngine:
                 self._roots[query] = new_root
                 self._sizes.pop(query, None)
         return patched, recompiles
-
-    def _patch_ddnnf(self, delta: UpdateDelta) -> tuple[int, int]:
-        """The d-DNNF tier has no shared manager to patch through, and a
-        compiled DAG's root scope spans *every* tuple of the instance it
-        was built against — any insert/delete changes the scope (and
-        possibly the decomposition) of what a fresh compile would build,
-        so keeping even term-unchanged DAGs would break float
-        bit-identity with fresh compilation.  Drop everything; queries
-        recompile lazily on the next ask.  (Weight-only updates never
-        come here — they stay on the memo-invalidation fast path.)"""
-        recompiles = 0
-        for query in list(self._ddnnf):
-            self.forget(query)
-            recompiles += 1
-        return 0, recompiles
 
     def _eviction_order(self, keep: UCQ | None) -> list[UCQ]:
         """Victim order for the budget sweep (size-lru).
@@ -810,62 +674,36 @@ class QueryEngine:
             batch *= 2
             mgr.gc()
 
-    def _collect_over_budget_ddnnf(self, keep: UCQ) -> None:
-        """The d-DNNF counterpart of :meth:`_collect_over_budget`: evict
-        cached queries until the total d-DNNF node footprint fits
-        ``max_nodes`` (or only ``keep`` remains).  Footprints are exact
-        and exclusive (each query owns its DAG), so victims are scored
-        ``size × staleness`` directly — no reachability sweep needed."""
-        if self.max_nodes is None or self.live_nodes() <= self.max_nodes:
-            return
-        victims = [q for q in self._ddnnf if q != keep]
-        n = len(victims)
-        scored = sorted(
-            (-(self._ddnnf[q].size + 1) * (n - age), age, q)
-            for age, q in enumerate(victims)
-        )
-        for _, _, q in scored:
-            if self.live_nodes() <= self.max_nodes:
-                break
-            self.forget(q)
-            self._evicted += 1
-
     def live_nodes(self) -> int:
-        """The session's current compiled-node footprint — the number the
-        ``max_nodes`` budget bounds and service-tier quotas charge
-        against: manager live nodes for the SDD backend, total cached
-        d-DNNF nodes for the d-DNNF backend."""
-        if self.backend == "ddnnf":
-            return sum(r.size for r in self._ddnnf.values())
+        """The session's current compiled-node footprint — the manager's
+        live nodes, the number the ``max_nodes`` budget bounds and
+        service-tier quotas charge against."""
         return 0 if self._manager is None else self._manager.live_node_count
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def stats(self) -> dict[str, int | str]:
+    def stats(self) -> dict[str, int]:
         """Public counters for the session's shared state.
 
         Includes the manager's table/cache/GC counters (prefixed as
-        reported by :meth:`SddManager.stats`), the combined WMC memo
-        size and the ``backend`` (the one non-numeric entry); use this
-        instead of reading private ``_and_cache`` / ``_memo`` attributes.
+        reported by :meth:`SddManager.stats`) and the combined WMC memo
+        size; use this instead of reading private ``_and_cache`` /
+        ``_memo`` attributes.
 
         Update counters: ``delta_patched_roots`` counts cached roots an
         insert or delete patched to a different node (a query whose atoms
         cannot use the tuple costs no apply and counts nothing);
         ``update_recompiles`` counts queries recompiled instead, because
         they have an inequality-only variable and the active domain
-        changed (every cached query, for the d-DNNF backend).
+        changed.
         """
-        out: dict[str, int | str] = {
-            "queries_compiled": (
-                len(self._ddnnf) if self.backend == "ddnnf" else len(self._roots)
-            ),
+        out: dict[str, int] = {
+            "queries_compiled": len(self._roots),
             "queries_evicted": self._evicted,
             "cache_hits": self._cache_hits,
             "cache_misses": self._cache_misses,
             "cache_evictions": self._evicted,
-            "backend": self.backend,
             "tuples": self.db.size,
             "frozen_queries": (
                 0
@@ -879,10 +717,6 @@ class QueryEngine:
             "update_recompiles": self._update_recompiles,
             "deadline_exceeded": self._deadline_exceeded,
         }
-        if self.backend == "ddnnf":
-            out["ddnnf_nodes"] = self.live_nodes()
-            out["wmc_memo_entries"] = len(self._ddnnf_values)
-            return out
         if self._manager is not None:
             m = self._manager.stats()
             out["manager_nodes"] = m["nodes"]

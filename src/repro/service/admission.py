@@ -13,10 +13,12 @@ pool:
   budget; every answered query charges its compiled size (at evaluation
   time) against it.  A session at or over budget gets
   :exc:`QuotaExceeded` on its next submit.  Compiled sizes are canonical
-  (same query + database ⇒ same SDD/d-DNNF size on every worker), so the
-  charge — and therefore the exact submission at which a session starts
-  being rejected — is deterministic, independent of worker count or
-  steal schedule.
+  (same query + database ⇒ same SDD size on every worker, all sharing
+  one base vtree), so the charge — and therefore the exact submission at
+  which a session starts being rejected — is deterministic, independent
+  of worker count or steal schedule.  A degraded answer (computed on the
+  query's own vtree after repeated deadline misses) charges that
+  engine's size instead, and holds its in-flight slot until it is in.
 
 Everything here is plain bookkeeping under the service's lock; no
 threading primitives of its own.  The exception types live in

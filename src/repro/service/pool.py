@@ -44,9 +44,9 @@ future: the child is restarted **warm** (the start payload is rebuilt
 from the pool's *current* database and vtree, so post-update restarts
 are correct, and artifact-backed pools re-mmap the same file) and the
 in-flight task is **replayed** (queries are pure functions of the
-database, so re-execution is always safe — and SDD/d-DNNF canonicity
-keeps replayed answers bit-identical).  Restarts are bounded per slot
-with exponential backoff; a slot out of lives is *retired* and its
+database, so re-execution is always safe — and SDD canonicity keeps
+replayed answers bit-identical).  Restarts are bounded per slot with
+exponential backoff; a slot out of lives is *retired* and its
 queue redistributed to survivors; a task that kills
 ``poison_threshold`` consecutive workers is quarantined with
 :class:`~repro.service.errors.TaskPoisoned` instead of crash-looping
@@ -67,20 +67,20 @@ Deadlines
 ``submit(..., timeout=...)`` gives one task a wall-clock budget starting
 at submission (queue wait counts).  Enforcement is cooperative, at the
 compilers' safepoints — per gate and per pairwise apply of a folded
-chain in the apply pipeline, per bag in the d-DNNF builder — so a
-deadline never tears down a worker mid-compile; the task fails with the
-typed :class:`~repro.service.errors.DeadlineExceeded` and the worker (and
-its warm caches) keep serving.  Spawn workers receive the *remaining*
+chain in the apply pipeline — so a deadline never tears down a worker
+mid-compile; the task fails with the typed
+:class:`~repro.service.errors.DeadlineExceeded` and the worker (and its
+warm caches) keep serving.  Spawn workers receive the *remaining*
 seconds at send time, so parent/child clock bases never mix.
 
 Determinism guarantee
 ---------------------
 
 Stealing (and crash replay) moves *where* a query is evaluated, never
-*what* it answers: every worker compiles against the same base vtree,
-SDDs (and the decomposition-driven d-DNNFs) are canonical, so
-probabilities and sizes are bit-identical to serial evaluation for every
-worker count, every steal schedule, and every crash/replay schedule.
+*what* it answers: every worker compiles against the same base vtree and
+SDDs are canonical, so probabilities and sizes are bit-identical to
+serial evaluation for every worker count, every steal schedule, and
+every crash/replay schedule.
 Results are reassembled by task id, so arrival order never leaks into
 batch order.  What stealing *can* move is which worker's ``max_nodes``
 budget a query is charged to — the same latitude the shard-local budgets
@@ -131,13 +131,13 @@ def shard_of(query: UCQ, workers: int, seed: int = 0) -> int:
     return int.from_bytes(digest, "big") % workers
 
 
-def merge_stats(worker_stats: Iterable[dict[str, int | str]]) -> dict[str, int | str]:
-    """Per-worker engine counters summed; strings (the backend name) pass
-    through, the workers being configured identically."""
-    merged: dict[str, int | str] = {}
+def merge_stats(worker_stats: Iterable[dict[str, int]]) -> dict[str, int]:
+    """Per-worker engine counters summed key by key (every entry of
+    :meth:`QueryEngine.stats` is a count)."""
+    merged: dict[str, int] = {}
     for stats in worker_stats:
         for k, v in stats.items():
-            merged[k] = v if isinstance(v, str) else merged.get(k, 0) + v
+            merged[k] = merged.get(k, 0) + v
     return merged
 
 
@@ -306,13 +306,11 @@ def _pool_worker_main(conn, payload) -> None:
     they pickle (the typed hierarchy in :mod:`repro.service.errors`
     does), falling back to ``repr`` for foreign types, and never kill
     the worker."""
-    db, vtree_ops, max_nodes, backend, artifact_path, worker_id, plan = payload
-    vtree = Vtree.from_postfix(vtree_ops) if vtree_ops is not None else None
+    db, vtree_ops, max_nodes, artifact_path, worker_id, plan = payload
     engine = QueryEngine(
         db,
-        vtree=vtree,
+        vtree=Vtree.from_postfix(vtree_ops),
         max_nodes=max_nodes,
-        backend=backend,
         frozen=artifact_path,
     )
     try:
@@ -380,12 +378,10 @@ class WorkerPool:
     :meth:`submit` and must eventually be :meth:`close`\\ d (workers are
     daemons, so a forgotten pool cannot hang interpreter exit).
 
-    ``vtree`` is the shared base vtree (required for the SDD backend,
-    unless ``artifact`` supplies it, so every worker compiles canonically
-    against the same decomposition; pass ``None`` for
-    ``backend="ddnnf"``).  ``max_nodes`` is the
-    per-worker session budget: each engine evicts and collects
-    shard-locally.
+    ``vtree`` is the shared base vtree (required unless ``artifact``
+    supplies it), so every worker compiles canonically against the same
+    decomposition.  ``max_nodes`` is the per-worker session budget: each
+    engine evicts and collects shard-locally.
 
     ``artifact`` warm-starts every worker from a compiled artifact base
     (a path written by :meth:`QueryEngine.save_artifact`, or a loaded
@@ -416,7 +412,6 @@ class WorkerPool:
         max_nodes: int | None = None,
         mode: str = "threads",
         steal: bool = True,
-        backend: str = "sdd",
         artifact=None,
         restart: RestartPolicy | None = None,
         hang_timeout: float | None = None,
@@ -426,10 +421,8 @@ class WorkerPool:
             raise ValueError("workers must be positive")
         if mode not in ("threads", "spawn"):
             raise ValueError(f"unknown mode {mode!r} (threads or spawn)")
-        if artifact is not None and backend != "sdd":
-            raise ValueError("artifact warm start requires backend='sdd'")
-        if vtree is None and backend == "sdd" and artifact is None:
-            raise ValueError("the sdd backend needs a shared base vtree")
+        if vtree is None and artifact is None:
+            raise ValueError("the pool needs a shared base vtree")
         self._artifact_obj = None
         self._artifact_path = None
         # The store _threads_frozen loaded from the artifact path: the
@@ -468,7 +461,6 @@ class WorkerPool:
         self.max_nodes = max_nodes
         self.mode = mode
         self.steal = steal
-        self.backend = backend
         self.hang_timeout = hang_timeout
         self.fault_plan = fault_plan
         self.batches_served = 0
@@ -484,7 +476,7 @@ class WorkerPool:
         self._conns: list = []
         self._sent = [0] * workers  # per-slot task-send ordinals
         self._suspect_hung: set[int] = set()
-        self._spawn_stats: dict[int, dict[str, int | str]] = {}
+        self._spawn_stats: dict[int, dict[str, int]] = {}
         self._started = False
         self._closed = False
         self._lock = threading.Lock()
@@ -518,12 +510,10 @@ class WorkerPool:
         *current* state — a restart after live updates ships the mutated
         database and grown vtree, so version-gated delta replays are
         no-ops and answers stay current."""
-        vtree_ops = None if self.vtree is None else self.vtree.to_postfix()
         return (
             self.db,
-            vtree_ops,
+            self.vtree.to_postfix(),
             self.max_nodes,
-            self.backend,
             self._artifact_path,
             worker,
             self.fault_plan,
@@ -690,7 +680,6 @@ class WorkerPool:
         delta.apply(self.db)
         if (
             delta.kind == "insert"
-            and self.vtree is not None
             and delta.var not in self.vtree.variables
         ):
             # SddManager.add_variable's rule: a new root over old and leaf.
@@ -869,7 +858,6 @@ class WorkerPool:
                 self.db,
                 vtree=self.vtree,
                 max_nodes=self.max_nodes,
-                backend=self.backend,
                 frozen=self._threads_frozen(),
             )
             self._engines[w] = engine
@@ -984,17 +972,17 @@ class WorkerPool:
         replaced slot); empty in threads mode."""
         return [p.pid for p in self._procs]
 
-    def worker_stats(self) -> dict[int, dict[str, int | str]]:
+    def worker_stats(self) -> dict[int, dict[str, int]]:
         """Per-worker engine ``stats()`` — live for threads workers, the
         snapshot piggybacked on each result for spawn workers."""
         if self.mode == "threads":
             return {w: e.stats() for w, e in self._engines.items()}
         return dict(self._spawn_stats)
 
-    def stats(self) -> dict[str, int | str]:
+    def stats(self) -> dict[str, int]:
         """Pool-level counters (scheduler + lifecycle + supervision;
         per-engine counters live in :meth:`worker_stats`)."""
-        out: dict[str, int | str] = {
+        out: dict[str, int] = {
             "pool_mode": self.mode,
             "pool_workers": self.workers,
             "pool_live_workers": len(self._scheduler.live()),

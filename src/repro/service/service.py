@@ -11,10 +11,10 @@ persistent :class:`~repro.service.pool.WorkerPool`:
   the service's whole lifetime;
 - **a shared answer cache** — keyed by *content*
   (:meth:`~repro.queries.syntax.UCQ.normalized` text +
-  :meth:`~repro.queries.database.Database.fingerprint` + backend +
-  value ring, via :func:`~repro.compiler.cache.fingerprint`), so one
-  session's work answers another session's repeat instantly, and the
-  hit/miss/eviction counters surface in :meth:`stats`;
+  :meth:`~repro.queries.database.Database.fingerprint` + value ring,
+  via :func:`~repro.compiler.cache.fingerprint`), so one session's work
+  answers another session's repeat instantly, and the hit/miss/eviction
+  counters surface in :meth:`stats`;
 - **admission control** — a bounded in-flight window that *rejects* with
   a retry hint (:exc:`~repro.service.errors.ServiceSaturated`) rather
   than queueing unboundedly, and per-session compiled-node quotas
@@ -24,9 +24,11 @@ persistent :class:`~repro.service.pool.WorkerPool`:
 
 Answers are **bit-identical to a serial engine**: compilation happens on
 pool workers against one shared base vtree (SDDs are canonical per
-vtree; d-DNNF sizes/values are decomposition-determined), the cache only
-ever stores values a worker computed, and results are matched back to
-queries by id, never by arrival order.
+vtree), the cache only ever stores values a worker computed, and results
+are matched back to queries by id, never by arrival order.  The one
+exception is opt-in: with ``fallback=True``, a query that keeps missing
+its deadline on the pool is answered on its own vtree outside it and
+flagged ``degraded=True`` (see :class:`QueryService`).
 
 The service is thread-safe and asyncio-friendly: :meth:`submit` is a
 coroutine and :meth:`submit_sync` the blocking twin.  A batch the answer
@@ -81,9 +83,10 @@ class ServiceAnswer:
     """One answered query: the probability, the compiled size it was
     charged at, whether it came from the shared answer cache, and (for
     freshly computed answers) the worker that ran it.  ``degraded``
-    marks an answer computed by the fallback backend after the primary
-    kept missing its deadlines — still exact (both backends are), but
-    served outside the warm pool."""
+    marks an answer computed outside the warm pool, by a fresh engine on
+    the query's own vtree, after the pool kept missing its deadlines: the
+    probability is still exact, and ``size`` is that engine's compiled
+    size, which may differ from the size on the shared base vtree."""
 
     probability: float | Fraction
     size: int
@@ -95,8 +98,8 @@ class ServiceAnswer:
 class QueryService:
     """Serve probabilistic queries from many sessions over one warm pool.
 
-    ``workers``/``mode``/``steal``/``backend``/``max_nodes`` configure
-    the underlying :class:`WorkerPool` (``mode`` is ``"threads"`` or
+    ``workers``/``mode``/``steal``/``max_nodes`` configure the
+    underlying :class:`WorkerPool` (``mode`` is ``"threads"`` or
     ``"spawn"``; ``max_nodes`` is the per-worker engine budget, evicted
     and collected shard-locally; ``steal=False`` keeps every query on its
     :func:`shard_of` worker, the deterministic sharded-batch setting of
@@ -128,11 +131,13 @@ class QueryService:
     ``hang_timeout`` / ``fault_plan`` pass through to the pool's
     supervisor (see :class:`WorkerPool`).  When queries keep missing
     their deadlines — ``degrade_after`` consecutive deadline/budget
-    failures — the service *degrades* instead of failing forever: with a
-    ``fallback_backend`` configured, further deadline casualties are
-    answered by a serial engine on the cheaper backend (marked
-    ``degraded=True``, still exact — both backends are); without one,
-    the circuit breaker rejects new work with
+    failures — the service *degrades* instead of failing forever: with
+    ``fallback=True``, each further deadline casualty is answered by a
+    fresh :class:`QueryEngine` whose vtree is that query's own hierarchy
+    order, not the shared one (marked ``degraded=True``, still exact;
+    uncached and without a deadline).  The casualty keeps its admission
+    slot until that answer is in, so a live update waits for it.  With
+    ``fallback=False`` the circuit breaker rejects new work with
     :exc:`~repro.service.errors.ServiceSaturated` and a ``retry_after``
     hint until the breaker window passes.  Any success resets the
     streak.
@@ -150,7 +155,6 @@ class QueryService:
         mode: str = "threads",
         vtree: Vtree | None = None,
         max_nodes: int | None = None,
-        backend: str = "sdd",
         steal: bool = True,
         shard_seed: int = 0,
         cache_capacity: int | None = None,
@@ -161,7 +165,7 @@ class QueryService:
         session_quota: int | None = None,
         artifact_dir: str | os.PathLike | None = None,
         default_timeout: float | None = None,
-        fallback_backend: str | None = None,
+        fallback: bool = False,
         degrade_after: int = 3,
         restart: RestartPolicy | None = None,
         hang_timeout: float | None = None,
@@ -173,25 +177,12 @@ class QueryService:
             raise ValueError(f"unknown mode {mode!r}")
         if max_nodes is not None and max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if backend not in QueryEngine._BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {QueryEngine._BACKENDS}"
-            )
-        if fallback_backend is not None:
-            if fallback_backend not in QueryEngine._BACKENDS:
-                raise ValueError(
-                    f"unknown fallback backend {fallback_backend!r}; "
-                    f"choose from {QueryEngine._BACKENDS}"
-                )
-            if fallback_backend == backend:
-                raise ValueError("fallback_backend must differ from backend")
         if degrade_after < 1:
             raise ValueError("degrade_after must be at least 1")
         self.db = db
         self.workers = workers
         self.mode = mode
         self.max_nodes = max_nodes
-        self.backend = backend
         self.steal = steal
         self.shard_seed = shard_seed
         self.session_quota = session_quota
@@ -213,7 +204,7 @@ class QueryService:
         self._seen: dict[str, UCQ] = {}
         # Fault tolerance / degradation state.
         self.default_timeout = default_timeout
-        self.fallback_backend = fallback_backend
+        self.fallback = fallback
         self.degrade_after = degrade_after
         self._restart_policy = restart
         self._hang_timeout = hang_timeout
@@ -224,8 +215,6 @@ class QueryService:
         self._degraded_until = 0.0  # circuit breaker (monotonic instant)
         self._breaker_trips = 0
         self._draining = False
-        self._fallback_engine: QueryEngine | None = None
-        self._fallback_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # sessions
@@ -321,7 +310,9 @@ class QueryService:
         Completion callbacks are attached *outside* the lock — a fast
         worker may complete the task before ``add_done_callback``
         returns, running the callback on this thread, and the callback
-        takes the lock itself.
+        takes the lock itself.  If ``pool.submit`` raises mid-batch, the
+        slots of the queries it never took are released, the tasks it did
+        take still get their callbacks, and the error propagates.
         """
         if not qs:
             raise ValueError("empty workload")
@@ -329,6 +320,7 @@ class QueryService:
             timeout = self.default_timeout
         pending: list[tuple[Future, Future, str, Session, UCQ]] = []
         out: list[Future] = []
+        failure: BaseException | None = None
         with self._lock:
             if self._closed:
                 raise PoolClosed("service is closed")
@@ -344,9 +336,9 @@ class QueryService:
                 )
             breaker = self._degraded_until - time.monotonic()
             if breaker > 0:
-                # Circuit breaker: the primary backend keeps blowing its
-                # deadlines and no fallback is configured — shed load
-                # instead of queueing more guaranteed casualties.
+                # Circuit breaker: the pool keeps blowing its deadlines and
+                # no fallback is configured — shed load instead of
+                # queueing more guaranteed casualties.
                 self._admission.rejected += len(qs)
                 raise ServiceSaturated(
                     self._admission.in_flight,
@@ -357,7 +349,7 @@ class QueryService:
             sess.check()  # QuotaExceeded
             pool = self._ensure_pool(qs[0])
             self._admission.try_admit(len(qs))  # ServiceSaturated
-            for q in qs:
+            for i, q in enumerate(qs):
                 text = q.normalized()
                 self._seen.setdefault(text, q)
                 key = self._cache_key(text, exact)
@@ -373,15 +365,24 @@ class QueryService:
                         ServiceAnswer(probability=p, size=size, cached=True, worker=None)
                     )
                     continue
-                task = pool.submit(
-                    shard_of(q, self.workers, self.shard_seed),
-                    q,
-                    exact=exact,
-                    timeout=timeout,
-                )
+                try:
+                    task = pool.submit(
+                        shard_of(q, self.workers, self.shard_seed),
+                        q,
+                        exact=exact,
+                        timeout=timeout,
+                    )
+                except BaseException as exc:
+                    # E.g. every worker is retired: the queries before i
+                    # were released as cache hits or reached the pool.
+                    self._admission.release(len(qs) - i)
+                    failure = exc
+                    break
                 pending.append((task, client, key, sess, q))
         for task, client, key, sess, q in pending:
             task.add_done_callback(self._completion(client, key, sess, q, exact))
+        if failure is not None:
+            raise failure
         return out
 
     def _completion(
@@ -420,34 +421,48 @@ class QueryService:
         exact: bool,
         exc: Exception,
     ) -> None:
-        """Degradation policy for a query the primary backend could not
-        answer inside its budget: count it, and once the consecutive
-        streak reaches ``degrade_after`` either answer via the fallback
-        backend (``degraded=True``) or trip the circuit breaker."""
+        """Degradation policy for a query the pool could not answer inside
+        its budget: count it, and once the consecutive streak reaches
+        ``degrade_after`` either answer it on its own vtree
+        (``degraded=True``) or trip the circuit breaker.
+
+        A fallback answer is computed *before* the casualty's admission
+        slot is released, so :meth:`apply_update` (which drains the
+        in-flight window first) never mutates the database under it.  It
+        runs outside the service lock, is not cached (a healthy pool
+        should recompute on the shared vtree) and has no deadline."""
         with self._lock:
-            self._admission.release(1)
             if isinstance(exc, DeadlineExceeded):
                 self._deadline_exceeded += 1
             self._degrade_streak += 1
             streak = self._degrade_streak
             degrade = streak >= self.degrade_after
-            if degrade and self.fallback_backend is None:
-                # No cheaper lane to shunt into: shed upcoming load for a
+            if degrade and not self.fallback:
+                # No other lane to shunt into: shed upcoming load for a
                 # window that widens with the streak.
                 self._degraded_until = time.monotonic() + (
                     self._admission.retry_after_base * streak
                 )
                 self._breaker_trips += 1
-        if not degrade or self.fallback_backend is None:
+            fall_back = degrade and self.fallback
+            if not fall_back:
+                self._admission.release(1)
+        if not fall_back:
             client.set_exception(exc)
             return
         try:
-            p, size = self._fallback_answer(query, exact)
+            # A fresh engine derives its vtree from this query alone.
+            engine = QueryEngine(self.db)
+            p = engine.probability(query, exact=exact)
+            size = engine.compiled_size(query)
         except BaseException as fallback_exc:  # noqa: BLE001 - routed to client
+            with self._lock:
+                self._admission.release(1)
             client.set_exception(fallback_exc)
             return
         with self._lock:
             sess.charge(size)
+            self._admission.release(1)
             self._queries_served += 1
             self._degraded_answers += 1
         client.set_result(
@@ -456,39 +471,14 @@ class QueryService:
             )
         )
 
-    def _fallback_answer(self, query: UCQ, exact: bool):
-        """Answer one query on the serial fallback engine (built lazily,
-        serialized under its own lock — degradation is the rare path, and
-        it must not hold the service lock through a compile).  The answer
-        is *not* cached: the answer cache is keyed by the primary
-        backend, and a healthy pool should recompute there."""
-        with self._fallback_lock:
-            engine = self._fallback_engine
-            if engine is None:
-                engine = QueryEngine(
-                    self.db,
-                    backend=self.fallback_backend,
-                    vtree=self.vtree if self.fallback_backend == "sdd" else None,
-                    max_nodes=self.max_nodes,
-                )
-                self._fallback_engine = engine
-            p = engine.probability(query, exact=exact)
-            return p, engine.compiled_size(query)
-
     def _cache_key(self, text: str, exact: bool) -> str:
         """The answer-cache key of a query's normalized ``text``."""
-        return fingerprint(
-            text,
-            self._db_fp,
-            self.backend,
-            "exact" if exact else "float",
-        )
+        return fingerprint(text, self._db_fp, "exact" if exact else "float")
 
     def _artifact_path(self) -> str | None:
         """The canonical artifact file for this database (inside
-        ``artifact_dir``), or ``None`` when no directory is configured or
-        the backend cannot use one."""
-        if self._artifact_dir is None or self.backend != "sdd":
+        ``artifact_dir``), or ``None`` when no directory is configured."""
+        if self._artifact_dir is None:
             return None
         return os.path.join(self._artifact_dir, f"{self._db_fp}.rpaf")
 
@@ -498,7 +488,7 @@ class QueryService:
             if artifact is not None and not os.path.exists(artifact):
                 artifact = None  # cold start; save_artifact can fill it
             vtree = self._pinned
-            if vtree is None and self.backend == "sdd" and artifact is None:
+            if vtree is None and artifact is None:
                 vtree = lineage_vtree(first_query, self.db)
             self._pool = WorkerPool(
                 self.db,
@@ -507,7 +497,6 @@ class QueryService:
                 max_nodes=self.max_nodes,
                 mode=self.mode,
                 steal=self.steal,
-                backend=self.backend,
                 artifact=artifact,
                 restart=self._restart_policy,
                 hang_timeout=self._hang_timeout,
@@ -527,8 +516,6 @@ class QueryService:
         shared base vtree — canonical SDDs make that reproduction exact —
         so no worker state is touched and the service keeps serving
         while it runs."""
-        if self.backend != "sdd":
-            raise ValueError("artifacts require backend='sdd'")
         with self._lock:
             if not self._seen:
                 raise ValueError("no queries dispatched yet; nothing to freeze")
@@ -603,10 +590,6 @@ class QueryService:
                 self._updates_applied += 1
                 # A pinned vtree grows in the pool, so build the pool now.
                 pool = self._pool if self._pinned is None else self._ensure_pool(None)
-            with self._fallback_lock:
-                # The fallback engine answered against the old database;
-                # the next degradation rebuilds it against the new one.
-                self._fallback_engine = None
             inc = (
                 {"updates_applied": 1, "memo_invalidations": 0,
                  "delta_patched_roots": 0, "update_recompiles": 0}

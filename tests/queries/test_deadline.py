@@ -2,8 +2,7 @@
 processes — fake clocks and tiny real budgets only).
 
 The enforcement points are the compilers' existing ``node_budget``
-safepoints (per gate in the apply pipeline, per bag in the d-DNNF
-builder), so a deadline can only fire *between* units of work — the
+safepoints (per gate in the apply pipeline), so a deadline can only fire *between* units of work — the
 engine survives every deadline casualty with its caches intact, and the
 same query succeeds on retry with a sane budget.
 """
@@ -27,9 +26,8 @@ def _q(text="R(x),S(x,y)"):
 
 
 class TestProbabilityDeadline:
-    @pytest.mark.parametrize("backend", ["sdd", "ddnnf"])
-    def test_expired_deadline_raises_typed(self, backend):
-        engine = QueryEngine(_db(), backend=backend)
+    def test_expired_deadline_raises_typed(self):
+        engine = QueryEngine(_db())
         now = [0.0]
         d = Deadline(0.5, clock=lambda: now[0])
         now[0] = 1.0  # expired before any gate
@@ -38,10 +36,9 @@ class TestProbabilityDeadline:
         assert ei.value.timeout == 0.5
         assert engine.stats()["deadline_exceeded"] == 1
 
-    @pytest.mark.parametrize("backend", ["sdd", "ddnnf"])
-    def test_engine_survives_and_retries(self, backend):
-        engine = QueryEngine(_db(), backend=backend)
-        serial = QueryEngine(_db(), backend=backend)
+    def test_engine_survives_and_retries(self):
+        engine = QueryEngine(_db())
+        serial = QueryEngine(_db())
         expect = serial.probability(_q(), exact=True)
         with pytest.raises(DeadlineExceeded):
             engine.probability(_q(), timeout=0.0)

@@ -276,7 +276,6 @@ class TestCacheCounters:
         assert s["cache_misses"] == len(qs)
         assert s["cache_hits"] == len(qs)
         assert s["cache_evictions"] == 0
-        assert s["backend"] == "sdd"
 
     def test_evictions_counted(self):
         db = complete_database({"R": 1, "S": 2}, 3, p=0.4)
@@ -299,83 +298,7 @@ class TestCacheCounters:
             # repeats reach, and hit, the per-worker compiled-query caches.
             par.submit_sync(qs)
             merged = par.stats()
-        # Ints summed across workers, never dropped or stringified.
+        # Ints summed across workers, never dropped.
         assert merged["engine_cache_misses"] == len(qs)
         assert merged["engine_cache_hits"] == len(qs)
         assert merged["engine_cache_evictions"] == 0
-        assert merged["engine_backend"] == "sdd"  # strings pass through
-
-
-class TestDdnnfBackendEngine:
-    """``backend="ddnnf"``: d-DNNF roots participate in the compiled-query
-    cache and the ``max_nodes`` budget exactly like SDD roots."""
-
-    def test_matches_sdd_backend_bit_identically(self):
-        db = random_db(11, domain=3)
-        sdd = QueryEngine(db)
-        ddnnf = QueryEngine(db, backend="ddnnf")
-        for t in QUERIES:
-            q = parse_ucq(t)
-            assert ddnnf.probability(q, exact=True) == sdd.probability(q, exact=True)
-            assert ddnnf.probability(q) == pytest.approx(sdd.probability(q))
-
-    def test_cache_and_counters(self):
-        db = complete_database({"R": 1, "S": 2}, 2, p=0.3)
-        engine = QueryEngine(db, backend="ddnnf")
-        q = parse_ucq("R(x),S(x,y)")
-        p1 = engine.probability(q, exact=True)
-        root = engine.cached_root(q)
-        assert root is not None
-        assert engine.probability(q, exact=True) == p1
-        s = engine.stats()
-        assert s["backend"] == "ddnnf"
-        assert s["cache_misses"] == 1 and s["cache_hits"] == 1
-        assert s["ddnnf_nodes"] == engine.live_nodes() > 0
-        assert engine.compiled_size(q) == engine.lineage_size(q)
-
-    def test_budget_evicts_and_stays_exact(self):
-        db = complete_database({"R": 1, "S": 2}, 2, p=0.3)
-        reference = QueryEngine(db, backend="ddnnf")
-        engine = QueryEngine(db, backend="ddnnf", max_nodes=1)
-        qs = [parse_ucq(t) for t in QUERIES]
-        for q in qs * 2:
-            assert engine.probability(q, exact=True) == reference.probability(
-                q, exact=True
-            )
-            assert engine.cached_root(q) is not None  # survivor = current
-            assert engine.live_nodes() == engine.compiled_size(q)
-        assert engine.stats()["queries_evicted"] == len(qs) * 2 - 1
-
-    def test_forget_drops_dag_and_memo(self):
-        db = complete_database({"R": 1, "S": 2}, 2, p=0.3)
-        engine = QueryEngine(db, backend="ddnnf")
-        q = parse_ucq("S(x,y)")
-        engine.probability(q, exact=True)
-        engine.probability(q)
-        assert engine.forget(q) is True
-        assert engine.cached_root(q) is None
-        assert engine.live_nodes() == 0
-        assert engine.stats()["wmc_memo_entries"] == 0
-        assert engine.forget(q) is False
-
-    def test_vtree_and_minimize_rejected(self):
-        db = complete_database({"R": 1}, 2, p=0.5)
-        from repro.core.vtree import Vtree
-
-        with pytest.raises(ValueError):
-            QueryEngine(db, backend="ddnnf", vtree=Vtree.balanced(["a", "b"]))
-        with pytest.raises(ValueError):
-            QueryEngine(db, backend="obdd-nope")
-
-    def test_evaluate_batch_matches_serial(self):
-        db = complete_database({"R": 1, "S": 2}, 2, p=0.3)
-        engine = QueryEngine(db, backend="ddnnf")
-        qs = [parse_ucq(t) for t in QUERIES]
-        batch = engine.evaluate(qs, exact=True)
-        reference = QueryEngine(db)
-        assert batch.probabilities == [
-            reference.probability(q, exact=True) for q in qs
-        ]
-        assert batch.manager is None and batch.vtree is None
-        assert all(r is not None for r in batch.roots)
-        assert batch.sizes == [engine.compiled_size(q) for q in qs]

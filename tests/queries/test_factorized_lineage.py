@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.queries.compile import lineage_vtree
 from repro.queries.database import ProbabilisticDatabase, complete_database
 from repro.queries.engine import QueryEngine
+from repro.queries.evaluate import probability_via_ddnnf
 from repro.queries.lineage import (
     lineage_circuit,
     lineage_function,
@@ -147,11 +148,12 @@ def test_gate_order_ignores_hash_seed():
 
 @pytest.mark.ddnnf
 def test_ddnnf_engine_answers_the_domain4_chain():
-    """The d-DNNF engine finishes ``S·U·U`` at domain 4 on the factorized
-    circuit (the flat DNF does not) with the SDD engine's exact answer."""
+    """The one-shot d-DNNF route finishes ``S·U·U`` at domain 4 on the
+    factorized circuit (the flat DNF does not) with the SDD engine's exact
+    answer."""
     db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 4, p=0.3)
     query = parse_ucq("S(x,y),U(y,z),U(z,w)")
-    got = QueryEngine(db, backend="ddnnf").probability(query, exact=True, timeout=10)
+    got = probability_via_ddnnf(query, db, exact=True)
     want = QueryEngine(db).probability(query, exact=True)
     assert isinstance(got, Fraction)
     assert got == want

@@ -3,9 +3,11 @@
 The equivalence harness of the incremental-update tentpole: for random
 update sequences (weight-only, inserts, deletes, mixed) the patched
 engine must reproduce a from-scratch compilation of the updated database
-*exactly* — same float bit patterns (compared via ``repr``), same exact
-``Fraction`` values — on both the ``sdd`` (``apply``) and ``ddnnf``
-backends, serially and across the pool and service tiers.  Weight
+*exactly*, serially and across the pool and service tiers: against a
+fresh SDD engine, the same float bit patterns (compared via ``repr``) and
+the same exact ``Fraction`` values; against the one-shot bag-by-bag
+d-DNNF route (:func:`~repro.queries.evaluate.probability_via_ddnnf`, an
+independent compiler), the same exact values.  Weight
 updates must additionally stay on the zero-recompilation fast path,
 asserted through the ``update_recompiles`` / ``cache_misses`` counters.
 
@@ -26,6 +28,7 @@ from repro.queries.database import (
     complete_database,
 )
 from repro.queries.engine import QueryEngine
+from repro.queries.evaluate import probability_via_ddnnf
 from repro.queries.syntax import parse_ucq
 from repro.service import QueryService
 
@@ -85,6 +88,25 @@ weight_ops_strategy = st.lists(
     min_size=1,
     max_size=5,
 )
+
+
+def assert_matches_fresh(engine: QueryEngine, db, qs, reference: str) -> None:
+    """``engine``'s answers equal a from-scratch compile of ``db``: a fresh
+    SDD engine on the same vtree (float bits and exact values), or the
+    one-shot d-DNNF route (exact values; its float sums run in another
+    order)."""
+    if reference == "sdd":
+        fresh = QueryEngine(db, vtree=engine.vtree)
+        for q in qs:
+            assert repr(engine.probability(q)) == repr(fresh.probability(q))
+            assert engine.probability(q, exact=True) == fresh.probability(
+                q, exact=True
+            )
+    else:
+        for q in qs:
+            assert engine.probability(q, exact=True) == probability_via_ddnnf(
+                q, db, exact=True
+            )
 
 
 def apply_ops(db: ProbabilisticDatabase, ops, sink) -> int:
@@ -147,39 +169,30 @@ class TestDeltaSemantics:
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("backend", ["sdd", "ddnnf"])
+    @pytest.mark.parametrize("reference", ["sdd", "ddnnf"])
     @settings(max_examples=25)
     @given(ops=ops_strategy)
-    def test_patched_engine_matches_fresh_compile(self, backend, ops):
+    def test_patched_engine_matches_fresh_compile(self, reference, ops):
         db = _db()
         qs = _queries()
-        engine = QueryEngine(db, backend=backend)
+        engine = QueryEngine(db)
         for q in qs:
             engine.probability(q)
             engine.probability(q, exact=True)
 
         def check(delta):
             engine.apply_update(delta)
-            fresh = QueryEngine(
-                db,
-                vtree=engine.vtree if backend == "sdd" else None,
-                backend=backend,
-            )
-            for q in qs:
-                assert repr(engine.probability(q)) == repr(fresh.probability(q))
-                assert engine.probability(q, exact=True) == fresh.probability(
-                    q, exact=True
-                )
+            assert_matches_fresh(engine, db, qs, reference)
 
         apply_ops(db, ops, check)
 
-    @pytest.mark.parametrize("backend", ["sdd", "ddnnf"])
+    @pytest.mark.parametrize("reference", ["sdd", "ddnnf"])
     @settings(max_examples=25)
     @given(ops=weight_ops_strategy)
-    def test_weight_only_zero_recompiles(self, backend, ops):
+    def test_weight_only_zero_recompiles(self, reference, ops):
         db = _db()
         qs = _queries()
-        engine = QueryEngine(db, backend=backend)
+        engine = QueryEngine(db)
         for q in qs:
             engine.probability(q)
         misses_before = engine.stats()["cache_misses"]
@@ -192,13 +205,8 @@ class TestSerialEquivalence:
             assert inc["update_recompiles"] == 0
             assert inc["delta_patched_roots"] == 0
             applied += 1
-        for q in qs:  # answers still correct after the re-sweep
-            fresh = QueryEngine(
-                db,
-                vtree=engine.vtree if backend == "sdd" else None,
-                backend=backend,
-            )
-            assert repr(engine.probability(q)) == repr(fresh.probability(q))
+        # Answers still correct after the re-sweep.
+        assert_matches_fresh(engine, db, qs, reference)
         stats = engine.stats()
         assert stats["updates_applied"] == applied
         assert stats["update_recompiles"] == 0
@@ -246,19 +254,13 @@ class TestParallelEquivalence:
             assert repr(batch[i].probability) == repr(serial.probability(q))
             assert exact[i].probability == serial.probability(q, exact=True)
 
-    @pytest.mark.parametrize("backend", ["sdd", "ddnnf"])
-    def test_persistent_pool_update_broadcast(self, backend):
+    @pytest.mark.parametrize("reference", ["sdd", "ddnnf"])
+    def test_persistent_pool_update_broadcast(self, reference):
         db, sdb = _db(), _db()
         qs = _queries()
-        with QueryService(
-            db, workers=2, mode="threads", steal=False, backend=backend
-        ) as par:
+        with QueryService(db, workers=2, mode="threads", steal=False) as par:
             par.submit_sync(qs)
-            serial = QueryEngine(
-                sdb,
-                vtree=par.vtree if backend == "sdd" else None,
-                backend=backend,
-            )
+            serial = QueryEngine(sdb, vtree=par.vtree)
             for q in qs:
                 serial.probability(q)
             for delta in (
@@ -270,8 +272,11 @@ class TestParallelEquivalence:
                 assert inc["updates_applied"] == 1
                 serial.apply_update(delta)
             batch = par.submit_sync(qs)
+            exact = par.submit_sync(qs, exact=True)
             for i, q in enumerate(qs):
                 assert repr(batch[i].probability) == repr(serial.probability(q))
+                assert exact[i].probability == serial.probability(q, exact=True)
+        assert_matches_fresh(serial, sdb, qs, reference)
 
 
 class TestServiceUpdates:

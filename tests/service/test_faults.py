@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.service import (
     ServiceSaturated,
     TaskPoisoned,
     WorkerPool,
+    WorkerRetired,
 )
 
 pytestmark = pytest.mark.faults
@@ -360,23 +362,78 @@ class TestPoolDeadlines:
 
 class TestServiceDegradation:
     def test_fallback_backend_answers_degraded(self):
-        db = _db()
-        qs = _queries()
-        serial = QueryEngine(db)
-        expect = [serial.probability(q, exact=True) for q in qs]
+        """``fallback=True`` answers each casualty on a fresh engine whose
+        vtree is the query's own hierarchy order, not the service's."""
+        db = complete_database({"R": 1, "S": 2, "T": 1, "U": 2}, 3, p=0.4)
+        # The service's vtree comes from R(x),T(x); on it S·S·U compiles
+        # to 160 nodes, on its own vtree to 128.
+        qs = [parse_ucq(t) for t in ("R(x),T(x)", "S(x,y),S(y,z),U(z,w)", "R(x),S(x,y)")]
+        own = [QueryEngine(db) for _ in qs]
+        expect = [e.probability(q, exact=True) for e, q in zip(own, qs)]
         with QueryService(
             db,
             workers=2,
             default_timeout=1e-9,
-            fallback_backend="ddnnf",
+            fallback=True,
             degrade_after=1,
         ) as svc:
             answers = svc.submit_sync(qs, exact=True)
             assert [a.probability for a in answers] == expect  # still exact
-            assert all(a.degraded for a in answers)
+            assert all(a.degraded and not a.cached for a in answers)
+            assert [a.size for a in answers] == [
+                e.compiled_size(q) for e, q in zip(own, qs)
+            ]
+            shared = QueryEngine(db, vtree=svc.vtree)
+            assert shared.lineage_size(qs[1]) == 160
+            assert answers[1].size == 128
             stats = svc.stats()
         assert stats["service_degraded_answers"] == len(qs)
         assert stats["service_deadline_exceeded"] == len(qs)
+        assert stats["admission_in_flight"] == 0
+        assert stats["cache_entries"] == 0  # degraded answers stay uncached
+
+    def test_update_waits_for_fallback_in_progress(self, monkeypatch):
+        """A casualty keeps its admission slot while its fallback runs, so
+        ``apply_update`` drains it before touching the database."""
+        import repro.service.service as service_module
+
+        db = _db()
+        q = _queries()[0]
+        expect = QueryEngine(_db()).probability(q, exact=True)
+        started, release = threading.Event(), threading.Event()
+
+        class GatedEngine(QueryEngine):
+            def probability(self, *args, **kwargs):
+                started.set()
+                assert release.wait(60)
+                return super().probability(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "QueryEngine", GatedEngine)
+        with QueryService(
+            db, workers=1, default_timeout=1e-9, fallback=True, degrade_after=1
+        ) as svc:
+            answers = []
+            client = threading.Thread(
+                target=lambda: answers.extend(svc.submit_sync([q], exact=True))
+            )
+            client.start()
+            assert started.wait(60)
+            # Built on a twin: the service's database must not move yet.
+            delta = _db().set_probability("R", 1, p=0.9)
+            updated = threading.Event()
+            updater = threading.Thread(
+                target=lambda: (svc.apply_update(delta), updated.set())
+            )
+            updater.start()
+            assert not updated.wait(0.3)  # held back by the fallback's slot
+            assert svc.stats()["admission_in_flight"] == 1
+            release.set()
+            client.join(60)
+            updater.join(60)
+            assert not client.is_alive() and not updater.is_alive()
+            assert updated.is_set()
+        # Answered against the database as it was before the update.
+        assert answers[0].degraded and answers[0].probability == expect
 
     def test_per_query_timeout_overrides_default(self):
         db = _db()
@@ -463,6 +520,54 @@ class TestRestartAfterUpdate:
         assert stats["pool_restarts"] == 1
         assert before.size == after.size == fresh.compiled_size(q)
         assert repr(after.probability) == repr(expect)
+
+
+class TestAdmissionOnSubmitFailure:
+    """A batch whose ``pool.submit`` raises part-way holds no slot."""
+
+    def test_every_worker_retired_releases_the_batch(self):
+        db = _db()
+        qs = _queries()
+        svc = QueryService(
+            db,
+            workers=1,
+            restart=RestartPolicy(max_restarts=0),
+            fault_plan=FaultPlan(kills_before=frozenset({(0, 0)})),
+        )
+        try:
+            with pytest.raises(WorkerRetired):
+                svc.submit_sync(qs[:1])
+            with pytest.raises(PoolClosed, match="every worker is retired"):
+                svc.submit_sync(qs[1:3])
+            assert svc.stats()["admission_in_flight"] == 0
+            assert svc.shutdown(0.2) is True
+        finally:
+            svc.close()
+
+    def test_submitted_tasks_keep_their_callbacks(self, monkeypatch):
+        db = _db()
+        qs = _queries()
+        with QueryService(db, workers=1) as svc:
+            svc.probability(qs[0])  # answer-cached from here on
+            submit = svc.pool.submit
+            calls = []
+
+            def flaky(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise PoolClosed("injected")
+                return submit(*args, **kwargs)
+
+            monkeypatch.setattr(svc.pool, "submit", flaky)
+            # A cache hit, a submitted task, the raise, a query never reached.
+            with pytest.raises(PoolClosed, match="injected"):
+                svc.submit_sync(qs[:4])
+            assert svc.shutdown(drain_timeout=10) is True
+            stats = svc.stats()
+        assert stats["admission_in_flight"] == 0
+        # qs[1]'s task completed through its callback and was cached.
+        assert stats["service_queries"] == 3
+        assert stats["cache_entries"] == 2
 
 
 class TestGracefulShutdown:

@@ -162,14 +162,6 @@ class TestPersistence:
                     assert results[idx].worker == shard
             assert pool.stats()["pool_steals"] == 0
 
-    def test_ddnnf_backend_pool(self):
-        db = _db(domain=2, p=0.3)
-        qs = _queries()
-        expect, _ = _serial_expectations(db, qs)
-        with WorkerPool(db, workers=2, vtree=None, backend="ddnnf") as pool:
-            results = pool.run_batch(_items_by_shard(qs, 2), exact=True)
-            assert [results[i].probability for i in range(len(qs))] == expect
-
     def test_per_worker_budget_stays_exact(self):
         db = _db()
         qs = _queries() * 2
@@ -195,12 +187,13 @@ class TestLifecycle:
 
     def test_validation(self):
         db = _db(domain=2)
+        _, vtree = _serial_expectations(db, _queries())
         with pytest.raises(ValueError):
-            WorkerPool(db, workers=0, vtree=None, backend="ddnnf")
+            WorkerPool(db, workers=0, vtree=vtree)
         with pytest.raises(ValueError):
-            WorkerPool(db, workers=1, vtree=None)  # sdd needs a vtree
+            WorkerPool(db, workers=1, vtree=None)  # needs a shared vtree
         with pytest.raises(ValueError):
-            WorkerPool(db, workers=1, vtree=None, backend="ddnnf", mode="fork")
+            WorkerPool(db, workers=1, vtree=vtree, mode="fork")
 
     def test_worker_exception_reaches_future_and_pool_survives(self):
         db = _db(domain=2)

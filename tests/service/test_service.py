@@ -83,15 +83,6 @@ class TestBitIdenticalService:
                 assert [a.probability for a in answers] == expect
             assert svc.stats()["service_sessions"] == 8
 
-    def test_ddnnf_backend_service(self):
-        db = _db(domain=2, p=0.3)
-        qs = _queries()
-        expect = _expect(db, qs)
-        with QueryService(db, workers=2, backend="ddnnf") as svc:
-            answers = svc.submit_sync(qs, exact=True)
-            assert [a.probability for a in answers] == expect
-            assert svc.stats()["engine_backend"] == "ddnnf"
-
 
 class TestCachedHitPath:
     """``submit`` resolves answer-cache hits without bridging futures

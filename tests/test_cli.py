@@ -178,11 +178,6 @@ class TestServe:
         out = capsys.readouterr().out
         assert "cache_hits=4" in out and "cache_misses=2" in out
 
-    def test_serve_ddnnf_backend(self, capsys):
-        assert main(["serve", "R(x),S(x,y)", "--domain", "2",
-                     "--backend", "ddnnf"]) == 0
-        assert "backend=ddnnf" in capsys.readouterr().out
-
     def test_serve_empty_workload(self):
         assert main(["serve", " ; ", "--domain", "2"]) == 1
 

@@ -116,7 +116,8 @@ RETIRED = ("PipelineResult", "compile_circuit", "compile_circuit_apply", "probab
 def test_retired_front_doors_are_gone():
     """Circuits compile through ``Compiler``, lineages evaluate through
     ``QueryEngine``, and sharded batches run on ``QueryService``'s one
-    pool: the old shims, the parallel engine and the per-batch executor
+    pool: the old shims, the parallel engine, the per-batch executor
+    options and the engine tier's ``backend``/``fallback_backend``
     options are gone, not carried."""
     out = run_python("-c", textwrap.dedent(f"""
         import importlib, importlib.util
@@ -135,19 +136,26 @@ def test_retired_front_doors_are_gone():
         assert importlib.util.find_spec("repro.sdd.compile") is None
         assert importlib.util.find_spec("repro.queries.parallel") is None
         from repro.queries import QueryEngine, complete_database, parse_ucq
+        from repro.queries.compile import lineage_vtree
+        from repro.service import QueryService, WorkerPool
         db = complete_database({{"R": 1}}, 2)
         q = parse_ucq("R(x)")
+        v = lineage_vtree(q, db)
         rejected = 0
         for call in (lambda: QueryEngine(db).evaluate([q], workers=2),
                      lambda: QueryEngine(db).evaluate([q], parallel_mode="threads"),
-                     lambda: QueryEngine(db).evaluate([q], shard_seed=1)):
+                     lambda: QueryEngine(db).evaluate([q], shard_seed=1),
+                     lambda: QueryEngine(db, backend="sdd"),
+                     lambda: WorkerPool(db, workers=1, vtree=v, backend="sdd"),
+                     lambda: QueryService(db, backend="sdd"),
+                     lambda: QueryService(db, fallback_backend="sdd")):
             try:
                 call()
             except TypeError:
                 rejected += 1
         print("gone", rejected)
     """))
-    assert out.strip() == "gone 3"
+    assert out.strip() == "gone 7"
 
 
 def test_frozen_evaluator_copies_are_gone():
