@@ -5,7 +5,7 @@ Public API highlights
 ---------------------
 - :class:`repro.Compiler` — **the** compilation entry point:
   ``Compiler(backend="apply", strategy="best-of").compile(circuit)`` with
-  pluggable backends (``canonical``/``apply``/``obdd``) and vtree
+  pluggable backends (``canonical``/``apply``/``obdd``/``ddnnf``) and vtree
   strategies (``lemma1``/``natural``/``balanced``/``best-of``).
 - :class:`repro.QueryEngine` — **the** query-evaluation entry point: one
   database, one vtree/manager/WMC-memo, any number of queries.

@@ -7,8 +7,9 @@
   tables that the live evaluators and structure queries run over
   unchanged, freezable from managers or wrapped around an mmap-ed file
   read-only.
-- :mod:`~repro.artifact.format` — per-kind schemas, ``Compiled`` save/
-  load, vtree/NNF/circuit codecs, and pysdd ``.sdd``/``.vtree`` interop.
+- :mod:`~repro.artifact.format` — per-kind schemas, the ``Compiled``
+  artifact (written by ``Compiled.save``, read by ``Compiler.load``),
+  vtree/NNF/circuit codecs, and pysdd ``.sdd``/``.vtree`` interop.
 """
 
 from .encoding import (
@@ -38,14 +39,13 @@ from .format import (
     nnf_from_bytes,
     nnf_to_bytes,
     read_pysdd,
-    save_compiled,
     save_vtree,
     vtree_from_bytes,
     vtree_from_pysdd,
     vtree_to_bytes,
     write_pysdd,
 )
-from .store import FrozenCompiled, FrozenDdnnf, FrozenObdd, FrozenSdd
+from .store import FrozenDdnnf, FrozenObdd, FrozenSdd
 
 __all__ = [
     "Artifact",
@@ -63,8 +63,6 @@ __all__ = [
     "FrozenSdd",
     "FrozenDdnnf",
     "FrozenObdd",
-    "FrozenCompiled",
-    "save_compiled",
     "load_compiled",
     "load_store",
     "save_vtree",

@@ -17,9 +17,10 @@ CIRCUIT   ``json``                 :func:`circuit_from_bytes`
 
 Compiled artifacts (``Compiled.save(path)`` / :func:`load_compiled`) are
 SDD/DDNNF/OBDD stores carrying two extra sections: ``meta`` (backend,
-strategy, size, width, …) and ``circuit`` (the compiled circuit, so the
-loaded handle can answer ``model_count``/``probability`` with the same
-extra-variable corrections as the live one).
+strategy, size, width, …) and ``circuit`` (the compiled circuit).  A
+result saves its table's frozen store, and loading rebuilds the same
+``Compiled`` class over that store, so a loaded handle answers
+``model_count``/``probability`` through the very code the live one ran.
 
 The module also speaks the **pysdd text convention** (``.sdd`` /
 ``.vtree`` files as used by the SDD package ecosystem and the nnf2sdd
@@ -55,15 +56,7 @@ from .encoding import (
     pack_strings,
     write_artifact,
 )
-from .store import (
-    FrozenCompiled,
-    FrozenDdnnf,
-    FrozenObdd,
-    FrozenSdd,
-    _i32,
-    _meta_bytes,
-    _open_store,
-)
+from .store import FrozenDdnnf, FrozenObdd, FrozenSdd, _i32, _open_store
 
 __all__ = [
     "KIND_VTREE",
@@ -80,7 +73,7 @@ __all__ = [
     "nnf_from_bytes",
     "circuit_to_bytes",
     "circuit_from_bytes",
-    "save_compiled",
+    "write_compiled",
     "load_compiled",
     "load_store",
     "export_vtree_text",
@@ -191,99 +184,57 @@ def circuit_from_bytes(data: bytes):
 # ----------------------------------------------------------------------
 # compiled artifacts
 # ----------------------------------------------------------------------
-_STORE_KIND = {FrozenSdd: KIND_SDD, FrozenDdnnf: KIND_DDNNF, FrozenObdd: KIND_OBDD}
-
-
-def _write_compiled_store(path, store, meta, circuit) -> None:
+def write_compiled(path, store, circuit) -> None:
+    """Write a frozen ``store`` (its meta included) plus a ``circuit``
+    section: the artifact ``Compiled.save`` writes."""
     from ..circuits.serialize import circuit_to_dict
 
-    sections = [s for s in store.sections() if s[0] != "meta"]
-    sections.append(("meta", DTYPE_BYTES, _meta_bytes(meta)))
-    sections.append(
-        (
-            "circuit",
-            DTYPE_BYTES,
-            json.dumps(circuit_to_dict(circuit), sort_keys=True).encode("utf-8"),
-        )
-    )
-    write_artifact(path, _STORE_KIND[type(store)], sections)
-
-
-def save_compiled(compiled, path) -> None:
-    """Save any backend's ``Compiled`` result as a flat artifact.
-
-    A ``race`` result saves its winner (under the winner's backend name);
-    an already-frozen result re-saves its sections verbatim.
-    """
-    winner = getattr(compiled, "winner", None)
-    if winner is not None:
-        save_compiled(winner, path)
-        return
-    if isinstance(compiled, FrozenCompiled):
-        compiled.save(path)
-        return
-    backend = compiled.backend
-    meta = {
-        "backend": backend,
-        "strategy": compiled.strategy,
-        "decomposition_width": compiled.decomposition_width,
-        "size": compiled.size,
-        "width": compiled.width,
-    }
-    if backend == "apply":
-        store = FrozenSdd.from_manager(compiled.manager, [compiled.root])
-    elif backend == "canonical":
-        mgr, root = compiled._reuse_as_manager_sdd()
-        store = FrozenSdd.from_manager(mgr, [root])
-    elif backend == "obdd":
-        store = FrozenObdd.from_manager(compiled.manager, [compiled.root])
-        meta["vtree_postfix"] = compiled.vtree.to_postfix()
-    elif backend == "ddnnf":
-        store = FrozenDdnnf.from_dag(compiled.dag, [compiled.root])
-        meta["vtree_postfix"] = compiled.vtree.to_postfix()
-    else:
-        raise ValueError(f"cannot save backend {backend!r} as an artifact")
-    _write_compiled_store(path, store, meta, compiled.circuit)
+    data = json.dumps(circuit_to_dict(circuit), sort_keys=True).encode("utf-8")
+    write_artifact(path, store.KIND, store.sections() + [("circuit", DTYPE_BYTES, data)])
 
 
 def load_store(path, *, use_mmap: bool = True):
-    """Open any SDD/DDNNF/OBDD artifact as its frozen store."""
+    """Open any SDD/DDNNF/OBDD artifact as the frozen store of its kind."""
     art = open_artifact(path, use_mmap=use_mmap)
-    cls = {KIND_SDD: FrozenSdd, KIND_DDNNF: FrozenDdnnf, KIND_OBDD: FrozenObdd}.get(art.kind)
-    if cls is None:
-        art.close()
-        raise ArtifactError(
-            f"artifact kind {art.kind} is not a compiled store", path=art.path
-        )
-    return _open_store(cls, art)
+    for cls in (FrozenSdd, FrozenDdnnf, FrozenObdd):
+        if cls.KIND == art.kind:
+            return _open_store(cls, art)
+    art.close()
+    raise ArtifactError(f"artifact kind {art.kind} is not a compiled store", path=art.path)
 
 
-def load_compiled(path, *, use_mmap: bool = True) -> FrozenCompiled:
-    """Load a ``Compiled.save()`` artifact as a :class:`FrozenCompiled`.
+def load_compiled(path, *, use_mmap: bool = True):
+    """Load a ``Compiled.save()`` artifact as the ``Compiled`` class that
+    saved it (:class:`~repro.compiler.backends.ApplyCompiled`, ...), over
+    the frozen store.
 
     The store sections are mmap-backed (zero copy); the small meta and
     circuit sections are decoded eagerly.
     """
     from ..circuits.serialize import circuit_from_dict
+    from ..compiler import backends
 
     store = load_store(path, use_mmap=use_mmap)
     art = store._artifact
-    if art is None or "circuit" not in art:
-        store.close()
-        raise ArtifactError(
-            "artifact has no circuit section (an engine artifact? "
-            "use FrozenSdd.load instead)", path=str(path),
-        )
     try:
-        payload = json.loads(bytes(art.raw("circuit")).decode("utf-8"))
-        circuit = circuit_from_dict(payload)
-    except (ValueError, UnicodeDecodeError):
+        if "circuit" not in art:
+            raise ArtifactError(
+                "artifact has no circuit section (an engine artifact? "
+                "use FrozenSdd.load instead)", path=art.path,
+            )
+        try:
+            circuit = circuit_from_dict(json.loads(bytes(art.raw("circuit")).decode("utf-8")))
+        except (ValueError, UnicodeDecodeError):
+            raise ArtifactError("corrupt circuit section", path=art.path) from None
+        classes = (backends.CanonicalCompiled, backends.ApplyCompiled,
+                   backends.ObddCompiled, backends.DdnnfCompiled)
+        cls = {c.backend: c for c in classes}.get(store.meta.get("backend"))
+        if cls is None or "size" not in store.meta:
+            raise ArtifactError("compiled artifact missing meta fields", path=art.path)
+        return cls._from_store(store, circuit)
+    except ArtifactError:
         store.close()
-        raise ArtifactError("corrupt circuit section", path=art.path) from None
-    if "backend" not in store.meta or "size" not in store.meta:
-        store.close()
-        raise ArtifactError("compiled artifact missing meta fields", path=art.path)
-    return FrozenCompiled(store, meta=store.meta, circuit=circuit)
+        raise
 
 
 # ----------------------------------------------------------------------

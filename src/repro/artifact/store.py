@@ -9,12 +9,14 @@ A *frozen* store is the flat, position-indexed twin of a live structure:
 
 Each holds nothing but integer tables (node kinds, element pairs, child
 lists, vtree shape) plus a variable-name table — exactly the sections of
-the on-disk artifact format, so a store can either be **frozen** from a
-live manager (``from_manager`` / ``from_dag``) or **wrap an mmap-ed file
-read-only** with zero copying (:meth:`load`): element and child lists are
-served as ``zip``s and slices straight over the mapped page cache, and N
-worker processes opening the same path share one physical copy of the
-compiled circuit.
+the on-disk artifact format, which each store declares once as its
+``KIND`` and ``SECTIONS`` rows.  A store can either be **frozen** from a
+node table (the table's ``freeze``, i.e. ``from_manager`` /
+``from_dag``; a frozen store re-freezes to the same tables) or **wrap
+an mmap-ed file read-only** with zero copying (:meth:`load`): element and
+child lists are served as ``zip``s and slices straight over the mapped
+page cache, and N worker processes opening the same path share one
+physical copy of the compiled circuit.
 
 One evaluator, two node tables.  Each store exposes the read-only node
 table its live twin has (:class:`repro.sdd.wmc.SddNodeTable`,
@@ -42,14 +44,13 @@ from __future__ import annotations
 import json
 import traceback
 from array import array
-from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Sequence
 
 from ..core.vtree import Vtree
 from ..dnnf.nodes import DnnfDag, DnnfNodeTable
 from ..obdd.obdd import ObddNodeTable
-from ..sdd.wmc import SddNodeTable, exact_weights
+from ..sdd.wmc import SddNodeTable
 from .encoding import (
     DTYPE_BYTES,
     DTYPE_I32,
@@ -69,7 +70,6 @@ __all__ = [
     "FrozenSdd",
     "FrozenDdnnf",
     "FrozenObdd",
-    "FrozenCompiled",
 ]
 
 _FALSE = 0
@@ -97,6 +97,97 @@ def _read_meta(art: Artifact) -> dict:
         raise ArtifactError("corrupt meta section", path=art.path) from None
 
 
+# How each section dtype is written, and read back as a (zero-copy) view.
+_ENCODE = {
+    DTYPE_BYTES: pack_strings,
+    DTYPE_U8: lambda values: bytes(bytearray(values)),
+    DTYPE_I32: _i32,
+    DTYPE_I64: _i64,
+}
+_DECODE = {
+    DTYPE_BYTES: Artifact.strings,
+    DTYPE_U8: Artifact.raw,
+    DTYPE_I32: Artifact.i32,
+    DTYPE_I64: Artifact.i64,
+}
+
+
+class _FrozenStore:
+    """The artifact side of a frozen store, declared once per store.
+
+    A store names its artifact ``KIND`` and its ``SECTIONS``: rows of
+    ``(section, dtype, attribute)`` in file order, which is also the
+    order its constructor takes the tables in — the ``vars`` row first,
+    the ``roots`` row last.  Optional ``rootnames`` and ``meta`` sections
+    follow them.  Reading, writing and unmapping are then the same code
+    for every store.
+    """
+
+    KIND: int
+    SECTIONS: tuple[tuple[str, int, str], ...]
+
+    def _init_roots(self, vars, roots, root_names, meta, artifact) -> str | None:
+        """Set the fields every store has; returns the artifact path for
+        error messages."""
+        self.vars = list(vars)
+        self.roots = list(roots)
+        self.root_names = list(root_names) if root_names is not None else None
+        self.meta = dict(meta) if meta else {}
+        self._artifact = artifact
+        return artifact.path if artifact is not None else None
+
+    def _check_roots(self, n_nodes: int, path: str | None) -> None:
+        for r in self.roots:
+            if not 0 <= r < n_nodes:
+                raise ArtifactError(f"root id {r} out of range", path=path)
+        if self.root_names is not None and len(self.root_names) != len(self.roots):
+            raise ArtifactError("root name count mismatch", path=path)
+
+    @classmethod
+    def from_artifact(cls, art: Artifact):
+        """Wrap a parsed artifact's sections (zero copy)."""
+        if art.kind != cls.KIND:
+            raise ArtifactError(
+                f"artifact kind {art.kind} is not a {cls.__name__} store",
+                offset=10, path=art.path,
+            )
+        tables = [_DECODE[dtype](art, name) for name, dtype, _ in cls.SECTIONS]
+        names = art.strings("rootnames") if "rootnames" in art else None
+        return cls(*tables, root_names=names, meta=_read_meta(art), _artifact=art)
+
+    @classmethod
+    def load(cls, path, *, use_mmap: bool = True):
+        """mmap an artifact file read-only and wrap it (zero copy)."""
+        return _open_store(cls, open_artifact(path, expect_kind=cls.KIND, use_mmap=use_mmap))
+
+    def sections(self) -> list[tuple[str, int, bytes]]:
+        out = [
+            (name, dtype, _ENCODE[dtype](getattr(self, attr)))
+            for name, dtype, attr in self.SECTIONS
+        ]
+        if self.root_names is not None:
+            out.append(("rootnames", DTYPE_BYTES, pack_strings(self.root_names)))
+        if self.meta:
+            out.append(("meta", DTYPE_BYTES, _meta_bytes(self.meta)))
+        return out
+
+    def write(self, path) -> None:
+        write_artifact(path, self.KIND, self.sections())
+
+    def close(self) -> None:
+        if self._artifact is None:
+            return
+        # Zero-copy tables are casted memoryviews into the mmap; they pin
+        # the mapping, so they are released before the file is unmapped.
+        for _, _, attr in self.SECTIONS:
+            value = getattr(self, attr)
+            if isinstance(value, memoryview):
+                value.release()
+                setattr(self, attr, None)
+        self._artifact.close()
+        self._artifact = None
+
+
 def _open_store(cls, art: Artifact):
     """``cls.from_artifact(art)``; a rejected artifact is closed before the
     :class:`ArtifactError` propagates."""
@@ -108,17 +199,6 @@ def _open_store(cls, art: Artifact):
         traceback.clear_frames(exc.__traceback__)
         art.close()
         raise
-
-
-def _release_views(obj, names: Sequence[str]) -> None:
-    # Zero-copy stores keep casted memoryviews into the mmap as their
-    # table attributes; those views pin the mapping, so they must be
-    # released before Artifact.close() can unmap the file.
-    for name in names:
-        value = getattr(obj, name, None)
-        if isinstance(value, memoryview):
-            value.release()
-            setattr(obj, name, None)
 
 
 class _ElementPairs:
@@ -142,7 +222,7 @@ class _ElementPairs:
 # ======================================================================
 # FrozenSdd
 # ======================================================================
-class FrozenSdd(SddNodeTable):
+class FrozenSdd(_FrozenStore, SddNodeTable):
     """An immutable compiled SDD: vtree + node tables + named roots.
 
     Node id space: ``0`` = FALSE, ``1`` = TRUE, then ``n_lits`` literals,
@@ -153,6 +233,17 @@ class FrozenSdd(SddNodeTable):
     position ``m-1`` is the root, and postfix order is the postorder
     :class:`~repro.sdd.wmc.SddWmcEvaluator` sweeps.
     """
+
+    KIND = KIND_SDD
+    SECTIONS = (
+        ("vars", DTYPE_BYTES, "vars"),
+        ("vt", DTYPE_I32, "vt"),
+        ("lits", DTYPE_I32, "lits"),
+        ("decvn", DTYPE_I32, "dec_vnode"),
+        ("decoff", DTYPE_I64, "dec_off"),
+        ("elems", DTYPE_I32, "elems"),
+        ("roots", DTYPE_I64, "roots"),
+    )
 
     def __init__(
         self,
@@ -168,17 +259,12 @@ class FrozenSdd(SddNodeTable):
         meta: Mapping | None = None,
         _artifact: Artifact | None = None,
     ):
-        path = _artifact.path if _artifact is not None else None
-        self.vars = list(vars)
+        path = self._init_roots(vars, roots, root_names, meta, _artifact)
         self.vt = vt
         self.lits = lits
         self.dec_vnode = dec_vnode
         self.dec_off = dec_off
         self.elems = elems
-        self.roots = list(roots)
-        self.root_names = list(root_names) if root_names is not None else None
-        self.meta = dict(meta) if meta else {}
-        self._artifact = _artifact
         # --- derive + validate the vtree shape ------------------------
         m = len(vt)
         n_vars = len(self.vars)
@@ -261,11 +347,7 @@ class FrozenSdd(SddNodeTable):
                         f"vtree child of position {vn}", path=path,
                     )
             node_vnode.append(vn)
-        for r in self.roots:
-            if not 0 <= r < self.node_count_total:
-                raise ArtifactError(f"root id {r} out of range", path=path)
-        if self.root_names is not None and len(self.root_names) != len(self.roots):
-            raise ArtifactError("root name count mismatch", path=path)
+        self._check_roots(self.node_count_total, path)
         # --- the node-table protocol (SddNodeTable) ---------------------
         self.node_kind = ["false", "true"] + ["lit"] * self.n_lits + ["dec"] * self.n_decs
         self.node_var = [None, None] + [names[code >> 1] for code in lits]
@@ -303,14 +385,17 @@ class FrozenSdd(SddNodeTable):
         names: Sequence[str] | None = None,
         meta: Mapping | None = None,
     ) -> "FrozenSdd":
-        """Freeze ``roots`` of a live :class:`SddManager`.
+        """Freeze ``roots`` of any SDD node table: a live
+        :class:`SddManager`, or a frozen store (which re-freezes to the
+        same tables when ``roots`` are all of its roots).
 
-        Uses the manager's *current* postorder (correct after in-place
+        Uses the table's *current* postorder (correct after in-place
         rotations) and renumbers: literals sorted by ``(var, sign)``,
         decisions by creation stamp — child stamps precede parents, so
         the frozen ids are topological by construction.
         """
         order = mgr.vtree_postorder()
+        var_at = {vi: var for var, vi in mgr.leaf_of_var.items()}
         pos: dict[int, int] = {}
         vars_tab: list[str] = []
         var_idx: dict[str, int] = {}
@@ -318,7 +403,7 @@ class FrozenSdd(SddNodeTable):
         for k, vi in enumerate(order):
             pos[vi] = k
             if mgr.v_left[vi] is None:
-                var = mgr.v_nodes[vi].var
+                var = var_at[vi]
                 var_idx[var] = len(vars_tab)
                 vt.append(len(vars_tab))
                 vars_tab.append(var)
@@ -364,58 +449,6 @@ class FrozenSdd(SddNodeTable):
             root_names=names,
             meta=meta,
         )
-
-    @classmethod
-    def from_artifact(cls, art: Artifact) -> "FrozenSdd":
-        if art.kind != KIND_SDD:
-            raise ArtifactError(
-                f"artifact kind {art.kind} is not an SDD store",
-                offset=10, path=art.path,
-            )
-        names = art.strings("rootnames") if "rootnames" in art else None
-        return cls(
-            art.strings("vars"),
-            art.i32("vt"),
-            art.i32("lits"),
-            art.i32("decvn"),
-            art.i64("decoff"),
-            art.i32("elems"),
-            list(art.i64("roots")),
-            root_names=names,
-            meta=_read_meta(art),
-            _artifact=art,
-        )
-
-    @classmethod
-    def load(cls, path, *, use_mmap: bool = True) -> "FrozenSdd":
-        """mmap an artifact file read-only and wrap it (zero copy)."""
-        art = open_artifact(path, expect_kind=KIND_SDD, use_mmap=use_mmap)
-        return _open_store(cls, art)
-
-    def sections(self) -> list[tuple[str, int, bytes]]:
-        out = [
-            ("vars", DTYPE_BYTES, pack_strings(self.vars)),
-            ("vt", DTYPE_I32, _i32(self.vt)),
-            ("lits", DTYPE_I32, _i32(self.lits)),
-            ("decvn", DTYPE_I32, _i32(self.dec_vnode)),
-            ("decoff", DTYPE_I64, _i64(self.dec_off)),
-            ("elems", DTYPE_I32, _i32(self.elems)),
-            ("roots", DTYPE_I64, _i64(self.roots)),
-        ]
-        if self.root_names is not None:
-            out.append(("rootnames", DTYPE_BYTES, pack_strings(self.root_names)))
-        if self.meta:
-            out.append(("meta", DTYPE_BYTES, _meta_bytes(self.meta)))
-        return out
-
-    def write(self, path) -> None:
-        write_artifact(path, KIND_SDD, self.sections())
-
-    def close(self) -> None:
-        if self._artifact is not None:
-            _release_views(self, ("vt", "lits", "dec_vnode", "dec_off", "elems"))
-            self._artifact.close()
-            self._artifact = None
 
     # ------------------------------------------------------------------
     # vtree and roots
@@ -497,13 +530,23 @@ class _ChildSlices:
         return self.children[self.off[u]:self.off[u + 1]]
 
 
-class FrozenDdnnf(DnnfNodeTable):
+class FrozenDdnnf(_FrozenStore, DnnfNodeTable):
     """An immutable smooth d-DNNF DAG: kinds, literal codes, child lists.
 
     Ids ``0``/``1`` are FALSE/TRUE; children always have smaller ids
     (the monotone renumbering of a hash-consed DAG), so ascending order
     is topological.
     """
+
+    KIND = KIND_DDNNF
+    SECTIONS = (
+        ("vars", DTYPE_BYTES, "vars"),
+        ("kinds", DTYPE_U8, "kinds"),
+        ("litv", DTYPE_I32, "litv"),
+        ("choff", DTYPE_I64, "ch_off"),
+        ("children", DTYPE_I32, "children"),
+        ("roots", DTYPE_I64, "roots"),
+    )
 
     def __init__(
         self,
@@ -518,16 +561,11 @@ class FrozenDdnnf(DnnfNodeTable):
         meta: Mapping | None = None,
         _artifact: Artifact | None = None,
     ):
-        path = _artifact.path if _artifact is not None else None
-        self.vars = list(vars)
+        path = self._init_roots(vars, roots, root_names, meta, _artifact)
         self.kinds = kinds
         self.litv = litv
         self.ch_off = ch_off
         self.children = children
-        self.roots = list(roots)
-        self.root_names = list(root_names) if root_names is not None else None
-        self.meta = dict(meta) if meta else {}
-        self._artifact = _artifact
         n = len(kinds)
         if n < 2 or kinds[0] != _K_FALSE or kinds[1] != _K_TRUE:
             raise ArtifactError("d-DNNF store missing constant nodes", path=path)
@@ -561,11 +599,7 @@ class FrozenDdnnf(DnnfNodeTable):
                         f"node {u} references child {c} (not topological)", path=path
                     )
             node_kind.append(_KIND_NAMES[k])
-        for r in self.roots:
-            if not 0 <= r < n:
-                raise ArtifactError(f"root id {r} out of range", path=path)
-        if self.root_names is not None and len(self.root_names) != len(self.roots):
-            raise ArtifactError("root name count mismatch", path=path)
+        self._check_roots(n, path)
         self.node_kind = node_kind
         self.node_var = node_var
         self.node_sign = node_sign
@@ -582,9 +616,9 @@ class FrozenDdnnf(DnnfNodeTable):
         names: Sequence[str] | None = None,
         meta: Mapping | None = None,
     ) -> "FrozenDdnnf":
-        """Freeze ``roots`` of a live :class:`DnnfDag` (monotone renumber:
-        DAG ids are creation-order topological, so sorted-children
-        invariants survive)."""
+        """Freeze ``roots`` of any d-DNNF node table, live or frozen
+        (monotone renumber: DAG ids are creation-order topological, so
+        sorted-children invariants survive)."""
         reach = {_FALSE, _TRUE}
         for r in roots:
             reach.update(dag.reachable(r))
@@ -619,55 +653,6 @@ class FrozenDdnnf(DnnfNodeTable):
             lit_vars, kinds, litv, ch_off, children,
             [idmap[r] for r in roots], root_names=names, meta=meta,
         )
-
-    @classmethod
-    def from_artifact(cls, art: Artifact) -> "FrozenDdnnf":
-        if art.kind != KIND_DDNNF:
-            raise ArtifactError(
-                f"artifact kind {art.kind} is not a d-DNNF store",
-                offset=10, path=art.path,
-            )
-        names = art.strings("rootnames") if "rootnames" in art else None
-        return cls(
-            art.strings("vars"),
-            art.raw("kinds"),
-            art.i32("litv"),
-            art.i64("choff"),
-            art.i32("children"),
-            list(art.i64("roots")),
-            root_names=names,
-            meta=_read_meta(art),
-            _artifact=art,
-        )
-
-    @classmethod
-    def load(cls, path, *, use_mmap: bool = True) -> "FrozenDdnnf":
-        art = open_artifact(path, expect_kind=KIND_DDNNF, use_mmap=use_mmap)
-        return _open_store(cls, art)
-
-    def sections(self) -> list[tuple[str, int, bytes]]:
-        out = [
-            ("vars", DTYPE_BYTES, pack_strings(self.vars)),
-            ("kinds", DTYPE_U8, bytes(bytearray(self.kinds))),
-            ("litv", DTYPE_I32, _i32(self.litv)),
-            ("choff", DTYPE_I64, _i64(self.ch_off)),
-            ("children", DTYPE_I32, _i32(self.children)),
-            ("roots", DTYPE_I64, _i64(self.roots)),
-        ]
-        if self.root_names is not None:
-            out.append(("rootnames", DTYPE_BYTES, pack_strings(self.root_names)))
-        if self.meta:
-            out.append(("meta", DTYPE_BYTES, _meta_bytes(self.meta)))
-        return out
-
-    def write(self, path) -> None:
-        write_artifact(path, KIND_DDNNF, self.sections())
-
-    def close(self) -> None:
-        if self._artifact is not None:
-            _release_views(self, ("kinds", "litv", "ch_off", "children"))
-            self._artifact.close()
-            self._artifact = None
 
     # ------------------------------------------------------------------
     def to_dag(self):
@@ -705,13 +690,22 @@ class FrozenDdnnf(DnnfNodeTable):
 # ======================================================================
 # FrozenObdd
 # ======================================================================
-class FrozenObdd(ObddNodeTable):
+class FrozenObdd(_FrozenStore, ObddNodeTable):
     """An immutable reduced OBDD: variable order + level/lo/hi tables.
 
     Ids ``0``/``1`` are the terminals (stored at level ``n`` with child
     slots ``-1``); internal nodes follow in topological (ascending)
     order, exactly like a live :class:`ObddManager`.
     """
+
+    KIND = KIND_OBDD
+    SECTIONS = (
+        ("vars", DTYPE_BYTES, "vars"),
+        ("level", DTYPE_I32, "level"),
+        ("lo", DTYPE_I32, "lo"),
+        ("hi", DTYPE_I32, "hi"),
+        ("roots", DTYPE_I64, "roots"),
+    )
 
     def __init__(
         self,
@@ -725,15 +719,10 @@ class FrozenObdd(ObddNodeTable):
         meta: Mapping | None = None,
         _artifact: Artifact | None = None,
     ):
-        path = _artifact.path if _artifact is not None else None
-        self.vars = list(vars)
+        path = self._init_roots(vars, roots, root_names, meta, _artifact)
         self.level = level
         self.lo = lo
         self.hi = hi
-        self.roots = list(roots)
-        self.root_names = list(root_names) if root_names is not None else None
-        self.meta = dict(meta) if meta else {}
-        self._artifact = _artifact
         n = len(self.vars)
         self.order = tuple(self.vars)
         self.n = n
@@ -751,11 +740,7 @@ class FrozenObdd(ObddNodeTable):
                         f"node {u} references child {c} (not topological)",
                         path=path,
                     )
-        for r in self.roots:
-            if not 0 <= r < m:
-                raise ArtifactError(f"root id {r} out of range", path=path)
-        if self.root_names is not None and len(self.root_names) != len(self.roots):
-            raise ArtifactError("root name count mismatch", path=path)
+        self._check_roots(m, path)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -767,8 +752,9 @@ class FrozenObdd(ObddNodeTable):
         names: Sequence[str] | None = None,
         meta: Mapping | None = None,
     ) -> "FrozenObdd":
-        """Freeze ``roots`` of a live :class:`ObddManager` (ids are
-        creation-order topological, so a monotone renumber suffices)."""
+        """Freeze ``roots`` of any OBDD node table, live or frozen (ids
+        are creation-order topological, so a monotone renumber
+        suffices)."""
         reach = {0, 1}
         for r in roots:
             reach |= mgr.reachable(r)
@@ -781,53 +767,6 @@ class FrozenObdd(ObddNodeTable):
             list(mgr.order), level, lo, hi, [idmap[r] for r in roots],
             root_names=names, meta=meta,
         )
-
-    @classmethod
-    def from_artifact(cls, art: Artifact) -> "FrozenObdd":
-        if art.kind != KIND_OBDD:
-            raise ArtifactError(
-                f"artifact kind {art.kind} is not an OBDD store",
-                offset=10, path=art.path,
-            )
-        names = art.strings("rootnames") if "rootnames" in art else None
-        return cls(
-            art.strings("vars"),
-            art.i32("level"),
-            art.i32("lo"),
-            art.i32("hi"),
-            list(art.i64("roots")),
-            root_names=names,
-            meta=_read_meta(art),
-            _artifact=art,
-        )
-
-    @classmethod
-    def load(cls, path, *, use_mmap: bool = True) -> "FrozenObdd":
-        art = open_artifact(path, expect_kind=KIND_OBDD, use_mmap=use_mmap)
-        return _open_store(cls, art)
-
-    def sections(self) -> list[tuple[str, int, bytes]]:
-        out = [
-            ("vars", DTYPE_BYTES, pack_strings(self.vars)),
-            ("level", DTYPE_I32, _i32(self.level)),
-            ("lo", DTYPE_I32, _i32(self.lo)),
-            ("hi", DTYPE_I32, _i32(self.hi)),
-            ("roots", DTYPE_I64, _i64(self.roots)),
-        ]
-        if self.root_names is not None:
-            out.append(("rootnames", DTYPE_BYTES, pack_strings(self.root_names)))
-        if self.meta:
-            out.append(("meta", DTYPE_BYTES, _meta_bytes(self.meta)))
-        return out
-
-    def write(self, path) -> None:
-        write_artifact(path, KIND_OBDD, self.sections())
-
-    def close(self) -> None:
-        if self._artifact is not None:
-            _release_views(self, ("level", "lo", "hi"))
-            self._artifact.close()
-            self._artifact = None
 
     # ------------------------------------------------------------------
     def to_manager(self):
@@ -851,114 +790,3 @@ class FrozenObdd(ObddNodeTable):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FrozenObdd(nodes={len(self.level)}, roots={len(self.roots)})"
-
-
-# ======================================================================
-# FrozenCompiled — the Compiled protocol over a frozen store
-# ======================================================================
-class FrozenCompiled:
-    """A loaded compilation result satisfying the ``Compiled`` protocol.
-
-    Wraps one frozen store plus the metadata and circuit saved alongside
-    it, and answers every uniform accessor (``size``, ``width``,
-    ``model_count()``, ``probability()``, ``evaluate()``) with the same
-    values — float probabilities bit-identical — as the live ``Compiled``
-    it was saved from, without rebuilding any manager.  The one
-    exception is the ``canonical`` backend's float path, which the live
-    object answers from its truth-table ``BooleanFunction``; that
-    function is reconstructed lazily from the saved circuit here.
-    """
-
-    def __init__(self, store, *, meta: Mapping, circuit):
-        self.store = store
-        self.meta = dict(meta)
-        self.backend: str = self.meta["backend"]
-        self.circuit = circuit
-        self.root: int = store.roots[0]
-        self.strategy: str = self.meta.get("strategy", "")
-        self.decomposition_width = self.meta.get("decomposition_width")
-        if isinstance(store, FrozenSdd):
-            self.vtree = store.vtree()
-        elif self.meta.get("vtree_postfix") is not None:
-            self.vtree = Vtree.from_postfix(self.meta["vtree_postfix"])
-        else:
-            self.vtree = None
-        self._function = None
-
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self.meta["size"]
-
-    @property
-    def width(self) -> int:
-        return self.meta["width"]
-
-    @property
-    def circuit_variables(self) -> set[str]:
-        return set(map(str, self.circuit.variables))
-
-    def _fill_extra(self, prob, extra):
-        from ..compiler.backends import _fill_extra
-
-        return _fill_extra(prob, extra)
-
-    def _fn(self):
-        if self._function is None:
-            self._function = self.circuit.function()
-        return self._function
-
-    # ------------------------------------------------------------------
-    def model_count(self) -> int:
-        if self.backend == "canonical":
-            return self._fn().count_models()
-        if self.backend == "ddnnf":
-            return self.store.count_models(self.root, self.circuit.variables)
-        if self.backend == "obdd":
-            base = self.store.count_models(self.root)
-            extra = set(self.store.order) - self.circuit_variables
-            return base >> len(extra)
-        base = self.store.count_models(self.root, self.circuit.variables)
-        extra = self.vtree.variables - self.circuit_variables
-        return base >> len(extra)
-
-    def probability(self, prob: Mapping[str, float], *, exact: bool = False):
-        if self.backend == "canonical":
-            if exact:
-                weights = exact_weights(
-                    self._fill_extra(prob, self.vtree.variables)
-                )
-                return Fraction(self.store.weighted_count(self.root, weights))
-            return self._fn().probability(prob)
-        if self.backend == "ddnnf":
-            return self.store.probability(self.root, prob, exact=exact)
-        if self.backend == "obdd":
-            full = self._fill_extra(prob, set(self.store.order))
-        else:
-            full = self._fill_extra(prob, self.vtree.variables)
-        return self.store.probability(self.root, full, exact=exact)
-
-    def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        if self.backend == "canonical":
-            return bool(self._fn()(dict(assignment)))
-        return self.store.evaluate(self.root, assignment)
-
-    def stats(self) -> dict[str, int]:
-        out = {"frozen": 1}
-        out.update(self.store.stats())
-        return out
-
-    def save(self, path) -> None:
-        """Re-save (round-trips exactly: same sections, same meta)."""
-        from .format import _write_compiled_store
-
-        _write_compiled_store(path, self.store, self.meta, self.circuit)
-
-    def close(self) -> None:
-        self.store.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<FrozenCompiled backend={self.backend!r} "
-            f"vars={len(self.circuit_variables)} size={self.size}>"
-        )

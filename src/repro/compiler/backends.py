@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..circuits.circuit import Circuit
 from ..core.vtree import Vtree
 from ..obdd.obdd import ObddManager
 from ..sdd.manager import SddManager
-from ..sdd.wmc import exact_weights
 
 __all__ = [
     "Compiled",
@@ -129,9 +129,19 @@ class CompilationBackend(Protocol):
 
 
 class _CompiledBase:
-    """Shared bookkeeping for the concrete ``Compiled`` implementations."""
+    """Shared bookkeeping for the concrete ``Compiled`` implementations.
+
+    A result answers from one node table through its ``(table, root)``
+    pair, and the table may be live (a manager or DAG fresh from the
+    backend) or frozen (a store over a loaded artifact): the same class
+    serves both, so a loaded result answers exactly as the live one it
+    was saved from.
+    """
 
     backend = ""
+    # Stores that keep no vtree of their own (OBDD, d-DNNF) record the
+    # result's vtree in the artifact's meta.
+    _vtree_in_meta = False
 
     def __init__(
         self,
@@ -139,30 +149,74 @@ class _CompiledBase:
         vtree: Vtree,
         decomposition_width: int | None,
         strategy: str,
+        *,
+        table,
+        root: int,
     ):
         self.circuit = circuit
         self.vtree = vtree
         self.decomposition_width = decomposition_width
         self.strategy = strategy
+        self.table = table
+        self.root = root
 
     @property
     def circuit_variables(self) -> set[str]:
         return set(map(str, self.circuit.variables))
 
     @property
-    def extra_variables(self) -> set[str]:
-        """Vtree variables beyond the circuit's own (e.g. unpruned Lemma-1
-        dummies); the compiled function never depends on them."""
-        return set(self.vtree.variables) - self.circuit_variables
+    def size(self) -> int:
+        return self.table.size(self.root)
+
+    @property
+    def width(self) -> int:
+        return self.table.width(self.root)
+
+    def evaluate(self, assignment: Mapping[str, int]) -> bool:
+        return self.table.evaluate(self.root, assignment)
+
+    def stats(self) -> dict[str, int]:
+        return self.table.stats()
 
     def save(self, path) -> None:
-        """Save this result as a flat artifact file (node tables + meta +
-        circuit); reload with :meth:`repro.compiler.Compiler.load` — the
-        loaded handle answers every uniform accessor without recompiling,
-        float probabilities bit-identical."""
-        from ..artifact.format import save_compiled
+        """Save this result as a flat artifact file (the table's frozen
+        sections + meta + circuit); reload with
+        :meth:`repro.compiler.Compiler.load`, which returns this class
+        again — answers equal, float probabilities bit-identical, and
+        re-saving writes the same bytes."""
+        from ..artifact.format import write_compiled
 
-        save_compiled(self, path)
+        meta = {
+            "backend": self.backend,
+            "strategy": self.strategy,
+            "decomposition_width": self.decomposition_width,
+            "size": self.size,
+            "width": self.width,
+        }
+        if self._vtree_in_meta:
+            meta["vtree_postfix"] = self.vtree.to_postfix()
+        write_compiled(path, self.table.freeze([self.root], meta=meta), self.circuit)
+
+    @classmethod
+    def _from_store(cls, store, circuit, **extra):
+        """The result a ``save`` wrote, over its loaded frozen ``store``."""
+        meta = store.meta
+        postfix = meta.get("vtree_postfix")
+        return cls(
+            circuit,
+            store.vtree() if postfix is None else Vtree.from_postfix(postfix),
+            meta.get("decomposition_width"),
+            meta.get("strategy", ""),
+            table=store,
+            root=store.roots[0],
+            **extra,
+        )
+
+    def close(self) -> None:
+        """Unmap a loaded result's artifact (a live table holds none)."""
+        close = getattr(self.table, "close", None)
+        if close is not None:
+            close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -171,152 +225,122 @@ class _CompiledBase:
         )
 
 
-class CanonicalCompiled(_CompiledBase):
-    """Result of the ``S_{F,T}`` construction (plus the canonical NNF).
+class _DiagramCompiled(_CompiledBase):
+    """A result over an SDD or OBDD node table, live or frozen, whose
+    ``variables`` (the vtree's, or the variable order's) may include
+    some the circuit does not depend on."""
 
-    Beyond the uniform interface this exposes ``function`` (the exact
+    def model_count(self) -> int:
+        base = self.table.count_models(self.root, self.circuit.variables)
+        # The count runs over all the table's variables; the circuit does
+        # not depend on the extras, so each contributes an exact factor of 2.
+        extra = self.table.variables - self.circuit_variables
+        return base >> len(extra)
+
+    def probability(self, prob, *, exact: bool = False):
+        full = _fill_extra(prob, self.table.variables)
+        return self.table.probability(self.root, full, exact=exact)
+
+
+class CanonicalCompiled(_DiagramCompiled):
+    """Result of the ``S_{F,T}`` construction (Section 3.2.2).
+
+    Answers from the manager SDD the canonical ``S_{F,T}`` loads into
+    over the same vtree (the ``(table, root)`` pair); ``size`` and
+    ``width`` stay ``S_{F,T}``'s own counts, which the manager's
+    compression and trimming would shrink.  Beyond the uniform interface
+    this exposes ``function`` (the exact
     :class:`~repro.core.boolfunc.BooleanFunction`), ``sdd`` (the
-    :class:`~repro.core.sdd_compile.CompiledSDD`) and ``nnf``.
+    :class:`~repro.core.sdd_compile.CompiledSDD`) and ``nnf``, each built
+    on first access from the circuit and vtree.
     """
 
     backend = "canonical"
 
-    def __init__(self, circuit, vtree, decomposition_width, strategy, *, function, sdd, nnf):
-        super().__init__(circuit, vtree, decomposition_width, strategy)
-        self.function = function
-        self.sdd = sdd
-        self.nnf = nnf
-        self._manager_root: tuple[SddManager, int] | None = None
+    def __init__(self, circuit, vtree, decomposition_width, strategy, *, table, root,
+                 size, width):
+        super().__init__(
+            circuit, vtree, decomposition_width, strategy, table=table, root=root
+        )
+        self._size = size
+        self._width = width
 
     @property
     def size(self) -> int:
-        return self.sdd.size
+        return self._size
 
     @property
     def width(self) -> int:
-        return self.sdd.sdw
+        return self._width
 
-    def model_count(self) -> int:
-        return self.function.count_models()
+    @cached_property
+    def function(self):
+        return self.circuit.function()
 
-    def _reuse_as_manager_sdd(self) -> tuple[SddManager, int]:
-        """Load the *already-compiled* canonical SDD into a manager (once),
-        for exact WMC — the circuit itself is never recompiled."""
-        if self._manager_root is None:
-            mgr = SddManager(self.vtree)
-            self._manager_root = (mgr, mgr.compile_nnf(self.sdd.root))
-        return self._manager_root
+    @cached_property
+    def sdd(self):
+        from ..core.sdd_compile import compile_canonical_sdd
 
-    def probability(self, prob, *, exact: bool = False):
-        if exact:
-            mgr, root = self._reuse_as_manager_sdd()
-            weights = exact_weights(_fill_extra(prob, self.vtree.variables))
-            return Fraction(mgr.weighted_count(root, weights))
-        return self.function.probability(prob)
+        return compile_canonical_sdd(self.function, self.vtree)
 
-    def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        return bool(self.function(dict(assignment)))
+    @cached_property
+    def nnf(self):
+        from ..core.nnf_compile import compile_canonical_nnf
 
-    def stats(self) -> dict[str, int]:
-        out = {
-            "sdd_gates": self.sdd.size,
-            "nnf_gates": self.nnf.size,
-            "truth_table_rows": 1 << len(self.function.variables),
-        }
-        if self._manager_root is not None:
-            out.update(self._manager_root[0].stats())
-        return out
+        return compile_canonical_nnf(self.function, self.vtree)
+
+    @classmethod
+    def _from_store(cls, store, circuit):
+        return super()._from_store(
+            store, circuit, size=store.meta["size"], width=store.meta["width"]
+        )
 
 
-class ApplyCompiled(_CompiledBase):
+class ApplyCompiled(_DiagramCompiled):
     """Result of bottom-up :class:`SddManager` compilation; also exposes
-    ``manager`` and ``root`` for callers that want the raw handles.
+    ``manager`` (the table) and ``root`` for callers that want the raw
+    handles.
 
-    The result owns its root: the backend pins it in the manager, so
+    A live result owns its root: the backend pins it in the manager, so
     callers that run :meth:`SddManager.gc` can never collect a
     compilation result out from under a live ``Compiled``.  Call
     :meth:`release` to hand the root back to the collector when done."""
 
     backend = "apply"
 
-    def __init__(self, circuit, vtree, decomposition_width, strategy, *, manager, root):
-        super().__init__(circuit, vtree, decomposition_width, strategy)
-        self.manager = manager
-        self.root = manager.pin(root)
+    @property
+    def manager(self):
+        return self.table
 
     def release(self) -> None:
         """Unpin the root; the manager's next gc may collect it.  Using
         this ``Compiled`` after a post-release collection is undefined
-        (the root id may be recycled — see :meth:`SddManager.pin`)."""
-        self.manager.release(self.root)
-
-    @property
-    def size(self) -> int:
-        return self.manager.size(self.root)
-
-    @property
-    def width(self) -> int:
-        return self.manager.width(self.root)
-
-    def model_count(self) -> int:
-        base = self.manager.count_models(self.root, self.circuit.variables)
-        # The WMC sweep counts over all vtree variables; the circuit does
-        # not depend on the extras, so each contributes an exact factor of 2.
-        extra = self.manager.vtree.variables - self.circuit_variables
-        return base >> len(extra)
-
-    def probability(self, prob, *, exact: bool = False):
-        full = _fill_extra(prob, self.manager.vtree.variables)
-        return self.manager.probability(self.root, full, exact=exact)
-
-    def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        return self.manager.evaluate(self.root, assignment)
-
-    def stats(self) -> dict[str, int]:
-        return self.manager.stats()
+        (the root id may be recycled — see :meth:`SddManager.pin`).  A
+        loaded result's ids never die, so it has nothing to release."""
+        if isinstance(self.table, SddManager):
+            self.table.release(self.root)
 
 
-class ObddCompiled(_CompiledBase):
+class ObddCompiled(_DiagramCompiled):
     """Result of OBDD compilation under the vtree's leaf order; exposes
-    ``manager`` (an :class:`ObddManager`) and ``root``."""
+    ``manager`` (the table: an :class:`ObddManager` or a frozen store)
+    and ``root``.  A reduced OBDD of the circuit never tests variables
+    the circuit does not depend on, so :meth:`evaluate` needs only the
+    circuit's assignment."""
 
     backend = "obdd"
-
-    def __init__(self, circuit, vtree, decomposition_width, strategy, *, manager, root):
-        super().__init__(circuit, vtree, decomposition_width, strategy)
-        self.manager = manager
-        self.root = root
+    _vtree_in_meta = True
 
     @property
-    def size(self) -> int:
-        return self.manager.size(self.root)
-
-    @property
-    def width(self) -> int:
-        return self.manager.width(self.root)
-
-    def model_count(self) -> int:
-        base = self.manager.count_models(self.root)
-        extra = set(self.manager.order) - self.circuit_variables
-        return base >> len(extra)
-
-    def probability(self, prob, *, exact: bool = False):
-        full = _fill_extra(prob, set(self.manager.order))
-        return self.manager.probability(self.root, full, exact=exact)
-
-    def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        # A reduced OBDD of the circuit never tests variables the circuit
-        # does not depend on, so the circuit's assignment suffices.
-        return self.manager.evaluate(self.root, assignment)
-
-    def stats(self) -> dict[str, int]:
-        return self.manager.stats()
+    def manager(self):
+        return self.table
 
 
 class DdnnfCompiled(_CompiledBase):
-    """Result of the bag-by-bag d-DNNF compilation; exposes ``dag``,
-    ``root`` and ``result`` (the :class:`~repro.dnnf.builder.DdnnfResult`)
-    for callers that want the raw handles.
+    """Result of the bag-by-bag d-DNNF compilation; exposes ``dag`` (the
+    table), ``root`` and ``result`` (the
+    :class:`~repro.dnnf.builder.DdnnfResult` of a live build, whose bag
+    and state-walk counters :meth:`stats` reports; ``None`` when loaded).
 
     The ``vtree`` attribute is the strategy's choice, kept for protocol
     compliance only — this backend compiles from its *own* friendly tree
@@ -324,38 +348,33 @@ class DdnnfCompiled(_CompiledBase):
     """
 
     backend = "ddnnf"
+    _vtree_in_meta = True
 
-    def __init__(self, circuit, vtree, decomposition_width, strategy, *, result):
-        super().__init__(circuit, vtree, decomposition_width, strategy)
+    def __init__(self, circuit, vtree, decomposition_width, strategy, *, table, root,
+                 result=None):
+        super().__init__(
+            circuit, vtree, decomposition_width, strategy, table=table, root=root
+        )
         self.result = result
-        self.dag = result.dag
-        self.root = result.root
 
     @property
-    def size(self) -> int:
-        return self.result.size
-
-    @property
-    def width(self) -> int:
-        return self.result.width
+    def dag(self):
+        return self.table
 
     def model_count(self) -> int:
         # Smoothness makes the root mention exactly the circuit's
         # variables, so no extras shifting is needed (the scope argument
         # covers degenerate circuits whose output ignores some variable
         # gate — those still count free, matching the other backends).
-        return self.dag.count_models(self.root, self.circuit.variables)
+        return self.table.count_models(self.root, self.circuit.variables)
 
     def probability(self, prob, *, exact: bool = False):
         # Variables beyond the root's scope marginalize out for free; no
         # _fill_extra needed.
-        return self.dag.probability(self.root, prob, exact=exact)
-
-    def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        return self.dag.evaluate(self.root, assignment)
+        return self.table.probability(self.root, prob, exact=exact)
 
     def stats(self) -> dict[str, int]:
-        return self.result.stats()
+        return self.table.stats() if self.result is None else self.result.stats()
 
 
 class RacedCompiled(_CompiledBase):
@@ -365,14 +384,16 @@ class RacedCompiled(_CompiledBase):
     (available as ``winner``); :meth:`stats` merges the winner's counters
     with per-candidate ``race_size_*`` / ``race_us_*`` / ``race_won_*``
     entries so best-of race logs stay comparable across backends — all
-    plain ints, per the public-stats convention.
+    plain ints, per the public-stats convention.  :meth:`save` saves the
+    winner, so loading the file returns the winner's class.
     """
 
     backend = "race"
 
     def __init__(self, winner: Compiled, race_log: dict[str, int]):
         super().__init__(
-            winner.circuit, winner.vtree, winner.decomposition_width, winner.strategy
+            winner.circuit, winner.vtree, winner.decomposition_width, winner.strategy,
+            table=winner.table, root=winner.root,
         )
         self.winner = winner
         self.race_log = race_log
@@ -399,6 +420,9 @@ class RacedCompiled(_CompiledBase):
         out.update(self.race_log)
         return out
 
+    def save(self, path) -> None:
+        self.winner.save(path)
+
 
 # ----------------------------------------------------------------------
 # concrete backends
@@ -411,19 +435,20 @@ class CanonicalBackend:
     # check it at (it is already limited to ~20 variables).
     def compile(self, circuit, vtree, *, decomposition_width=None, strategy="",
                 trial=None, node_budget=None):
-        from ..core.nnf_compile import compile_canonical_nnf
         from ..core.sdd_compile import compile_canonical_sdd
 
         f = circuit.function()
-        return CanonicalCompiled(
-            circuit,
-            vtree,
-            decomposition_width,
-            strategy,
-            function=f,
-            sdd=compile_canonical_sdd(f, vtree),
-            nnf=compile_canonical_nnf(f, vtree),
+        sdd = compile_canonical_sdd(f, vtree)
+        # The circuit itself is never recompiled: the S_{F,T} just built is
+        # loaded into a manager over the same vtree.
+        manager = SddManager(vtree)
+        compiled = CanonicalCompiled(
+            circuit, vtree, decomposition_width, strategy,
+            table=manager, root=manager.compile_nnf(sdd.root),
+            size=sdd.size, width=sdd.sdw,
         )
+        compiled.function, compiled.sdd = f, sdd  # already built: seed the lazy ones
+        return compiled
 
 
 class ApplyBackend:
@@ -436,32 +461,29 @@ class ApplyBackend:
             # winning candidate and its VtreeChoice carries the (manager,
             # root) pair of the single surviving trial (losers were dropped
             # eagerly by the strategy).  Reusing it here transfers
-            # ownership to the ApplyCompiled — which pins the root — so
+            # ownership to the ApplyCompiled, whose root is pinned, so
             # the race's work is never repeated and never duplicated.
             manager, root = trial
-            if manager.vtree is vtree or manager.vtree == vtree:
-                return ApplyCompiled(
-                    circuit, vtree, decomposition_width, strategy,
-                    manager=manager, root=root,
-                )
-        manager = SddManager(vtree)
-        root = manager.compile_circuit(circuit, node_budget=node_budget)
+            if manager.vtree is not vtree and manager.vtree != vtree:
+                trial = None
+        if trial is None:
+            manager = SddManager(vtree)
+            root = manager.compile_circuit(circuit, node_budget=node_budget)
         return ApplyCompiled(
-            circuit, vtree, decomposition_width, strategy, manager=manager, root=root
+            circuit, vtree, decomposition_width, strategy,
+            table=manager, root=manager.pin(root),
         )
 
 
 class ObddBackend:
     name = "obdd"
 
-    # node_budget accepted for signature uniformity; the OBDD compiler has
-    # no budget hook yet, so a race over this backend never abandons it.
     def compile(self, circuit, vtree, *, decomposition_width=None, strategy="",
                 trial=None, node_budget=None):
         manager = ObddManager(vtree.leaf_order())
-        root = manager.compile_circuit(circuit)
+        root = manager.compile_circuit(circuit, node_budget=node_budget)
         return ObddCompiled(
-            circuit, vtree, decomposition_width, strategy, manager=manager, root=root
+            circuit, vtree, decomposition_width, strategy, table=manager, root=root
         )
 
 
@@ -483,7 +505,8 @@ class DdnnfBackend:
 
         result = build_ddnnf(circuit, node_budget=node_budget)
         return DdnnfCompiled(
-            circuit, vtree, decomposition_width, strategy, result=result
+            circuit, vtree, decomposition_width, strategy,
+            table=result.dag, root=result.root, result=result,
         )
 
 
@@ -509,16 +532,15 @@ class RaceBackend:
     candidate that blows far past the current best size cannot win on the
     (size, time) ranking, so it is cut off mid-compilation via the
     backends' ``node_budget`` hook instead of being run to completion.
-    The apply backend checks that budget at every new SDD node, so
-    its loser stops inside the apply that crosses the cutoff, however
+    The apply and obdd backends check that budget at every new node, so
+    their loser stops inside the apply that crosses the cutoff, however
     large that one apply is; the d-DNNF builder checks it per bag.
     The slack is deliberately generous and the floor high: live node
     counts *during* apply compilation include intermediate gate results
     and literals far above the final compiled size, so a tight budget
     would abandon eventual winners.  An abandoned candidate logs
     ``race_abandoned_<cand> = 1`` (and its elapsed time) but no size.
-    Backends without a budget hook (canonical, obdd) simply never
-    abandon.
+    The canonical backend has no budget hook, so it never abandons.
     """
 
     name = "race"

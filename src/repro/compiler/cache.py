@@ -1,16 +1,19 @@
-"""Shared compiled-artifact cache plumbing: a stats-counting LRU store and
-stable cache-key fingerprints.
+"""Shared cache plumbing: a stats-counting LRU store and stable cache-key
+fingerprints.
 
-Every caching layer in the system — the per-session compiled-query cache
-inside :class:`repro.queries.engine.QueryEngine` and the cross-session
-answer cache inside :class:`repro.service.QueryService` — needs the same
-two ingredients:
+The cross-session answer cache inside :class:`repro.service.QueryService`
+needs two ingredients:
 
 - an **LRU mapping with public counters** (hits / misses / evictions /
   expiries, the numbers operators actually watch), and
 - **stable keys**: a cache shared across sessions, processes, or restarts
   must key on *content*, never on object identity or ``hash()`` (which
   ``PYTHONHASHSEED`` randomizes per process).
+
+(The per-session compiled-query cache inside
+:class:`repro.queries.engine.QueryEngine` is not one of these: it keeps
+pinned manager roots in an ``OrderedDict`` keyed by the query, and counts
+its own hits, misses and evictions.)
 
 :class:`LruStatsCache` is the store; :func:`fingerprint` hashes any
 sequence of content strings into a short stable hex digest (keyed BLAKE2,

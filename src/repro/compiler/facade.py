@@ -92,11 +92,14 @@ class Compiler:
     def load(path, *, use_mmap: bool = True) -> Compiled:
         """Load a ``compiled.save(path)`` artifact without recompiling.
 
-        Returns a :class:`~repro.artifact.store.FrozenCompiled`: the same
-        uniform accessors over the mmap-ed node tables, float
-        probabilities bit-identical to the result that was saved.  Raises
-        :class:`~repro.artifact.encoding.ArtifactError` on corrupt,
-        truncated, or version-mismatched files.
+        Returns the class the saved result had
+        (:class:`~repro.compiler.backends.ApplyCompiled`,
+        :class:`~repro.compiler.backends.ObddCompiled`, ...; a race
+        result saves, and so loads as, its winner's), answering over the
+        mmap-ed node tables with the same code: float probabilities
+        bit-identical to the result that was saved.  ``close()`` unmaps
+        it.  Raises :class:`~repro.artifact.encoding.ArtifactError` on
+        corrupt, truncated, or version-mismatched files.
         """
         from ..artifact.format import load_compiled
 

@@ -130,6 +130,14 @@ class DnnfNodeTable:
         """WMC over the root's own scope; exact with Fractions."""
         return weighted_model_count(self, root, weights)
 
+    def freeze(self, roots, *, names=None, meta=None):
+        """Freeze ``roots`` into an immutable array-backed
+        :class:`~repro.artifact.store.FrozenDdnnf` (save/mmap/share); a
+        frozen store re-freezes to the same tables."""
+        from ..artifact.store import FrozenDdnnf
+
+        return FrozenDdnnf.from_dag(self, list(roots), names=names, meta=meta)
+
     def probability(self, root: int, prob: Mapping[str, float], *, exact: bool = False):
         return probability(self, root, prob, exact=exact)
 
@@ -212,13 +220,6 @@ class DnnfDag(DnnfNodeTable):
             return kept[0]
         key_children = tuple(kept)
         return self._intern((_OR, key_children), _OR, key_children)
-
-    def freeze(self, roots, *, names=None, meta=None):
-        """Freeze ``roots`` into an immutable array-backed
-        :class:`~repro.artifact.store.FrozenDdnnf` (save/mmap/share)."""
-        from ..artifact.store import FrozenDdnnf
-
-        return FrozenDdnnf.from_dag(self, list(roots), names=names, meta=meta)
 
     def stats(self) -> dict[str, int]:
         """Public counters (the supported alternative to private pokes)."""

@@ -42,6 +42,10 @@ class ObddNodeTable:
     reference the SDD and d-DNNF kernels are checked against.
     """
 
+    @property
+    def variables(self) -> frozenset[str]:
+        return frozenset(self.order)
+
     def reachable(self, u: int) -> set[int]:
         lo, hi = self.lo, self.hi
         seen: set[int] = set()
@@ -117,6 +121,14 @@ class ObddNodeTable:
         value = self.weighted_count(u, weights)
         return Fraction(value) if exact else float(value)
 
+    def freeze(self, roots, *, names=None, meta=None):
+        """Freeze ``roots`` into an immutable array-backed
+        :class:`~repro.artifact.store.FrozenObdd` (save/mmap/share); a
+        frozen store re-freezes to the same tables."""
+        from ..artifact.store import FrozenObdd
+
+        return FrozenObdd.from_manager(self, list(roots), names=names, meta=meta)
+
     def evaluate(self, u: int, assignment: Mapping[str, int]) -> bool:
         w = u
         while w > 1:
@@ -144,6 +156,9 @@ class ObddManager(ObddNodeTable):
         self.hi: list[int] = [-1, -1]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple, int] = {}
+        # The node budget of the compile in progress (see compile_circuit),
+        # checked at every allocation; ``None`` outside a budgeted compile.
+        self._node_budget: int | None = None
 
     # ------------------------------------------------------------------
     # node construction
@@ -164,6 +179,13 @@ class ObddManager(ObddNodeTable):
         nid = self._unique.get(key)
         if nid is None:
             nid = len(self.level)
+            if self._node_budget is not None and nid >= self._node_budget:
+                from ..sdd.manager import CompilationBudgetExceeded
+
+                raise CompilationBudgetExceeded(
+                    f"node budget {self._node_budget} exceeded "
+                    f"(allocating past {nid} nodes)"
+                )
             self.level.append(level)
             self.lo.append(lo)
             self.hi.append(hi)
@@ -183,57 +205,46 @@ class ObddManager(ObddNodeTable):
     # operations
     # ------------------------------------------------------------------
     def apply(self, u: int, v: int, op: str) -> int:
-        """Binary apply for ``op`` in {and, or, xor}."""
+        """Binary apply for ``op`` in {and, or, xor}.
+
+        Iterative, so its depth is not bounded by Python's stack.  A call
+        frame ``(u, v)`` that no cache entry or terminal decides pushes a
+        node frame ``(key, level, None)`` under its two cofactor calls,
+        lo on top: nodes are created in the order of the recursive apply
+        (lo cone, hi cone, then the node), so node ids match it."""
         if op not in ("and", "or", "xor"):
             raise ValueError(f"unsupported op {op!r}")
-        key = (op, u, v) if u <= v else (op, v, u)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._apply(u, v, op)
-        self._apply_cache[key] = result
-        return result
-
-    def _apply(self, u: int, v: int, op: str) -> int:
-        if u <= 1 and v <= 1:
-            a, b = bool(u), bool(v)
-            if op == "and":
-                return int(a and b)
-            if op == "or":
-                return int(a or b)
-            return int(a != b)
-        # terminal shortcuts
-        if op == "and":
-            if u == 0 or v == 0:
-                return 0
-            if u == 1:
-                return v
-            if v == 1:
-                return u
-        elif op == "or":
-            if u == 1 or v == 1:
-                return 1
-            if u == 0:
-                return v
-            if v == 0:
-                return u
-        lu, lv = self.level[u], self.level[v]
-        top = min(lu, lv)
-        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
-        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        return self.node(top, self.apply(u0, v0, op), self.apply(u1, v1, op))
+        cache, level, lo, hi = self._apply_cache, self.level, self.lo, self.hi
+        results: list[int] = []
+        stack: list[tuple] = [(u, v)]
+        while stack:
+            frame = stack.pop()
+            if len(frame) == 3:
+                key, top, _ = frame
+                h = results.pop()
+                result = cache[key] = self.node(top, results.pop(), h)
+                results.append(result)
+                continue
+            a, b = frame
+            key = (op, a, b) if a <= b else (op, b, a)
+            result = cache.get(key)
+            if result is None:
+                result = _terminal_apply(a, b, op)
+                if result is None:
+                    la, lb = level[a], level[b]
+                    top = min(la, lb)
+                    a0, a1 = (lo[a], hi[a]) if la == top else (a, a)
+                    b0, b1 = (lo[b], hi[b]) if lb == top else (b, b)
+                    stack += ((key, top, None), (a1, b1), (a0, b0))
+                    continue
+                cache[key] = result
+            results.append(result)
+        return results[0]
 
     def negate(self, u: int) -> int:
-        key = ("not", u)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
-        if u <= 1:
-            result = 1 - u
-        else:
-            result = self.node(self.level[u], self.negate(self.lo[u]), self.negate(self.hi[u]))
-        self._apply_cache[key] = result
-        return result
+        # XOR with TRUE recurses into (lo, TRUE) and (hi, TRUE) and rebuilds
+        # each node at its own level: the negation, node for node.
+        return self.apply(u, 1, "xor")
 
     def conjoin(self, *nodes: int) -> int:
         acc = 1
@@ -316,35 +327,39 @@ class ObddManager(ObddNodeTable):
         # over sorted(order) then recurse slicing per decision variable.
         return rec(0, table)
 
-    def compile_circuit(self, circuit: Circuit) -> int:
-        """Bottom-up apply compilation of a circuit (no global truth table)."""
+    def compile_circuit(self, circuit: Circuit, *, node_budget: int | None = None) -> int:
+        """Bottom-up apply compilation of a circuit (no global truth table).
+
+        ``node_budget`` caps the manager's node count (terminals
+        included), as in :meth:`repro.sdd.manager.SddManager.compile_circuit`:
+        it is checked at every new node, so the compile raises
+        :class:`~repro.sdd.manager.CompilationBudgetExceeded` inside the
+        apply that would cross it."""
         if circuit.output is None:
             raise ValueError("circuit has no output")
         vals: dict[int, int] = {}
-        for gid in circuit.topological_order():
-            gate = circuit.gates[gid]
-            if gate.kind == VAR:
-                vals[gid] = self.var(gate.payload)  # type: ignore[arg-type]
-            elif gate.kind == CONST:
-                vals[gid] = self.constant(bool(gate.payload))
-            elif gate.kind == NOT:
-                vals[gid] = self.negate(vals[gate.inputs[0]])
-            elif gate.kind == AND:
-                vals[gid] = self.conjoin(*[vals[i] for i in gate.inputs])
-            else:
-                vals[gid] = self.disjoin(*[vals[i] for i in gate.inputs])
+        saved = self._node_budget
+        self._node_budget = node_budget
+        try:
+            for gid in circuit.topological_order():
+                gate = circuit.gates[gid]
+                if gate.kind == VAR:
+                    vals[gid] = self.var(gate.payload)  # type: ignore[arg-type]
+                elif gate.kind == CONST:
+                    vals[gid] = self.constant(bool(gate.payload))
+                elif gate.kind == NOT:
+                    vals[gid] = self.negate(vals[gate.inputs[0]])
+                elif gate.kind == AND:
+                    vals[gid] = self.conjoin(*[vals[i] for i in gate.inputs])
+                else:
+                    vals[gid] = self.disjoin(*[vals[i] for i in gate.inputs])
+        finally:
+            self._node_budget = saved
         return vals[circuit.output]
 
     # ------------------------------------------------------------------
     # measures / queries
     # ------------------------------------------------------------------
-    def freeze(self, roots, *, names=None, meta=None):
-        """Freeze ``roots`` into an immutable array-backed
-        :class:`~repro.artifact.store.FrozenObdd` (save/mmap/share)."""
-        from ..artifact.store import FrozenObdd
-
-        return FrozenObdd.from_manager(self, list(roots), names=names, meta=meta)
-
     def stats(self) -> dict[str, int]:
         """Public counters for the manager's tables and caches (mirrors
         :meth:`repro.sdd.manager.SddManager.stats`)."""
@@ -381,6 +396,32 @@ class ObddManager(ObddNodeTable):
             return res
 
         return rec(u)
+
+
+def _terminal_apply(u: int, v: int, op: str) -> int | None:
+    """The result of ``u op v`` when a terminal decides it, else ``None``."""
+    if u <= 1 and v <= 1:
+        a, b = bool(u), bool(v)
+        if op == "and":
+            return int(a and b)
+        if op == "or":
+            return int(a or b)
+        return int(a != b)
+    if op == "and":
+        if u == 0 or v == 0:
+            return 0
+        if u == 1:
+            return v
+        if v == 1:
+            return u
+    elif op == "or":
+        if u == 1 or v == 1:
+            return 1
+        if u == 0:
+            return v
+        if v == 0:
+            return u
+    return None
 
 
 def obdd_from_function(f: BooleanFunction, order: Sequence[str] | None = None) -> tuple[ObddManager, int]:

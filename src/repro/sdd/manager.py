@@ -339,13 +339,6 @@ class SddManager(SddNodeTable):
         artifacts through this."""
         return self._intern_decision(vnode, tuple((p, s) for p, s in elems))
 
-    def freeze(self, roots: Iterable[int], *, names=None, meta=None):
-        """Freeze ``roots`` into an immutable array-backed
-        :class:`~repro.artifact.store.FrozenSdd` (save/mmap/share)."""
-        from ..artifact.store import FrozenSdd
-
-        return FrozenSdd.from_manager(self, list(roots), names=names, meta=meta)
-
     def _decision(self, vnode: int, elements: Iterable[tuple[int, int]]) -> int:
         """Compress + trim + intern a decision node at ``vnode``."""
         # Compression: merge primes with equal subs (OR on the left subtree).

@@ -203,6 +203,14 @@ class SddNodeTable:
     def probability(self, u: int, prob: Mapping[str, float], *, exact: bool = False):
         return probability(self, u, prob, exact=exact)
 
+    def freeze(self, roots: Iterable[int], *, names=None, meta=None):
+        """Freeze ``roots`` into an immutable array-backed
+        :class:`~repro.artifact.store.FrozenSdd` (save/mmap/share); a
+        frozen store re-freezes to the same tables."""
+        from ..artifact.store import FrozenSdd
+
+        return FrozenSdd.from_manager(self, list(roots), names=names, meta=meta)
+
     def evaluate(self, u: int, assignment: Mapping[str, int]) -> bool:
         # Lazy short-circuit evaluation (only the taken branches need their
         # variables assigned), iterative: a node stays on the stack until

@@ -58,7 +58,7 @@ import asyncio
 import os
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -215,6 +215,7 @@ class QueryService:
         self._degraded_until = 0.0  # circuit breaker (monotonic instant)
         self._breaker_trips = 0
         self._draining = False
+        self._fallbacks: ThreadPoolExecutor | None = None  # created on first use
 
     # ------------------------------------------------------------------
     # sessions
@@ -426,10 +427,12 @@ class QueryService:
         ``degrade_after`` either answer it on its own vtree
         (``degraded=True``) or trip the circuit breaker.
 
-        A fallback answer is computed *before* the casualty's admission
-        slot is released, so :meth:`apply_update` (which drains the
-        in-flight window first) never mutates the database under it.  It
-        runs outside the service lock, is not cached (a healthy pool
+        Fallback answers are computed one at a time on the service's own
+        fallback thread, so the pool thread that resolved the casualty
+        goes back to serving.  Each is computed *before* its casualty's
+        admission slot is released, so :meth:`apply_update` (which drains
+        the in-flight window first) never mutates the database under it.
+        It runs outside the service lock, is not cached (a healthy pool
         should recompute on the shared vtree) and has no deadline."""
         with self._lock:
             if isinstance(exc, DeadlineExceeded):
@@ -444,12 +447,18 @@ class QueryService:
                     self._admission.retry_after_base * streak
                 )
                 self._breaker_trips += 1
-            fall_back = degrade and self.fallback
-            if not fall_back:
-                self._admission.release(1)
-        if not fall_back:
-            client.set_exception(exc)
-            return
+            if degrade and self.fallback and not self._closed:
+                if self._fallbacks is None:
+                    self._fallbacks = ThreadPoolExecutor(
+                        1, thread_name_prefix="repro-service-fallback"
+                    )
+                self._fallbacks.submit(self._fallback, client, sess, query, exact)
+                return
+            self._admission.release(1)
+        client.set_exception(exc)
+
+    def _fallback(self, client: Future, sess: Session, query: UCQ, exact: bool) -> None:
+        """Answer a casualty on its own vtree, then release its slot."""
         try:
             # A fresh engine derives its vtree from this query alone.
             engine = QueryEngine(self.db)
@@ -620,14 +629,17 @@ class QueryService:
 
     def close(self) -> None:
         """Refuse new submissions and shut the pool down (idempotent; any
-        in-flight queries are failed by the pool)."""
+        in-flight queries are failed by the pool, and fallbacks already
+        queued still answer)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            pool = self._pool
+            pool, fallbacks = self._pool, self._fallbacks
         if pool is not None:
             pool.close()
+        if fallbacks is not None:
+            fallbacks.shutdown(wait=False)  # queued fallbacks still answer
 
     def shutdown(self, drain_timeout: float = 30.0) -> bool:
         """Graceful :meth:`close`: refuse new submissions (with the usual

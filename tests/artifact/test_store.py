@@ -234,7 +234,41 @@ class TestFrozenObdd:
 
 
 class TestFrozenCompiled:
+    """``Compiled`` results over frozen stores: ``Compiler.load`` returns
+    the class that saved the file, answering through the same code."""
+
     BACKENDS = ["canonical", "apply", "obdd", "ddnnf"]
+    SAVED = [(b, "natural" if b in ("obdd", "ddnnf") else "lemma1") for b in BACKENDS] + [
+        (("apply", "ddnnf"), "natural"),
+        (("apply", "obdd"), "natural"),
+    ]
+
+    @staticmethod
+    def _public(obj) -> set[str]:
+        return {name for name in dir(obj) if not name.startswith("_")}
+
+    @pytest.mark.parametrize("backend,strategy", SAVED)
+    @pytest.mark.parametrize("circuit", ["grid(3,4)", *FORMULAS])
+    def test_load_returns_the_saved_class(self, backend, strategy, circuit, tmp_path):
+        from repro.circuits.build import grid
+        from repro.compiler import Compiled
+
+        c = grid(3, 4) if circuit == "grid(3,4)" else parse_formula(circuit)
+        compiled = Compiler(backend=backend, strategy=strategy).compile(c)
+        live = getattr(compiled, "winner", compiled)
+        path = tmp_path / "c.rpaf"
+        compiled.save(path)
+        with closing(Compiler.load(path)) as loaded:
+            assert type(loaded) is type(live)
+            assert isinstance(loaded, Compiled)
+            assert self._public(loaded) == self._public(live)
+            assert (loaded.backend, loaded.strategy) == (live.backend, live.strategy)
+            assert loaded.decomposition_width == live.decomposition_width
+            assert loaded.vtree.to_postfix() == live.vtree.to_postfix()
+            assert (loaded.size, loaded.width) == (live.size, live.width)
+            # save -> load -> save writes the very same bytes.
+            loaded.save(tmp_path / "again.rpaf")
+        assert (tmp_path / "again.rpaf").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("formula", FORMULAS)

@@ -8,6 +8,9 @@ the canonical truth-table backend is still feasible).
 
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import closing
 from fractions import Fraction
 
 import numpy as np
@@ -71,15 +74,24 @@ class TestBackendParity:
     @given(small_circuits(max_vars=10))
     def test_compiled_protocol_surface(self, circuit):
         """Every backend's result satisfies the Compiled protocol: sizes and
-        widths are positive ints, stats are plain public counters."""
-        for b in available_backends():
-            r = compile_with(circuit, backend=b)
-            assert isinstance(r, Compiled)
-            assert r.backend == b
-            assert r.size >= 0 and r.width >= 0
-            assert r.vtree.variables >= set(map(str, circuit.variables))
-            stats = r.stats()
-            assert stats and all(isinstance(v, int) for v in stats.values())
+        widths are positive ints, stats are plain public counters.  So
+        does the result ``Compiler.load`` reads back from its artifact."""
+        with tempfile.TemporaryDirectory() as tmp:
+            for b in available_backends():
+                r = compile_with(circuit, backend=b)
+                assert isinstance(r, Compiled)
+                assert r.backend == b
+                assert r.size >= 0 and r.width >= 0
+                assert r.vtree.variables >= set(map(str, circuit.variables))
+                stats = r.stats()
+                assert stats and all(isinstance(v, int) for v in stats.values())
+                path = os.path.join(tmp, f"{b}.rpaf")
+                r.save(path)
+                with closing(Compiler.load(path)) as loaded:
+                    assert isinstance(loaded, Compiled)
+                    assert (loaded.size, loaded.width) == (r.size, r.width)
+                    stats = loaded.stats()
+                    assert stats and all(isinstance(v, int) for v in stats.values())
 
     @settings(max_examples=15, deadline=None)
     @given(small_circuits(max_vars=6, max_gates=8))
@@ -144,17 +156,23 @@ class TestFacadeBasics:
 
             backends_mod._BACKENDS.pop("echo", None)
 
-    def test_canonical_exact_probability_reuses_compiled_sdd(self):
-        """The exact path loads the already-built S_{F,T} into a manager
-        once and keeps it (no recompilation of the circuit)."""
+    def test_canonical_exact_probability_reuses_compiled_sdd(self, monkeypatch):
+        """The canonical result answers from the already-built S_{F,T},
+        loaded into a manager once (no recompilation of the circuit)."""
+        from repro.sdd.manager import SddManager
+
+        def no_recompile(*args, **kwargs):
+            raise AssertionError("the canonical backend recompiled the circuit")
+
+        monkeypatch.setattr(SddManager, "compile_circuit", no_recompile)
         c = chain_and_or(6)
         r = Compiler(backend="canonical").compile(c)
+        table = r.table
+        assert isinstance(table, SddManager)
         prob = {str(v): 0.3 for v in c.variables}
         p1 = r.probability(prob, exact=True)
-        cached = r._manager_root
-        assert cached is not None
         p2 = r.probability(prob, exact=True)
-        assert r._manager_root is cached  # reused, not rebuilt
+        assert r.table is table  # reused, not rebuilt
         assert p1 == p2 == Fraction(p1)
         assert float(p1) == pytest.approx(r.probability(prob))
 

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.build import disjointness, parity
+from repro.circuits.build import chain_and_or, disjointness, grid, parity
 from repro.circuits.circuit import Circuit
+from repro.compiler import Compiler, get_backend
 from repro.core.boolfunc import BooleanFunction
+from repro.core.vtree import Vtree
 from repro.obdd.obdd import ObddManager, obdd_from_function, obdd_width_of_function
+from repro.sdd.manager import CompilationBudgetExceeded
 
 from ..conftest import boolean_functions
 
@@ -172,6 +175,41 @@ class TestCountingWMC:
         frozen = mgr.freeze([root])
         assert frozen.count_models(frozen.roots[0]) == 1
         assert frozen.weighted_count(frozen.roots[0], weights) == expect
+
+
+class TestDeepAndBudgeted:
+    def test_chain_deeper_than_the_recursion_limit_compiles(self):
+        """apply and negate are iterative: chain_and_or(600) (one OBDD
+        level per variable, 1200 of them) compiles, and counts the same
+        as the apply backend."""
+        c = chain_and_or(600)
+        obdd = Compiler(backend="obdd", strategy="natural").compile(c)
+        apply = Compiler(backend="apply", strategy="natural").compile(c)
+        assert obdd.model_count() == apply.model_count()
+        mgr = obdd.manager
+        assert mgr.negate(mgr.negate(obdd.root)) == obdd.root
+
+    def test_node_budget_is_enforced(self):
+        """The budget is checked at every new node: grid(3,4) needs more
+        than 50, so the compile stops with the typed error."""
+        c = grid(3, 4)
+        vtree = Vtree.right_linear(sorted(map(str, c.variables)))
+        backend = get_backend("obdd")
+        full = backend.compile(c, vtree)
+        assert full.manager.stats()["nodes"] > 50
+        with pytest.raises(CompilationBudgetExceeded):
+            backend.compile(c, vtree, node_budget=50)
+        assert backend.compile(c, vtree, node_budget=10_000).size == full.size
+
+    def test_race_abandons_a_blown_up_obdd(self):
+        """A budgeted race cuts the OBDD off mid-compile once apply has
+        set a small front-runner size."""
+        compiled = Compiler(backend=("apply", "obdd"), strategy="natural").compile(
+            chain_and_or(100)
+        )
+        stats = compiled.stats()
+        assert stats["race_won_apply"] == 1
+        assert stats["race_abandoned_obdd"] == 1
 
 
 class TestToNNF:

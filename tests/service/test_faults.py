@@ -435,6 +435,44 @@ class TestServiceDegradation:
         # Answered against the database as it was before the update.
         assert answers[0].degraded and answers[0].probability == expect
 
+    def test_fallback_leaves_the_pool_thread_serving(self, monkeypatch):
+        """A fallback compile runs off the pool thread that resolved the
+        casualty: with one worker, a second query answers while the
+        first one's fallback is still held at its gate."""
+        import repro.service.service as service_module
+
+        db = _db()
+        doomed, fine = (parse_ucq(t) for t in ("R(x),S(x,y)", "S(x,y)"))
+        expect = QueryEngine(_db()).probability(fine, exact=True)
+        started, gate, fell_back = threading.Event(), threading.Event(), threading.Event()
+
+        class GatedEngine(QueryEngine):
+            def probability(self, *args, **kwargs):
+                started.set()
+                gate.wait(1.0)
+                try:
+                    return super().probability(*args, **kwargs)
+                finally:
+                    fell_back.set()
+
+        monkeypatch.setattr(service_module, "QueryEngine", GatedEngine)
+        with QueryService(db, workers=1, fallback=True, degrade_after=1) as svc:
+            answers = []
+            client = threading.Thread(
+                target=lambda: answers.extend(
+                    svc.submit_sync([doomed], exact=True, timeout=1e-9)
+                )
+            )
+            client.start()
+            assert started.wait(60)
+            second = svc.submit_sync([fine], exact=True, timeout=60)[0]
+            assert not fell_back.is_set()  # answered before the gate opened
+            gate.set()
+            client.join(60)
+            assert not client.is_alive()
+        assert second.probability == expect and not second.degraded
+        assert answers[0].degraded
+
     def test_per_query_timeout_overrides_default(self):
         db = _db()
         q = _queries()[0]

@@ -110,7 +110,7 @@ def test_cli_help_lists_every_subcommand():
 RETIRED = ("PipelineResult", "compile_circuit", "compile_circuit_apply", "probability_via_sdd",
            "evaluate_many", "nnf_dumps", "nnf_loads", "compile_with_vtree",
            "candidate_compilations", "minimize_vtree_for_circuit", "minimize_vtree_fresh",
-           "ParallelQueryEngine", "ParallelBatchEvaluation")
+           "ParallelQueryEngine", "ParallelBatchEvaluation", "FrozenCompiled", "save_compiled")
 
 
 def test_retired_front_doors_are_gone():
@@ -118,12 +118,15 @@ def test_retired_front_doors_are_gone():
     ``QueryEngine``, and sharded batches run on ``QueryService``'s one
     pool: the old shims, the parallel engine, the per-batch executor
     options and the engine tier's ``backend``/``fallback_backend``
-    options are gone, not carried."""
+    options are gone, not carried.  A saved result loads as the class
+    that saved it, so ``FrozenCompiled`` and ``save_compiled`` are gone
+    too."""
     out = run_python("-c", textwrap.dedent(f"""
         import importlib, importlib.util
         for module in ("repro", "repro.core", "repro.core.pipeline", "repro.core.vtree_search",
                        "repro.queries", "repro.queries.evaluate", "repro.circuits.serialize",
-                       "repro.sdd", "repro.sdd.manager"):
+                       "repro.sdd", "repro.sdd.manager", "repro.artifact",
+                       "repro.artifact.store", "repro.artifact.format"):
             mod = importlib.import_module(module)
             for name in {RETIRED!r}:
                 assert not hasattr(mod, name), (module, name)
